@@ -13,11 +13,14 @@
 //       --checkpoint-every=200000 --checkpoint-path=live.ckpt
 //   ./build/examples/repl_server --listen=9410 --resume-from=live.ckpt
 //
-// The serve ends once at least --min-clients connections have come and
-// gone and every queue has drained; aggregates are then finalized and
-// printed. After a crash, --resume-from restores the snapshot and
-// reconnecting clients are told (in the handshake ACK) how many events
-// to skip, so the resumed session continues the same logical stream.
+// Nothing is admitted until --min-clients connections have arrived. The
+// serve ends once at least that many connections have come and gone
+// and every queue has drained; aggregates are then finalized and
+// printed. --keep-serving never ends on idle: the server (and its
+// metrics endpoint) stays up until the process is killed. After a
+// crash, --resume-from restores the snapshot and reconnecting clients
+// are told (in the handshake ACK) how many events to skip, so the
+// resumed session continues the same logical stream.
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -58,8 +61,11 @@ int main(int argc, char** argv) {
                "predictor component spec (default: last_gap; on "
                "--resume-from, the snapshot's spec)");
   cli.add_flag("min-clients", "1",
-               "serve until at least this many clients have connected and "
-               "all of them have finished");
+               "admit nothing until this many clients have connected, and "
+               "serve until all of them have finished");
+  cli.add_bool_flag("keep-serving",
+                    "never end on idle: keep accepting clients (and serving "
+                    "metrics) until the process is killed");
   cli.add_flag("batch-events", "65536", "events per engine batch");
   cli.add_flag("max-queue", "65536", "per-connection queue bound (events)");
   cli.add_flag("max-total-queue", "1048576",
@@ -149,6 +155,7 @@ int main(int argc, char** argv) {
   net.max_total_events = cli.get_size_t("max-total-queue", 1);
   net.max_events_per_sec = cli.get_double("max-events-per-sec");
   net.min_connections = cli.get_size_t("min-clients", 1);
+  net.stop_when_idle = !cli.get_bool("keep-serving");
   net.metrics = &registry;
 
   ServeOptions serve_options;

@@ -307,6 +307,11 @@ void ClusterCoordinator::control_connection_main(Socket sock,
           part->active_epoch = epoch;
           part->hello_seen = true;
           part->hello = msg.hello;
+          // A restored worker already holds (and has checkpointed) its
+          // snapshot's events; one with nothing left to catch up never
+          // sends a progress or checkpoint message.
+          part->progress_events = msg.hello.resume_events;
+          part->checkpoint_events = msg.hello.resume_events;
           require_partition_function_version(msg.hello.pf_version);
           REPL_REQUIRE_MSG(
               msg.hello.num_partitions == options_.num_partitions,
@@ -466,10 +471,12 @@ void ClusterCoordinator::respawn_worker(std::uint32_t p) {
   part.client->drop();
   {
     // The dead worker's control stream is history: clear its partial
-    // state so the respawn's hello/finals/summary start clean. Its
-    // reader thread, if still draining, went stale when the new hello
-    // bumps active_epoch.
+    // state so the respawn's hello/finals/summary start clean. Clearing
+    // the epoch (ids start at 1) makes its reader thread, if still
+    // draining, stale now: a late EOF on it must not mark the respawn
+    // failed or end await_hello early.
     std::lock_guard<std::mutex> lock(ctl_mu_);
+    part.active_epoch = 0;
     part.hello_seen = false;
     part.summary_seen = false;
     part.control_failed = false;
@@ -479,7 +486,23 @@ void ClusterCoordinator::respawn_worker(std::uint32_t p) {
     part.respawns_published = part.respawns;
   }
   spawn_worker(p);
+  await_hello(p);
   part.client->connect();
+}
+
+void ClusterCoordinator::await_hello(std::uint32_t p) {
+  Partition& part = *parts_[p];
+  const double budget = options_.reconnect.backoff_budget_seconds();
+  std::unique_lock<std::mutex> lock(ctl_mu_);
+  if (ctl_cv_.wait_for(lock, std::chrono::duration<double>(budget),
+                       [&] { return part.hello_seen; })) {
+    return;
+  }
+  // Dialing now would sleep through the same budget a second time.
+  std::ostringstream message;
+  message << "partition " << p << ": worker sent no hello within " << budget
+          << " s (it failed to start or to reach the control socket)";
+  throw std::runtime_error(message.str());
 }
 
 void ClusterCoordinator::catch_up(std::uint32_t p, std::uint64_t through) {
@@ -602,6 +625,7 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
         [path] { return connect_unix(path); },
         static_cast<std::uint32_t>(options_.config.num_servers), policy,
         copt);
+    await_hello(p);
     part.send_from = part.client->connect();
   }
 

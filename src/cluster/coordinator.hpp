@@ -23,9 +23,11 @@
 // Failure model: a worker death surfaces as a transport error on its
 // event stream (or a control-stream EOF without a summary). The
 // coordinator reaps the process, respawns it — from its per-partition
-// checkpoint when one exists, fresh otherwise — reconnects with capped
-// exponential backoff, replays the partition's tail from the worker's
-// reported resume offset by re-reading the source log, and continues.
+// checkpoint when one exists, fresh otherwise — waits for its hello
+// (sent once its event listener is bound), reconnects (capped
+// exponential backoff stays as the fallback), replays the partition's
+// tail from the worker's reported resume offset by re-reading the source
+// log, and continues. First spawns wait for the hello the same way.
 // Aggregates after any number of kill/respawn cycles are bit-identical
 // to an uninterrupted run, because the resume offset counts exactly the
 // events the snapshot covers and everything after is replayed.
@@ -185,6 +187,13 @@ class ClusterCoordinator {
   void kill_worker(std::uint32_t p);
   /// kill + respawn + reconnect; throws once the respawn budget is gone.
   void respawn_worker(std::uint32_t p);
+  /// Blocks until partition p's current worker says hello (it binds its
+  /// event listener first, so the dial that follows lands at once; the
+  /// dial keeps the reconnect policy as its fallback). Throws once the
+  /// policy's whole backoff budget passes without a hello, so a worker
+  /// that never starts fails the serve within the one budget an
+  /// unreachable worker's dial would spend.
+  void await_hello(std::uint32_t p);
   /// Re-reads the log and re-sends partition-p events in positions
   /// (resume offset, through] that the respawned worker is missing.
   void catch_up(std::uint32_t p, std::uint64_t through);

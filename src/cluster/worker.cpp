@@ -126,6 +126,22 @@ EngineMetrics run_cluster_worker(const ClusterWorkerOptions& options) {
                          << engine->resume_position());
   }
 
+  NetServerOptions net;
+  net.tcp_port = -1;
+  net.unix_path = options.event_socket;
+  net.batch_events = options.batch_events;
+  net.min_connections = 1;
+  net.stop_when_idle = true;
+  net.metrics = engine_options.metrics;
+  NetIngestServer server(net);
+  NetIngestSource raw_source(server, num_servers);
+  PartitionGuardSource source(raw_source, options.partition_id,
+                              options.num_partitions);
+  // Bind the event listener before the hello: the coordinator dials the
+  // event socket once it has the hello, so its first dial lands. serve()
+  // re-attaches harmlessly.
+  source.attach(*engine);
+
   // Dial the coordinator's control listener and identify ourselves. The
   // resume position repeats what the event-plane handshake ACK will say;
   // the hello adds the geometry + pf_version cross-check the event plane
@@ -142,18 +158,6 @@ EngineMetrics run_cluster_worker(const ClusterWorkerOptions& options) {
   hello.base_seed = options.engine.base_seed;
   encode_control_hello(hello, ctl);
   send_buffer(control, ctl);
-
-  NetServerOptions net;
-  net.tcp_port = -1;
-  net.unix_path = options.event_socket;
-  net.batch_events = options.batch_events;
-  net.min_connections = 1;
-  net.stop_when_idle = true;
-  net.metrics = engine_options.metrics;
-  NetIngestServer server(net);
-  NetIngestSource raw_source(server, num_servers);
-  PartitionGuardSource source(raw_source, options.partition_id,
-                              options.num_partitions);
 
   ServeOptions serve;
   serve.batch_events = options.batch_events;

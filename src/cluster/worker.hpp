@@ -11,6 +11,11 @@
 // slice drains — the id-sorted per-object finals and a summary for the
 // cross-partition reduce.
 //
+// Start-up order: build or restore the engine, bind the event listener,
+// then send the hello. The coordinator dials the event socket only after
+// the hello arrives, so the hello doubles as the readiness signal and
+// the first dial finds the listener bound.
+//
 // Correctness guards:
 //   * every ingested event is checked against partition_of(): an event
 //     routed to the wrong worker fails the serve loudly instead of

@@ -88,6 +88,9 @@ struct StreamingEngine::Telemetry {
         batch_seconds(registry.histogram(
             "repl_batch_seconds", "Wall seconds per ingest batch",
             obs::Histogram::default_latency_bounds())),
+        batch_events(registry.histogram(
+            "repl_batch_events", "Events per ingest batch",
+            batch_events_bounds())),
         source_wait(stage(registry, "source_wait")),
         route(stage(registry, "route")),
         execute(stage(registry, "execute")),
@@ -106,6 +109,13 @@ struct StreamingEngine::Telemetry {
         obs::Histogram::default_latency_bounds(), {{"stage", name}});
   }
 
+  /// Powers of two from 1 to 65,536 events (the default batch size).
+  static std::vector<double> batch_events_bounds() {
+    std::vector<double> bounds;
+    for (double b = 1.0; b <= 65536.0; b *= 2.0) bounds.push_back(b);
+    return bounds;
+  }
+
   obs::Counter& events_ingested;
   obs::Counter& batches;
   obs::Counter& checkpoint_writes;
@@ -113,6 +123,7 @@ struct StreamingEngine::Telemetry {
   obs::Gauge& source_bytes;
   obs::Gauge& objects_active;
   obs::Histogram& batch_seconds;
+  obs::Histogram& batch_events;
   obs::Histogram& source_wait;
   obs::Histogram& route;
   obs::Histogram& execute;
@@ -334,6 +345,7 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count) {
     telemetry_->events_ingested.inc(count);
     telemetry_->batches.inc();
     telemetry_->batch_seconds.observe(route_s + execute_s);
+    telemetry_->batch_events.observe(static_cast<double>(count));
     telemetry_->route.observe(route_s);
     telemetry_->execute.observe(execute_s);
   }
@@ -454,6 +466,8 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
   const auto serve_start = std::chrono::steady_clock::now();
   auto last_report = serve_start;
   std::uint64_t last_events = stats_.events_ingested;
+  const std::uint64_t start_events = stats_.events_ingested;
+  const std::size_t start_batches = stats_.batches;
   const auto emit_stats = [&](std::chrono::steady_clock::time_point now) {
     const double t =
         std::chrono::duration<double>(now - serve_start).count();
@@ -464,16 +478,23 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
             ? static_cast<double>(stats_.events_ingested - last_events) /
                   interval
             : 0.0;
+    const std::size_t batches = stats_.batches - start_batches;
+    const double events_per_batch =
+        batches > 0 ? static_cast<double>(stats_.events_ingested -
+                                          start_events) /
+                          static_cast<double>(batches)
+                    : 0.0;
     obs::Histogram& hist =
         telemetry_ ? telemetry_->batch_seconds : *local_batch_hist;
     char line[256];
     std::snprintf(line, sizeof(line),
                   "[serve] t=%.1fs events=%llu rate=%.0f/s batches=%zu "
-                  "p50_batch=%.1fms p99_batch=%.1fms ckpt=%zu",
+                  "ev/batch=%.1f p50_batch=%.1fms p99_batch=%.1fms ckpt=%zu",
                   t,
                   static_cast<unsigned long long>(stats_.events_ingested),
-                  rate, stats_.batches, hist.quantile(0.5) * 1e3,
-                  hist.quantile(0.99) * 1e3, stats_.checkpoints_written);
+                  rate, stats_.batches, events_per_batch,
+                  hist.quantile(0.5) * 1e3, hist.quantile(0.99) * 1e3,
+                  stats_.checkpoints_written);
     std::string text(line);
     if (options.stats_extra) {
       text.push_back(' ');

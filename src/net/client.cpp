@@ -113,6 +113,16 @@ bool EventStreamClient::write_paced(const unsigned char* data,
   return true;
 }
 
+double ReconnectPolicy::backoff_budget_seconds() const {
+  double total = 0.0;
+  double delay = initial_backoff_seconds;
+  for (std::size_t attempt = 1; attempt < max_attempts; ++attempt) {
+    total += delay * (1.0 + jitter / 2.0);
+    delay = std::min(max_backoff_seconds, delay * 2.0);
+  }
+  return total;
+}
+
 ReconnectingEventStreamClient::ReconnectingEventStreamClient(
     std::function<Socket()> dial, std::uint32_t num_servers,
     ReconnectPolicy policy, EventStreamClientOptions options)

@@ -102,6 +102,10 @@ struct ReconnectPolicy {
   /// Observability hook: called before each backoff sleep with the
   /// 0-based attempt index and the jittered delay about to be slept.
   std::function<void(std::size_t attempt, double delay_seconds)> on_retry;
+
+  /// The longest connect() can sleep before giving up: every backoff
+  /// step at the top of its jitter range.
+  double backoff_budget_seconds() const;
 };
 
 /// Reconnect-with-backoff mode of the event-stream client: owns the dial

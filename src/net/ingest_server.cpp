@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -37,8 +38,9 @@ struct NetIngestServer::Connection {
   // Everything below is guarded by NetIngestServer::mu_.
   State state = State::kHandshake;
   std::deque<LogEvent> queue;
-  /// Newest enqueued event time: the connection's watermark floor while
-  /// its queue is empty (future events cannot be earlier).
+  /// Newest enqueued event time: the connection's watermark cap. The
+  /// FrameAssembler rejects any time below the previous one, across
+  /// frames too, so nothing this connection enqueues later is earlier.
   double last_time = 0.0;
   std::uint64_t events_received = 0;
   std::uint64_t bytes_received = 0;
@@ -235,6 +237,8 @@ void NetIngestServer::accept_loop(Listener& listener, const char* kind) {
     connections_.push_back(std::move(conn));
     REPL_LOG_DEBUG("net", "accepted " << ref.name);
     ref.thread = std::thread([this, &ref] { connection_main(ref); });
+    // This accept may be the one that lifts the min_connections barrier.
+    consumer_cv_.notify_all();
   }
 }
 
@@ -287,7 +291,15 @@ void NetIngestServer::connection_main(Connection& conn) {
         break;  // clean close at a frame boundary
       }
       decoded.clear();
-      assembler.feed(buf.data(), n, decoded);
+      // A defect kills the connection, but only after the whole frames
+      // this read completed before it are enqueued: they are validated,
+      // and the surviving stream is exactly that prefix.
+      std::exception_ptr defect;
+      try {
+        assembler.feed(buf.data(), n, decoded);
+      } catch (const std::exception&) {
+        defect = std::current_exception();
+      }
       inst_->bytes_received.inc(n);
       const std::uint64_t frames_done = assembler.frames_completed();
       if (frames_done > conn.frames_published) {
@@ -318,6 +330,7 @@ void NetIngestServer::connection_main(Connection& conn) {
         }
       }
       if (!decoded.empty()) enqueue(conn, decoded);
+      if (defect) std::rethrow_exception(defect);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -363,13 +376,19 @@ void NetIngestServer::enqueue(Connection& conn,
           std::to_string(event.time) + " behind admitted watermark t=" +
           std::to_string(emitted_time_) + ")");
     }
+    // A connection with an empty queue may always enqueue one event past
+    // the global bound: that publishes its last_time, without which the
+    // watermark could stay at 0 behind queues nobody may drain.
     const auto room = [&] {
       return stopping_ ||
              (conn.queue.size() < options_.max_connection_events &&
-              total_queued_ < options_.max_total_events);
+              (total_queued_ < options_.max_total_events ||
+               conn.queue.empty()));
     };
     if (!room()) {
       inst_->backpressure_stalls.inc();
+      // Hand the consumer what is queued before sleeping on its drain.
+      consumer_cv_.notify_one();
       space_cv_.wait(lock, room);
     }
     if (stopping_) return;
@@ -377,8 +396,8 @@ void NetIngestServer::enqueue(Connection& conn,
     conn.last_time = event.time;
     ++conn.events_received;
     ++total_queued_;
-    consumer_cv_.notify_one();
   }
+  consumer_cv_.notify_one();
 }
 
 double NetIngestServer::watermark_locked() const {
@@ -386,13 +405,12 @@ double NetIngestServer::watermark_locked() const {
   for (const auto& conn : connections_) {
     switch (conn->state) {
       case Connection::State::kHandshake:
-        // An open connection that has sent nothing might still send
-        // anything (> 0); last_time is 0, so it blocks all admission.
-        mark = std::min(mark, conn->last_time);
-        break;
       case Connection::State::kStreaming:
-        mark = std::min(mark, conn->queue.empty() ? conn->last_time
-                                                  : conn->queue.front().time);
+        // Everything queued is <= last_time and everything still to come
+        // is >= it, so the whole queue is admissible up to here. An open
+        // connection that has sent nothing might still send anything
+        // (> 0); its last_time is 0, so it blocks all admission.
+        mark = std::min(mark, conn->last_time);
         break;
       case Connection::State::kClosed:
       case Connection::State::kFailed:
@@ -420,7 +438,11 @@ bool NetIngestServer::next_batch(std::vector<LogEvent>& out) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (stopping_) return false;
-    const double mark = watermark_locked();
+    // The start barrier: a client still to come might send anything, so
+    // nothing is admitted (times are > 0) before min_connections connect.
+    const double mark = connections_.size() < options_.min_connections
+                            ? 0.0
+                            : watermark_locked();
     while (out.size() < options_.batch_events) {
       Connection* best = nullptr;
       for (const auto& conn : connections_) {

@@ -11,16 +11,22 @@
 //
 // Admission order (the watermark rule): an event is admitted only once
 // its time is ≤ the watermark, the minimum over all open connections of
-// what that connection could still produce — its queue front if it has
-// events queued, else the newest time it has decoded (0 before its
+// the newest time that connection has decoded and queued (0 before its
 // first event, which blocks admission: an open connection that has sent
-// nothing might still send anything). Admitted output is therefore
-// globally non-decreasing in time regardless of how client streams
-// interleave on the wire; per-connection order is preserved, so every
-// object's subsequence is exactly as its producer sent it — the
-// engine's determinism contract needs nothing more. A connection whose
-// events arrive below the already-admitted watermark (a late joiner
-// replaying old times) is killed with a diagnostic, never reordered.
+// nothing might still send anything). The frame decoder kills a
+// connection whose times go backwards, across frames too, so nothing a
+// connection sends later is earlier than that cap — and a single
+// time-ordered client is admitted in whole queued runs of up to
+// batch_events. Admission also waits for a start barrier: nothing is
+// admitted until min_connections clients have connected, so a client
+// that connects a moment after another has started streaming is merged,
+// not rejected. Admitted output is therefore globally non-decreasing in
+// time regardless of how client streams interleave on the wire;
+// per-connection order is preserved, so every object's subsequence is
+// exactly as its producer sent it — the engine's determinism contract
+// needs nothing more. A connection that joins after the barrier with
+// events below the already-admitted watermark (a late joiner replaying
+// old times) is killed with a diagnostic, never reordered.
 //
 // Backpressure: each connection's queue is bounded, and a global bound
 // caps the sum. A reader that cannot enqueue stops reading its socket,
@@ -84,6 +90,10 @@ struct NetServerOptions {
   std::size_t batch_events = std::size_t{1} << 16;
   /// Bounded queue sizes (events): per connection, and summed across all
   /// connections. A reader that cannot enqueue stops reading its socket.
+  /// A connection whose queue is empty may still enqueue one event past
+  /// the global bound, so every open connection can publish the time
+  /// the watermark waits on (the sum can exceed the bound by at most one
+  /// event per connection).
   std::size_t max_connection_events = std::size_t{1} << 16;
   std::size_t max_total_events = std::size_t{1} << 20;
   /// Per-connection ingest rate cap, events/second; 0 disables. A token
@@ -92,10 +102,11 @@ struct NetServerOptions {
   /// window closes exactly as under queue backpressure. Stalls count in
   /// repl_net_backpressure_stalls_total (one per stall episode).
   double max_events_per_sec = 0.0;
-  /// The serve ends once at least this many connections have been
-  /// accepted in total AND all connections have closed AND every queue
-  /// has drained (with stop_when_idle). Lets a test or batch job say
-  /// "serve exactly these N clients, then finalize".
+  /// The start barrier: nothing is admitted until at least this many
+  /// connections have been accepted in total. The serve ends once that
+  /// many have been accepted AND all connections have closed AND every
+  /// queue has drained (with stop_when_idle). Lets a test or batch job
+  /// say "serve exactly these N clients, then finalize".
   std::size_t min_connections = 1;
   /// When false the server never ends on idle — it runs until stop().
   bool stop_when_idle = true;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -738,7 +739,8 @@ ClusterServeResult run_cluster(const std::string& log_path,
                                std::uint32_t partitions,
                                std::uint64_t checkpoint_every,
                                std::size_t batch_events,
-                               KillPlan* kill = nullptr) {
+                               KillPlan* kill = nullptr,
+                               std::string* health = nullptr) {
   ClusterCoordinatorOptions options;
   options.num_partitions = partitions;
   options.worker_binary = kClusterBin == nullptr ? "" : kClusterBin;
@@ -761,7 +763,28 @@ ClusterServeResult run_cluster(const std::string& log_path,
   }
   ClusterCoordinator coordinator(options);
   if (kill != nullptr) kill->coordinator = &coordinator;
-  return coordinator.serve_log(log_path);
+  ClusterServeResult result = coordinator.serve_log(log_path);
+  if (health != nullptr) {
+    JsonWriter w;
+    w.begin_object();
+    coordinator.health_json(w);
+    w.end_object();
+    *health = w.str();
+  }
+  return result;
+}
+
+/// Partition p's object in a /healthz body ("" when absent).
+std::string partition_health(const std::string& health, std::uint32_t p) {
+  const std::size_t at =
+      health.find("{\"partition\":" + std::to_string(p) + ",");
+  if (at == std::string::npos) return "";
+  return health.substr(at, health.find('}', at) - at);
+}
+
+bool partition_alive(const std::string& health, std::uint32_t p) {
+  return partition_health(health, p).find("\"state\":\"alive\"") !=
+         std::string::npos;
 }
 
 /// Partition-local event counts — the denominators for kill cuts.
@@ -798,6 +821,41 @@ TEST_F(ClusterTest, MultiPartitionServeIsBitIdenticalToSingleProcess) {
     EXPECT_EQ(events_sum, want.events);
     EXPECT_EQ(objects_sum, want.objects);
   }
+}
+
+TEST_F(ClusterTest, WorkerThatNeverSaysHelloFailsTheServe) {
+  // The coordinator dials a worker once its hello arrives. A worker that
+  // never says hello (here its binary does not exist) must fail the serve
+  // within one reconnect backoff budget: the hello wait spends it, and no
+  // dial schedule sleeps through it again.
+  const std::string log = write_log(make_events(1000, 17));
+  ClusterCoordinatorOptions options;
+  options.num_partitions = 1;
+  options.worker_binary = (dir_ / "no-such-worker").string();
+  options.socket_dir = run_dir("nohello");
+  options.config = cluster_config();
+  options.base_seed = kSeed;
+  options.reconnect.max_attempts = 4;
+  options.reconnect.initial_backoff_seconds = 0.1;
+  options.reconnect.max_backoff_seconds = 0.4;
+  const double budget = options.reconnect.backoff_budget_seconds();
+  ASSERT_NEAR(budget, 0.875, 1e-9);  // (0.1 + 0.2 + 0.4) * 1.25
+  ClusterCoordinator coordinator(options);
+  const auto start = std::chrono::steady_clock::now();
+  std::string error;
+  try {
+    coordinator.serve_log(log);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_NE(error.find("no hello"), std::string::npos) << error;
+  EXPECT_GE(elapsed, budget);
+  // A second backoff schedule after the wait would add at least
+  // 0.75 * 0.7 s.
+  EXPECT_LT(elapsed, 1.5 * budget);
 }
 
 TEST_F(ClusterTest, FederationAndTracingCoverTheWholeServe) {
@@ -908,13 +966,43 @@ TEST_F(ClusterTest, KillRespawnMatrixStaysBitIdentical) {
       dir_name += std::to_string(partitions);
       dir_name += 'q';
       dir_name += std::to_string(quarter);
+      std::string health;
       const ClusterServeResult result = run_cluster(
           log, run_dir(dir_name), partitions, /*checkpoint_every=*/1024,
-          /*batch_events=*/512, &plan);
+          /*batch_events=*/512, &plan, &health);
       EXPECT_TRUE(plan.fired.load());
-      EXPECT_GE(result.respawns, 1u);
+      EXPECT_EQ(result.respawns, 1u);
+      EXPECT_TRUE(partition_alive(health, victim)) << health;
       expect_same(want, result.metrics);
     }
+  }
+}
+
+TEST_F(ClusterTest, ColdStartFromWholeSliceSnapshotsReportsTheirProgress) {
+  // A second serve in a directory whose snapshots already cover every
+  // slice: each worker restores, is sent nothing, and so never sends a
+  // progress message. Its hello's resume position is then the only
+  // report of what it holds, and /healthz must show it.
+  const std::vector<LogEvent> events = make_events(6000, 61);
+  const std::string log = write_log(events);
+  const EngineMetrics want = single_reference(log);
+  const std::string dir = run_dir("warm");
+  run_cluster(log, dir, 2, /*checkpoint_every=*/1, /*batch_events=*/512);
+
+  std::string health;
+  const ClusterServeResult result =
+      run_cluster(log, dir, 2, /*checkpoint_every=*/1, /*batch_events=*/512,
+                  nullptr, &health);
+  expect_same(want, result.metrics);
+  EXPECT_EQ(result.respawns, 0u);
+  const std::vector<std::uint64_t> counts = slice_counts(events, 2);
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    const std::string entry = partition_health(health, p);
+    const std::string count = std::to_string(counts[p]);
+    EXPECT_NE(entry.find("\"events_ingested\":" + count), std::string::npos)
+        << entry;
+    EXPECT_NE(entry.find("\"checkpoint_events\":" + count), std::string::npos)
+        << entry;
   }
 }
 
@@ -931,11 +1019,13 @@ TEST_F(ClusterTest, WorkerDeathMidBatchWithoutCheckpointReplaysTheSlice) {
   KillPlan plan;
   plan.partition = 1;
   plan.at = std::max<std::uint64_t>(1, counts[1] / 2 + 1);
+  std::string health;
   const ClusterServeResult result =
       run_cluster(log, run_dir("midbatch"), partitions,
-                  /*checkpoint_every=*/0, /*batch_events=*/256, &plan);
+                  /*checkpoint_every=*/0, /*batch_events=*/256, &plan, &health);
   EXPECT_TRUE(plan.fired.load());
-  EXPECT_GE(result.respawns, 1u);
+  EXPECT_EQ(result.respawns, 1u);
+  EXPECT_TRUE(partition_alive(health, plan.partition)) << health;
   expect_same(want, result.metrics);
 }
 
@@ -953,12 +1043,14 @@ TEST_F(ClusterTest, MillionObjectSmokeParityWithKillAndRespawn) {
   KillPlan plan;
   plan.partition = 2;
   plan.at = std::max<std::uint64_t>(1, counts[2] / 2);
+  std::string health;
   const ClusterServeResult result =
       run_cluster(log, run_dir("smoke"), partitions,
                   /*checkpoint_every=*/50000,
-                  /*batch_events=*/std::size_t{1} << 16, &plan);
+                  /*batch_events=*/std::size_t{1} << 16, &plan, &health);
   EXPECT_TRUE(plan.fired.load());
-  EXPECT_GE(result.respawns, 1u);
+  EXPECT_EQ(result.respawns, 1u);
+  EXPECT_TRUE(partition_alive(health, plan.partition)) << health;
   expect_same(want, result.metrics);
 }
 

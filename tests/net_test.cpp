@@ -497,10 +497,13 @@ TEST_F(NetTest, CorruptFrameKillsTheConnectionNotTheServer) {
 TEST_F(NetTest, LateJoinerBehindTheWatermarkIsKilled) {
   const std::vector<LogEvent> early = make_events(500, 7);
 
+  // One client lifts the start barrier; the serve outlives it (no idle
+  // end) so a second client can join after its events were admitted.
   NetServerOptions options;
   options.unix_path = temp_path("ingest.sock");
   options.tcp_port = -1;
-  options.min_connections = 2;
+  options.min_connections = 1;
+  options.stop_when_idle = false;
   NetIngestServer server(options);
   auto engine = make_engine();
   NetIngestSource source(server, kServers);
@@ -516,14 +519,164 @@ TEST_F(NetTest, LateJoinerBehindTheWatermarkIsKilled) {
     }
     // The second client replays old times — behind the watermark.
     stream_events(connect_unix(options.unix_path), early, {});
+    while (server.connections_failed() < 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.stop();
   });
 
   const EngineMetrics metrics = engine->serve(source, ServeOptions{});
   clients.join();
 
   EXPECT_EQ(metrics.events, early.size());
+  EXPECT_EQ(server.connections_total(), 2u);
   EXPECT_EQ(server.connections_failed(), 1u);
   EXPECT_NE(server.metrics_json().find("time-regressed"), std::string::npos);
+}
+
+TEST_F(NetTest, StaggeredClientsBehindTheStartBarrierShareTheGlobalBound) {
+  // min_connections=2 with the global queue bound equal to one
+  // connection's: the first client fills the whole global bound before
+  // the second connects, while the barrier admits nothing. The second
+  // connection must still publish its first time (an empty queue may
+  // always take one event), or the watermark stays at 0 for good.
+  const std::vector<LogEvent> all = make_events(4000, 23);
+  std::vector<LogEvent> share_a, share_b;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ((all[i].object % 2 == 0) ? share_a : share_b).push_back(all[i]);
+  }
+  const EngineMetrics reference = reference_metrics(all);
+
+  NetServerOptions options;
+  options.unix_path = temp_path("ingest.sock");
+  options.tcp_port = -1;
+  options.min_connections = 2;
+  options.max_connection_events = 256;
+  options.max_total_events = 256;
+  options.batch_events = 128;
+  NetIngestServer server(options);
+  auto engine = make_engine();
+  NetIngestSource source(server, kServers);
+  source.attach(*engine);
+
+  std::thread clients([&] {
+    std::thread a([&] {
+      stream_events(connect_unix(options.unix_path), share_a, {});
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.events_queued() < options.max_total_events &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stream_events(connect_unix(options.unix_path), share_b, {});
+    a.join();
+  });
+  // A deadlocked admission would block serve() forever: stop the server
+  // after a generous bound so the test fails on its aggregates instead.
+  std::atomic<bool> served{false};
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!served && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!served) server.stop();
+  });
+  const EngineMetrics metrics = engine->serve(source, ServeOptions{});
+  served = true;
+  watchdog.join();
+  clients.join();
+
+  expect_same(metrics, reference);
+  EXPECT_EQ(server.connections_total(), 2u);
+  EXPECT_EQ(server.connections_failed(), 0u);
+}
+
+TEST_F(NetTest, SingleOrderedClientIsAdmittedInWholeQueuedRuns) {
+  // One time-ordered client: everything it has queued is admissible (its
+  // later events cannot be earlier), so batches carry whole decoded
+  // frames rather than one event each.
+  const std::vector<LogEvent> all = make_events(40960, 97);
+  const EngineMetrics reference = reference_metrics(all);
+
+  NetServerOptions options;
+  options.unix_path = temp_path("ingest.sock");
+  options.tcp_port = -1;
+  NetIngestServer server(options);
+  auto engine = make_engine();
+  NetIngestSource source(server, kServers);
+  source.attach(*engine);
+
+  std::thread client([&] {
+    EventStreamClientOptions blocks;
+    blocks.block_events = 4096;
+    stream_events(connect_unix(options.unix_path), all, blocks);
+  });
+  const EngineMetrics metrics = engine->serve(source, ServeOptions{});
+  client.join();
+
+  expect_same(metrics, reference);
+  EXPECT_EQ(server.connections_failed(), 0u);
+  const EngineStats& stats = engine->stats();
+  ASSERT_GT(stats.batches, 0u);
+  EXPECT_GE(stats.events_ingested / stats.batches, 100u)
+      << stats.events_ingested << " events in " << stats.batches
+      << " batches";
+}
+
+TEST_F(NetTest, TimeRegressionAcrossFramesKillsOnlyThatConnection) {
+  // The invariant the newest-time admission cap relies on: a connection
+  // whose next frame starts earlier than its previous frame ended is
+  // killed at the frame decoder, its whole frames before the regression
+  // stay admitted, and every other connection is served in full.
+  const std::vector<LogEvent> all = make_events(3000, 19);
+  std::vector<LogEvent> share_a, share_b;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ((all[i].object % 2 == 0) ? share_a : share_b).push_back(all[i]);
+  }
+  const std::size_t kBlock = 64;
+  ASSERT_GE(share_b.size(), 4 * kBlock);
+  // Frame 2 replays frame 0's times: ordered inside the frame, earlier
+  // than the end of frame 1.
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    share_b[2 * kBlock + i].time = share_b[i].time;
+  }
+  std::vector<LogEvent> expected = share_a;
+  expected.insert(expected.end(), share_b.begin(),
+                  share_b.begin() + static_cast<std::ptrdiff_t>(2 * kBlock));
+  std::sort(expected.begin(), expected.end(),
+            [](const LogEvent& x, const LogEvent& y) {
+              return x.time < y.time;
+            });
+  const EngineMetrics reference = reference_metrics(expected);
+
+  NetServerOptions options;
+  options.unix_path = temp_path("ingest.sock");
+  options.tcp_port = -1;
+  options.min_connections = 2;
+  NetIngestServer server(options);
+  auto engine = make_engine();
+  NetIngestSource source(server, kServers);
+  source.attach(*engine);
+
+  std::thread a([&] {
+    stream_events(connect_unix(options.unix_path), share_a, {});
+  });
+  std::thread b([&] {
+    EventStreamClientOptions framed;
+    framed.block_events = kBlock;
+    stream_events(connect_unix(options.unix_path), share_b, framed);
+  });
+  const EngineMetrics metrics = engine->serve(source, ServeOptions{});
+  a.join();
+  b.join();
+
+  expect_same(metrics, reference);
+  EXPECT_EQ(server.connections_total(), 2u);
+  EXPECT_EQ(server.connections_failed(), 1u);
+  EXPECT_EQ(server.events_admitted(), expected.size());
+  EXPECT_NE(server.metrics_json().find("regresses"), std::string::npos);
 }
 
 TEST_F(NetTest, TinyQueuesBackpressureWithoutLossOrDeadlock) {

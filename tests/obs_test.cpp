@@ -1023,6 +1023,7 @@ TEST(ObsEngineParityTest, TelemetryOnAggregatesAreBitIdentical) {
   // The registry actually observed the serve.
   bool saw_ingested = false;
   bool saw_stage = false;
+  bool saw_batch_events = false;
   for (const Sample& s : registry.collect()) {
     if (s.name == "repl_events_ingested_total") {
       saw_ingested = true;
@@ -1031,10 +1032,29 @@ TEST(ObsEngineParityTest, TelemetryOnAggregatesAreBitIdentical) {
     // Stages that ran (route/execute/reduce) have observations; the
     // checkpoint stages legitimately stay empty in this serve.
     if (s.name == "repl_stage_seconds" && s.count > 0) saw_stage = true;
+    if (s.name == "repl_batch_events") {
+      // Batch shape: 19 full 256-event batches and one of 136, in
+      // power-of-two buckets from 1 to 65,536.
+      saw_batch_events = true;
+      ASSERT_EQ(s.bounds.size(), 17u);
+      EXPECT_EQ(s.bounds.front(), 1.0);
+      EXPECT_EQ(s.bounds.back(), 65536.0);
+      EXPECT_EQ(s.count, 20u);
+      EXPECT_EQ(s.sum, 5000.0);
+      EXPECT_EQ(s.cumulative[7], 0u);   // le=128
+      EXPECT_EQ(s.cumulative[8], 20u);  // le=256
+    }
   }
   EXPECT_TRUE(saw_ingested);
   EXPECT_TRUE(saw_stage);
-  EXPECT_EQ(validate_prometheus(obs::prometheus_text(registry)), "");
+  EXPECT_TRUE(saw_batch_events);
+  const std::string text = obs::prometheus_text(registry);
+  EXPECT_EQ(validate_prometheus(text), "") << text;
+  EXPECT_NE(text.find("# TYPE repl_batch_events histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("repl_batch_events_bucket{le=\"256\"} 20"),
+            std::string::npos)
+      << text;
 }
 
 TEST(ObsEngineParityTest, StatsReporterEmitsLines) {
@@ -1051,12 +1071,16 @@ TEST(ObsEngineParityTest, StatsReporterEmitsLines) {
   for (const std::string& line : lines) {
     EXPECT_EQ(line.rfind("[serve]", 0), 0u) << line;
     EXPECT_NE(line.find("events="), std::string::npos) << line;
+    EXPECT_NE(line.find(" ev/batch="), std::string::npos) << line;
     EXPECT_NE(line.find("p50_batch="), std::string::npos) << line;
     EXPECT_NE(line.find("p99_batch="), std::string::npos) << line;
     EXPECT_NE(line.find("extra=1"), std::string::npos) << line;
   }
-  // The final line reports the full drain.
+  // The final line reports the full drain, in 20 batches of 250 events
+  // on average.
   EXPECT_NE(lines.back().find("events=5000"), std::string::npos)
+      << lines.back();
+  EXPECT_NE(lines.back().find("ev/batch=250.0"), std::string::npos)
       << lines.back();
 }
 
