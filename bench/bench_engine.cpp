@@ -347,7 +347,7 @@ CompressionResult measure_compression(const std::string& log_path,
     auto engine =
         make_builder(config, options, policy_spec, predictor_spec).build();
     const auto start = std::chrono::steady_clock::now();
-    metrics = engine->serve(reader, batch);
+    metrics = engine->serve(reader, {.batch_events = batch});
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -577,7 +577,8 @@ int main(int argc, char** argv) {
       auto engine = make_builder(config, options, policy_spec,
                                  predictor_spec)
                         .build();
-      const EngineMetrics metrics = engine->serve(reader, batch);
+      const EngineMetrics metrics =
+          engine->serve(reader, {.batch_events = batch});
       const EngineStats& stats = engine->stats();
       last_metrics = metrics;
       last_options = options;
@@ -630,7 +631,8 @@ int main(int argc, char** argv) {
                                 builder.predictor_spec() == predictor_spec;
         EventLogReader reader(log_path);
         auto engine = builder.build();
-        const EngineMetrics metrics = engine->serve(reader, batch);
+        const EngineMetrics metrics =
+            engine->serve(reader, {.batch_events = batch});
         const EngineStats& stats = engine->stats();
         ComparisonResult comparison;
         comparison.policy = builder.policy_spec();
@@ -724,7 +726,8 @@ int main(int argc, char** argv) {
     EventLogReader reader(log_path);
     auto engine =
         make_builder(config, options, policy_spec, predictor_spec).build();
-    const EngineMetrics metrics = engine->serve(reader, batch);
+    const EngineMetrics metrics =
+        engine->serve(reader, {.batch_events = batch});
     zipf_rows.push_back(shard_spread(zipf_s, metrics));
     if (!cli.get_bool("keep-logs")) {
       std::error_code ec;

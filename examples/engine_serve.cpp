@@ -27,8 +27,8 @@
 
 #include "api/experiment.hpp"
 #include "api/registry.hpp"
-#include "checkpoint/snapshot.hpp"
 #include "engine/engine.hpp"
+#include "engine/event_source.hpp"
 #include "obs/http_exporter.hpp"
 #include "obs/metrics.hpp"
 #include "trace/event_log.hpp"
@@ -165,13 +165,15 @@ int main(int argc, char** argv) {
   options.num_threads = static_cast<int>(cli.get_size_t("threads", 0, 4096));
   options.compress_checkpoints = cli.get_bool("compress");
 
-  // Telemetry: one registry feeds the optional HTTP endpoint and gives
-  // the stats reporter real histograms. Declared here so it outlives the
+  // Telemetry: one registry feeds the optional HTTP endpoint and the
+  // stats reporter's batch histogram. Declared here so it outlives the
   // engine built below.
   obs::MetricsRegistry registry;
   std::unique_ptr<obs::MetricsHttpServer> metrics_http;
-  if (cli.get_int("metrics-port") >= 0) {
+  if (cli.get_int("metrics-port") >= 0 || cli.get_double("stats-every") > 0) {
     options.metrics = &registry;
+  }
+  if (cli.get_int("metrics-port") >= 0) {
     obs::MetricsHttpOptions http;
     http.port = static_cast<int>(cli.get_int("metrics-port"));
     metrics_http = std::make_unique<obs::MetricsHttpServer>(registry, http);
@@ -260,25 +262,16 @@ int main(int argc, char** argv) {
       engine->ingest(batch);
       if (checkpoint_every > 0 &&
           engine->stats().events_ingested >= next_mark) {
-        const std::string tmp = checkpoint_path + ".tmp";
-        engine->checkpoint(tmp);
-        std::filesystem::rename(tmp, checkpoint_path);
+        engine->checkpoint(checkpoint_path);
         while (next_mark <= engine->stats().events_ingested) {
           next_mark += checkpoint_every;
         }
       }
     }
-    // The final snapshot replaces the last periodic one atomically too:
-    // a crash mid-write (the very scenario this flag simulates) must
-    // never clobber a good checkpoint with a truncated file.
-    {
-      const std::string tmp = checkpoint_path + ".tmp";
-      engine->checkpoint(tmp);
-      std::filesystem::rename(tmp, checkpoint_path);
-      sync_path_best_effort(std::filesystem::path(checkpoint_path)
-                                .parent_path()
-                                .string());
-    }
+    // The final snapshot replaces the last periodic one atomically too
+    // (as every checkpoint() does): a crash mid-write — the very scenario
+    // this flag simulates — never clobbers a good checkpoint.
+    engine->checkpoint(checkpoint_path);
     std::cout << "stopped after " << engine->stats().events_ingested
               << " events; snapshot -> " << checkpoint_path
               << "\nresume with: --log=" << log_path
@@ -289,11 +282,12 @@ int main(int argc, char** argv) {
   ServeOptions serve_options;
   serve_options.checkpoint_every = checkpoint_every;
   if (checkpoint_every > 0) serve_options.checkpoint_path = checkpoint_path;
-  serve_options.async_ingest = !cli.get_bool("sync-ingest");
   serve_options.stats_every = cli.get_double("stats-every");
+  LogReplaySource source(reader, serve_options.batch_events,
+                         /*async_ingest=*/!cli.get_bool("sync-ingest"));
   EngineMetrics metrics;
   try {
-    metrics = engine->serve(reader, serve_options);
+    metrics = engine->serve(source, serve_options);
   } catch (const std::exception& e) {
     // Typically the snapshot↔log cross-check: resuming against a log
     // that is not the one the checkpoint was taken from.

@@ -183,6 +183,9 @@ int main(int argc, char** argv) {
     }
 
     if (role == "single") {
+      // --stats-every reads its batch latencies from a registry.
+      obs::MetricsRegistry registry;
+      if (stats_every > 0) engine_options.metrics = &registry;
       EngineBuilder builder;
       builder.config(config)
           .options(engine_options)

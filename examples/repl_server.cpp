@@ -159,28 +159,19 @@ int main(int argc, char** argv) {
   net.metrics = &registry;
 
   ServeOptions serve_options;
-  serve_options.batch_events = net.batch_events;
   serve_options.checkpoint_every = cli.get_uint64("checkpoint-every");
   serve_options.checkpoint_path = cli.get_string("checkpoint-path");
-  serve_options.async_ingest = false;  // the net source decodes off-thread
   serve_options.stats_every = cli.get_double("stats-every");
 
   EngineMetrics metrics;
   try {
+    // The source carries the front-end's hooks: ingest spans adopt the
+    // newest trace context a client announced on the wire, checkpoints
+    // drive the checkpoint-age metrics, and stats lines end with queue
+    // depth and connection counts.
     NetIngestServer server(net);
     NetIngestSource source(server,
                            static_cast<std::uint32_t>(servers));
-    serve_options.on_checkpoint = [&server, &engine] {
-      server.note_checkpoint(engine->stats().events_ingested);
-    };
-    // Ingest spans adopt the newest trace context any client announced
-    // on the wire, so a tracing client's timeline reaches into ours.
-    serve_options.trace_parent = [&server] { return server.latest_trace(); };
-    serve_options.stats_extra = [&server] {
-      return "queued=" + std::to_string(server.events_queued()) + " conns=" +
-             std::to_string(server.connections_total()) + "/" +
-             std::to_string(server.connections_failed()) + "f";
-    };
     // Attach now (serve()'s own attach is a no-op on an attached source)
     // so the READY line can carry the kernel-assigned ports before
     // serve() blocks for the first batch.

@@ -22,29 +22,41 @@ namespace repl {
 
 namespace {
 
-/// Wraps the worker's event source and validates that every event the
-/// coordinator routed here actually belongs to this partition. A
-/// misrouted event means the two sides disagree about the partition
-/// function — the exact bug the pf_version machinery exists to catch —
-/// and silently serving it would double-count the object somewhere, so
-/// the serve dies loudly instead.
-class PartitionGuardSource final : public EventSource {
+void send_buffer(Socket& sock, std::vector<unsigned char>& buf) {
+  sock.write_all(buf.data(), buf.size());
+  buf.clear();
+}
+
+/// The worker's serving adapter over its event source. It checks that
+/// every event the coordinator routed here actually belongs to this
+/// partition: a misrouted event means the two sides disagree about the
+/// partition function — the exact bug the pf_version machinery exists to
+/// catch — and silently serving it would double-count the object
+/// somewhere, so the serve dies loudly instead. Trace context and
+/// checkpoint notices pass through to the inner source; the engine's
+/// hooks also carry the worker's own control-plane duties.
+class WorkerSource final : public EventSource {
  public:
-  PartitionGuardSource(EventSource& inner, std::uint32_t partition_id,
-                       std::uint32_t num_partitions)
-      : inner_(inner), partition_(partition_id), partitions_(num_partitions) {}
+  WorkerSource(EventSource& inner, const ClusterWorkerOptions& options,
+               obs::MetricsRegistry& registry, Socket& control)
+      : inner_(inner),
+        options_(options),
+        registry_(registry),
+        control_(control) {}
 
   void attach(StreamingEngine& engine) override { inner_.attach(engine); }
 
   bool next_batch(std::vector<LogEvent>& out) override {
     if (!inner_.next_batch(out)) return false;
     for (const LogEvent& event : out) {
-      const std::uint32_t owner = partition_of(event.object, partitions_);
-      if (owner != partition_) {
+      const std::uint32_t owner =
+          partition_of(event.object, options_.num_partitions);
+      if (owner != options_.partition_id) {
         throw std::runtime_error(
             "misrouted event: object " + std::to_string(event.object) +
             " belongs to partition " + std::to_string(owner) +
-            ", this worker serves partition " + std::to_string(partition_));
+            ", this worker serves partition " +
+            std::to_string(options_.partition_id));
       }
     }
     return true;
@@ -54,16 +66,62 @@ class PartitionGuardSource final : public EventSource {
     return inner_.bytes_consumed();
   }
 
+  obs::TraceContext trace_parent() const override {
+    return inner_.trace_parent();
+  }
+
+  /// Streams progress, then the metrics snapshot, to the coordinator.
+  void ingested(const EngineStats& stats) override {
+    ControlProgress progress;
+    progress.events_ingested = stats.events_ingested;
+    progress.batches = stats.batches;
+    encode_control_progress(progress, ctl_);
+    send_buffer(control_, ctl_);
+    send_metrics();
+  }
+
+  /// The engine snapshot just landed atomically: bind it to this slice
+  /// with the manifest, then tell the coordinator. `events_ingested` is
+  /// the cumulative stream position (it carries across restores) —
+  /// exactly what a respawn reports as its resume offset.
+  void checkpointed(std::uint64_t events_ingested) override {
+    PartitionManifest manifest;
+    manifest.partition_id = options_.partition_id;
+    manifest.num_partitions = options_.num_partitions;
+    manifest.pf_version = kPartitionFunctionVersion;
+    manifest.num_servers =
+        static_cast<std::uint32_t>(options_.config.num_servers);
+    manifest.base_seed = options_.engine.base_seed;
+    manifest.events_ingested = events_ingested;
+    write_partition_manifest(partition_manifest_path(options_.snapshot_path),
+                             manifest);
+    inner_.checkpointed(events_ingested);
+    ControlCheckpoint note;
+    note.events_ingested = events_ingested;
+    encode_control_checkpoint(note, ctl_);
+    send_buffer(control_, ctl_);
+  }
+
+  /// Each metrics message carries the full registry snapshot plus the
+  /// newest wire trace context, so the coordinator's federated view and
+  /// the merged timeline both know which batch the numbers belong to.
+  void send_metrics() {
+    ControlMetrics snapshot;
+    const obs::TraceContext trace = inner_.trace_parent();
+    snapshot.trace_id = trace.trace_id;
+    snapshot.span_id = trace.span_id;
+    snapshot.samples = registry_.collect();
+    encode_control_metrics(snapshot, ctl_);
+    send_buffer(control_, ctl_);
+  }
+
  private:
   EventSource& inner_;
-  std::uint32_t partition_;
-  std::uint32_t partitions_;
+  const ClusterWorkerOptions& options_;
+  obs::MetricsRegistry& registry_;
+  Socket& control_;
+  std::vector<unsigned char> ctl_;
 };
-
-void send_buffer(Socket& sock, std::vector<unsigned char>& buf) {
-  sock.write_all(buf.data(), buf.size());
-  buf.clear();
-}
 
 }  // namespace
 
@@ -134,19 +192,18 @@ EngineMetrics run_cluster_worker(const ClusterWorkerOptions& options) {
   net.stop_when_idle = true;
   net.metrics = engine_options.metrics;
   NetIngestServer server(net);
-  NetIngestSource raw_source(server, num_servers);
-  PartitionGuardSource source(raw_source, options.partition_id,
-                              options.num_partitions);
+  NetIngestSource net_source(server, num_servers);
   // Bind the event listener before the hello: the coordinator dials the
   // event socket once it has the hello, so its first dial lands. serve()
   // re-attaches harmlessly.
-  source.attach(*engine);
+  net_source.attach(*engine);
 
   // Dial the coordinator's control listener and identify ourselves. The
   // resume position repeats what the event-plane handshake ACK will say;
   // the hello adds the geometry + pf_version cross-check the event plane
   // has no field for.
   Socket control = connect_unix(options.control_socket);
+  WorkerSource source(net_source, options, registry, control);
   std::vector<unsigned char> ctl;
   encode_control_header(ctl);
   ControlHello hello;
@@ -160,52 +217,9 @@ EngineMetrics run_cluster_worker(const ClusterWorkerOptions& options) {
   send_buffer(control, ctl);
 
   ServeOptions serve;
-  serve.batch_events = options.batch_events;
   serve.stats_every = options.stats_every;
   serve.checkpoint_every = options.checkpoint_every;
   serve.checkpoint_path = options.snapshot_path;
-  serve.async_ingest = false;  // the net source decodes off-thread
-  serve.on_checkpoint = [&] {
-    // The engine snapshot just landed atomically; bind it to this slice.
-    // stats().events_ingested is the cumulative stream position (it
-    // carries across restores), which is exactly what a respawn reports
-    // as its resume offset.
-    PartitionManifest manifest;
-    manifest.partition_id = options.partition_id;
-    manifest.num_partitions = options.num_partitions;
-    manifest.pf_version = kPartitionFunctionVersion;
-    manifest.num_servers = num_servers;
-    manifest.base_seed = options.engine.base_seed;
-    manifest.events_ingested = engine->stats().events_ingested;
-    write_partition_manifest(partition_manifest_path(options.snapshot_path),
-                             manifest);
-    server.note_checkpoint(manifest.events_ingested);
-    ControlCheckpoint note;
-    note.events_ingested = manifest.events_ingested;
-    encode_control_checkpoint(note, ctl);
-    send_buffer(control, ctl);
-  };
-  // Each metrics message carries the full registry snapshot plus the
-  // newest wire trace context, so the coordinator's federated view and
-  // the merged timeline both know which batch the numbers belong to.
-  const auto send_metrics = [&] {
-    ControlMetrics snapshot;
-    const obs::TraceContext trace = server.latest_trace();
-    snapshot.trace_id = trace.trace_id;
-    snapshot.span_id = trace.span_id;
-    snapshot.samples = registry.collect();
-    encode_control_metrics(snapshot, ctl);
-    send_buffer(control, ctl);
-  };
-  serve.on_batch = [&](const EngineStats& stats) {
-    ControlProgress progress;
-    progress.events_ingested = stats.events_ingested;
-    progress.batches = stats.batches;
-    encode_control_progress(progress, ctl);
-    send_buffer(control, ctl);
-    send_metrics();
-  };
-  serve.trace_parent = [&server] { return server.latest_trace(); };
   std::vector<EngineObjectFinal> finals;
   serve.collect_finals = &finals;
 
@@ -218,7 +232,7 @@ EngineMetrics run_cluster_worker(const ClusterWorkerOptions& options) {
   // One last snapshot after the drain, so the coordinator's federated
   // counters settle at the partition's final totals before finals begin
   // (metrics frames are rejected once the finals sequence starts).
-  send_metrics();
+  source.send_metrics();
 
   // The slice has drained: ship the id-sorted finals in bounded chunks,
   // then the summary that seals the stream.

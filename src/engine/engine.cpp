@@ -10,14 +10,12 @@
 #include <utility>
 
 #include <cstdio>
-#include <iostream>
 
 #include "checkpoint/snapshot.hpp"
 #include "checkpoint/state_io.hpp"
 #include "engine/event_source.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
 #include "replay/fixture.hpp"
 #include "offline/opt_lower_bound.hpp"
@@ -37,6 +35,76 @@ std::size_t shard_index(std::uint64_t object_id, std::size_t num_shards) {
   return static_cast<std::size_t>(SplitMix64(object_id).next() %
                                   static_cast<std::uint64_t>(num_shards));
 }
+
+/// One timed interval of the serve pipeline, measured once: a single
+/// start/stop clock pair feeds every sink that exists — the EngineStats
+/// field, the registry histogram (telemetry on) and a trace span (the
+/// process Tracer on) — so the views of one interval cannot disagree.
+/// With tracing off it costs two clock reads. Records at stop() or, if
+/// never stopped, at destruction.
+class Stage {
+ public:
+  /// Times from `start_ns` (default: now), so a stage can begin exactly
+  /// where the previous one ended without another clock read.
+  Stage(double* total, obs::Histogram* histogram, const char* span = nullptr,
+        obs::TraceContext parent = {},
+        std::uint64_t start_ns = obs::Tracer::now_ns())
+      : total_(total),
+        histogram_(histogram),
+        span_(span != nullptr && obs::Tracer::global().enabled() ? span
+                                                                 : nullptr),
+        parent_(parent),
+        start_ns_(start_ns) {}
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+  ~Stage() { stop(); }
+
+  /// Whether this stage records a span (the tracer was on at its start).
+  bool traced() const { return span_ != nullptr; }
+  std::uint64_t start_ns() const { return start_ns_; }
+  /// Re-parents the span before stop(): the context a batch rode in on
+  /// is only known once the source has delivered it.
+  void set_parent(obs::TraceContext parent) { parent_ = parent; }
+  /// One integer span argument (key must be a string literal).
+  void set_arg(const char* key, std::uint64_t value) {
+    arg_key_ = key;
+    arg_value_ = value;
+  }
+
+  /// Records the interval (once) into every sink, ending at `end_ns`
+  /// (default: now); returns the end, where a following stage may start.
+  std::uint64_t stop(std::uint64_t end_ns = obs::Tracer::now_ns()) {
+    if (stopped_) return end_ns;
+    stopped_ = true;
+    const double seconds = static_cast<double>(end_ns - start_ns_) / 1e9;
+    if (total_ != nullptr) *total_ += seconds;
+    if (histogram_ != nullptr) histogram_->observe(seconds);
+    if (span_ != nullptr) {
+      obs::Tracer& tracer = obs::Tracer::global();
+      obs::SpanRecord record;
+      record.name = span_;
+      record.arg_key = arg_key_;
+      record.arg_value = arg_value_;
+      record.start_ns = start_ns_;
+      record.dur_ns = end_ns - start_ns_;
+      record.span_id = tracer.next_id();
+      record.trace_id = parent_.valid() ? parent_.trace_id : tracer.next_id();
+      record.parent_id = parent_.span_id;
+      tracer.record(record);
+    }
+    return end_ns;
+  }
+
+ private:
+  double* total_;
+  obs::Histogram* histogram_;
+  const char* span_;
+  obs::TraceContext parent_;
+  const char* arg_key_ = nullptr;
+  std::uint64_t arg_value_ = 0;
+  std::uint64_t start_ns_;
+  bool stopped_ = false;
+};
 
 }  // namespace
 
@@ -277,10 +345,23 @@ void StreamingEngine::run_shard_tasks(
 }
 
 void StreamingEngine::ingest(const LogEvent* events, std::size_t count) {
+  ingest(events, count, obs::TraceContext{});
+}
+
+void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
+                             obs::TraceContext parent) {
   REPL_CHECK_MSG(!finished_, "ingest after finish()");
   REPL_CHECK_MSG(!failed_, "engine unusable after a prior failure");
   if (count == 0) return;
-  const auto started = std::chrono::steady_clock::now();
+  Telemetry* tel = telemetry_.get();
+  // One batch interval (ingest_seconds, repl_batch_seconds, the
+  // engine.ingest span), split into route and execute at a shared clock
+  // read: three reads for three measurements.
+  Stage batch(&stats_.ingest_seconds, tel ? &tel->batch_seconds : nullptr,
+              "engine.ingest", parent);
+  batch.set_arg("events", count);
+  Stage route(&stats_.route_seconds, tel ? &tel->route : nullptr, nullptr,
+              {}, batch.start_ns());
 
   // Validate the whole batch before touching any engine state, so a
   // rejected batch leaves the engine clean and the caller may retry
@@ -318,8 +399,9 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count) {
   last_batch_time_ = prev;
   any_event_ = true;
   log_hash_ = hash;  // committed only once the whole batch validated
-  const auto routed = std::chrono::steady_clock::now();
 
+  Stage execute(&stats_.execute_seconds, tel ? &tel->execute : nullptr,
+                nullptr, {}, route.stop());
   run_shard_tasks(active, [&](Shard& shard) {
     for (const LogEvent& event : shard.inbox) {
       std::unique_ptr<ObjectState>& slot = shard.objects[event.object];
@@ -335,19 +417,11 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count) {
 
   ++stats_.batches;
   stats_.events_ingested += count;
-  const auto ended = std::chrono::steady_clock::now();
-  const double route_s = std::chrono::duration<double>(routed - started).count();
-  const double execute_s = std::chrono::duration<double>(ended - routed).count();
-  stats_.route_seconds += route_s;
-  stats_.execute_seconds += execute_s;
-  stats_.ingest_seconds += route_s + execute_s;
-  if (telemetry_) {
-    telemetry_->events_ingested.inc(count);
-    telemetry_->batches.inc();
-    telemetry_->batch_seconds.observe(route_s + execute_s);
-    telemetry_->batch_events.observe(static_cast<double>(count));
-    telemetry_->route.observe(route_s);
-    telemetry_->execute.observe(execute_s);
+  batch.stop(execute.stop());
+  if (tel) {
+    tel->events_ingested.inc(count);
+    tel->batches.inc();
+    tel->batch_events.observe(static_cast<double>(count));
   }
 }
 
@@ -355,7 +429,8 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
   REPL_CHECK_MSG(!finished_, "finish() called twice");
   REPL_CHECK_MSG(!failed_, "engine unusable after a prior failure");
   finished_ = true;
-  const auto started = std::chrono::steady_clock::now();
+  Stage reduce(&stats_.finish_seconds,
+               telemetry_ ? &telemetry_->reduce : nullptr);
 
   std::vector<std::size_t> all_shards(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) all_shards[i] = i;
@@ -412,14 +487,8 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
   metrics.shards.reserve(shards_.size());
   for (const auto& shard : shards_) metrics.shards.push_back(shard->metrics);
 
-  stats_.finish_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  if (telemetry_) {
-    telemetry_->reduce.observe(stats_.finish_seconds);
-    telemetry_->objects_active.set(0.0);  // table released above
-  }
+  reduce.stop();
+  if (telemetry_) telemetry_->objects_active.set(0.0);  // table released
   if (finals != nullptr) *finals = std::move(all);
   return metrics;
 }
@@ -429,9 +498,13 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
   // Invariant geometry, validated and hoisted once — nothing in the
   // drain loop below re-validates it.
   const std::uint64_t checkpoint_every = options.checkpoint_every;
-  REPL_REQUIRE(options.batch_events >= 1);
   REPL_REQUIRE_MSG(checkpoint_every == 0 || !options.checkpoint_path.empty(),
                    "checkpoint_every requires a checkpoint_path");
+  const bool report = options.stats_every > 0.0;
+  REPL_REQUIRE_MSG(!report || telemetry_,
+                   "stats_every requires EngineOptions::metrics (the stats "
+                   "line reads repl_batch_seconds)");
+  Telemetry* tel = telemetry_.get();
 
   // Bind to (and cross-check) the stream's identity, and position the
   // source past a restored engine's consumed prefix (for file replay,
@@ -454,15 +527,8 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
           ? 0
           : (stats_.events_ingested / checkpoint_every + 1) * checkpoint_every;
 
-  // Periodic stats reporting. The batch-latency percentiles come from
-  // the registry histogram when telemetry is on; otherwise a serve-local
-  // histogram (same buckets, never registered) fills in, so
-  // --stats-every works standalone.
-  const bool report = options.stats_every > 0.0;
-  std::optional<obs::Histogram> local_batch_hist;
-  if (report && !telemetry_) {
-    local_batch_hist.emplace(obs::Histogram::default_latency_bounds());
-  }
+  // Periodic stats reporting; batch-latency percentiles come from the
+  // registry's repl_batch_seconds, i.e. route + execute.
   const auto serve_start = std::chrono::steady_clock::now();
   auto last_report = serve_start;
   std::uint64_t last_events = stats_.events_ingested;
@@ -484,8 +550,6 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
                                           start_events) /
                           static_cast<double>(batches)
                     : 0.0;
-    obs::Histogram& hist =
-        telemetry_ ? telemetry_->batch_seconds : *local_batch_hist;
     char line[256];
     std::snprintf(line, sizeof(line),
                   "[serve] t=%.1fs events=%llu rate=%.0f/s batches=%zu "
@@ -493,90 +557,57 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
                   t,
                   static_cast<unsigned long long>(stats_.events_ingested),
                   rate, stats_.batches, events_per_batch,
-                  hist.quantile(0.5) * 1e3, hist.quantile(0.99) * 1e3,
+                  tel->batch_seconds.quantile(0.5) * 1e3,
+                  tel->batch_seconds.quantile(0.99) * 1e3,
                   stats_.checkpoints_written);
     std::string text(line);
-    if (options.stats_extra) {
-      text.push_back(' ');
-      text += options.stats_extra();
-    }
-    if (options.stats_sink) {
-      options.stats_sink(text);
-    } else {
-      REPL_LOG_INFO("engine", text);
-    }
+    const std::string status = source.status();
+    if (!status.empty()) text += ' ' + status;
+    REPL_LOG_INFO("engine", text);
     last_report = now;
     last_events = stats_.events_ingested;
   };
 
-  // Per-batch tracing: the wait span covers blocking on the source (its
-  // parent — the context the batch rode in with — is only known after
-  // next_batch returns, hence set_parent), the ingest span covers
-  // route + execute. With the process Tracer disabled every span call
-  // is a no-op and trace_parent is never invoked.
+  // Per batch: the wait stage covers blocking on the source (its span's
+  // parent — the context the batch rode in with — is only known once
+  // next_batch returns), then ingest() times route + execute under the
+  // same parent. With the process Tracer disabled no span is recorded
+  // and trace_parent() is never called.
   std::vector<LogEvent> batch;
   for (;;) {
-    const bool tracing = obs::Tracer::global().enabled();
     bool more;
-    obs::TraceContext batch_parent;
+    obs::TraceContext parent;
     {
-      obs::Span wait_span("serve.wait");
-      obs::StageTimer wait(&stats_.source_wait_seconds,
-                           telemetry_ ? &telemetry_->source_wait : nullptr);
+      Stage wait(&stats_.source_wait_seconds,
+                 tel ? &tel->source_wait : nullptr, "serve.wait");
       more = source.next_batch(batch);
-      if (tracing && options.trace_parent) {
-        batch_parent = options.trace_parent();
-        wait_span.set_parent(batch_parent);
+      if (wait.traced()) {
+        parent = source.trace_parent();
+        wait.set_parent(parent);
       }
-      wait_span.set_arg("events", batch.size());
+      wait.set_arg("events", batch.size());
     }
     if (!more) break;
-    const auto batch_start = std::chrono::steady_clock::now();
-    {
-      obs::Span ingest_span("engine.ingest", batch_parent);
-      ingest_span.set_arg("events", batch.size());
-      ingest(batch);
-    }
+    ingest(batch.data(), batch.size(), parent);
     if (capture) capture->record(batch);
-    if (options.on_batch) options.on_batch(stats_);
-    if (local_batch_hist) {
-      local_batch_hist->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        batch_start)
-              .count());
-    }
-    if (telemetry_) {
-      telemetry_->objects_active.set(static_cast<double>(object_count()));
-      telemetry_->source_bytes.set(
-          static_cast<double>(source.bytes_consumed()));
+    source.ingested(stats_);
+    if (tel) {
+      tel->objects_active.set(static_cast<double>(object_count()));
+      tel->source_bytes.set(static_cast<double>(source.bytes_consumed()));
     }
     if (checkpoint_every > 0 && stats_.events_ingested >= next_checkpoint) {
-      // Atomic replace: seal the snapshot under a temporary name first,
-      // so a crash mid-write never clobbers the previous good one.
-      const auto started = std::chrono::steady_clock::now();
-      obs::Span ckpt_span("engine.checkpoint", batch_parent);
-      ckpt_span.set_arg("events", stats_.events_ingested);
-      const std::string tmp = options.checkpoint_path + ".tmp";
-      checkpoint(tmp);
-      std::filesystem::rename(tmp, options.checkpoint_path);
-      // Make the replacement itself durable (the snapshot's bytes were
-      // synced before the rename, inside SnapshotWriter::close()).
-      sync_path_best_effort(
-          std::filesystem::path(options.checkpoint_path)
-              .parent_path()
-              .string());
+      {
+        Stage write(&stats_.checkpoint_seconds,
+                    tel ? &tel->checkpoint_write : nullptr,
+                    "engine.checkpoint", parent);
+        write.set_arg("events", stats_.events_ingested);
+        checkpoint(options.checkpoint_path);
+      }
       ++stats_.checkpoints_written;
-      const double checkpoint_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      stats_.checkpoint_seconds += checkpoint_s;
-      if (telemetry_) telemetry_->checkpoint_write.observe(checkpoint_s);
       if (capture) capture->record_cut(stats_.events_ingested);
-      if (options.on_checkpoint) options.on_checkpoint();
+      source.checkpointed(stats_.events_ingested);
       // Flush spans at every checkpoint, so a SIGKILLed process leaves a
       // trace prefix at least as fresh as its last durable snapshot.
-      ckpt_span.end();
       if (obs::Tracer::global().enabled()) obs::Tracer::global().flush();
       while (next_checkpoint <= stats_.events_ingested) {
         next_checkpoint += checkpoint_every;
@@ -603,11 +634,11 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
 
 EngineMetrics StreamingEngine::serve(EventLogReader& reader,
                                      const ServeOptions& options) {
-  // Double-buffered ingestion (async_ingest): the prefetcher's reader
-  // thread decodes the next batch while the shards execute this one. It
-  // delivers the exact batches the synchronous loop would, so aggregates
-  // are unchanged bit for bit.
-  LogReplaySource source(reader, options.batch_events, options.async_ingest);
+  // Double-buffered ingestion: the prefetcher's reader thread decodes
+  // the next batch while the shards execute this one. It delivers the
+  // exact batches the synchronous loop would, so aggregates are
+  // unchanged bit for bit.
+  LogReplaySource source(reader, options.batch_events, /*async_ingest=*/true);
   return serve(source, options);
 }
 
@@ -725,11 +756,18 @@ void StreamingEngine::checkpoint(const std::string& path) {
   header.predictor_spec = options_.predictor_spec;
   header.codec = options_.compress_checkpoints ? SnapshotHeader::kCodecWord
                                                : SnapshotHeader::kCodecRaw;
-  SnapshotWriter writer(path, header);
+  // Atomic replace: seal the snapshot under a temporary name first, so a
+  // crash mid-write never clobbers the previous good one.
+  const std::string tmp = path + ".tmp";
+  SnapshotWriter writer(tmp, header);
   for (const auto* record : records) {
     writer.add_object(record->first, record->second);
   }
-  writer.close();
+  writer.close();  // syncs the snapshot's bytes
+  std::filesystem::rename(tmp, path);
+  // Make the replacement itself durable.
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  sync_path_best_effort(dir.empty() ? "." : dir.string());
   stats_.checkpoint_bytes += writer.bytes_written();
   if (telemetry_) {
     telemetry_->checkpoint_writes.inc();
@@ -786,10 +824,13 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
     options.predictor_spec = header.predictor_spec;
   }
 
-  const auto restore_start = std::chrono::steady_clock::now();
   auto engine = std::make_unique<StreamingEngine>(
       std::move(config), options, std::move(make_policy),
       std::move(make_predictor));
+  Stage restoring(nullptr,
+                  engine->telemetry_
+                      ? &engine->telemetry_->checkpoint_restore
+                      : nullptr);
   engine->any_event_ = (header.flags & SnapshotHeader::kFlagAnyEvent) != 0;
   engine->last_batch_time_ = header.last_batch_time;
   engine->stats_.events_ingested = header.events_ingested;
@@ -839,11 +880,8 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
   }
   REPL_CHECK(engine->object_count() ==
              static_cast<std::size_t>(header.num_objects));
+  restoring.stop();
   if (engine->telemetry_) {
-    engine->telemetry_->checkpoint_restore.observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      restore_start)
-            .count());
     engine->telemetry_->objects_active.set(
         static_cast<double>(engine->object_count()));
     // Like the net admitted counter, the ingested counter speaks
@@ -859,19 +897,6 @@ std::size_t StreamingEngine::object_count() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->objects.size();
   return total;
-}
-
-EngineMetrics serve_event_log(const std::string& log_path,
-                              const SystemConfig& config,
-                              const EngineOptions& options,
-                              const EnginePolicyFactory& make_policy,
-                              const EnginePredictorFactory& make_predictor,
-                              EngineStats* stats) {
-  EventLogReader reader(log_path);
-  StreamingEngine engine(config, options, make_policy, make_predictor);
-  EngineMetrics metrics = engine.serve(reader);
-  if (stats != nullptr) *stats = engine.stats();
-  return metrics;
 }
 
 }  // namespace repl

@@ -156,12 +156,15 @@ struct EngineMetrics {
 /// cannot drift. Requires strictly increasing ids.
 EngineMetrics reduce_object_finals(const std::vector<EngineObjectFinal>& finals);
 
-/// Diagnostics accumulated across ingest()/finish().
+/// Diagnostics accumulated across ingest()/finish(). Each timed field is
+/// the same measurement the registry histogram of its stage records when
+/// EngineOptions::metrics is set, so the two views agree bit for bit.
 struct EngineStats {
   int threads_used = 1;
   std::size_t batches = 0;
   std::uint64_t events_ingested = 0;
   std::uint64_t steals = 0;
+  /// route + execute per batch (repl_batch_seconds).
   double ingest_seconds = 0.0;
   double finish_seconds = 0.0;
   /// Stage split of ingest_seconds: batch validation + shard routing on
@@ -195,59 +198,36 @@ struct CaptureOptions {
 };
 
 /// Controls one serve() drain, including periodic crash-safe snapshots.
+/// What only the producer knows (trace context, status text, what to do
+/// after a batch or a checkpoint) lives on the EventSource instead. Every
+/// field has a default, so `{.batch_events = n}` names only what changes.
 struct ServeOptions {
-  /// Events per ingest batch.
+  /// Events per batch the reader overload of serve() decodes. Only that
+  /// overload reads it: an EventSource sets its own batch size.
   std::size_t batch_events = std::size_t{1} << 16;
   /// Write a checkpoint after roughly every this many ingested events
   /// (snapshots land on the next batch boundary); 0 disables. Requires
-  /// `checkpoint_path`.
+  /// `checkpoint_path`. Each one is written atomically by checkpoint().
   std::uint64_t checkpoint_every = 0;
-  /// Destination for periodic checkpoints. Written atomically: the
-  /// snapshot goes to "<path>.tmp" and is renamed over `path` only once
-  /// sealed, so a crash mid-checkpoint never corrupts the last good one.
-  std::string checkpoint_path;
-  /// Double-buffered ingestion: a reader thread decodes batch N+1 while
-  /// the shards execute batch N (engine/prefetch.hpp), overlapping log
-  /// decode — significant for compressed logs — with serving. Delivers
-  /// exactly the synchronous read order, so aggregates stay
-  /// bit-identical; disable to keep serve() strictly single-threaded
-  /// beyond the shard pool. File replay only — a network source does its
-  /// own decode on its connection threads.
-  bool async_ingest = true;
-  /// Invoked after each periodic checkpoint has been renamed into place.
-  /// Live-serving front-ends hang checkpoint-age reporting off this.
-  std::function<void()> on_checkpoint;
-  /// Print one progress line roughly every this many seconds of serve()
-  /// wall time (events/sec since the last line, p50/p99 batch latency,
-  /// checkpoint count); 0 disables. Purely observational — aggregates
-  /// are bit-identical with reporting on or off.
+  /// Destination for periodic checkpoints.
+  std::string checkpoint_path{};
+  /// Log one progress line roughly every this many seconds of serve()
+  /// wall time (events/sec since the previous line, p50/p99 batch
+  /// latency from repl_batch_seconds, checkpoint count, then the
+  /// source's status()); 0 disables. Requires EngineOptions::metrics.
+  /// Purely observational — aggregates are bit-identical with reporting
+  /// on or off.
   double stats_every = 0.0;
-  /// Where stats lines go; stderr when unset.
-  std::function<void(const std::string&)> stats_sink;
-  /// Extra text appended to each stats line (queue depths, connection
-  /// counts — whatever the front-end knows and the engine does not).
-  std::function<std::string()> stats_extra;
   /// When set, serve() records this session as a replay fixture. Capture
   /// requires a fresh engine (resume_position() == 0): a restored
   /// engine's aggregates depend on state the fixture would not embed.
   /// Observational only — aggregates are bit-identical with capture on
   /// or off.
-  std::optional<CaptureOptions> capture;
-  /// Invoked after every ingested batch with the engine's running stats —
-  /// the per-batch partial-aggregate hook distributed workers use to
-  /// stream progress back to their coordinator. Observational only:
-  /// aggregates are bit-identical with the hook set or not.
-  std::function<void(const EngineStats&)> on_batch;
+  std::optional<CaptureOptions> capture{};
   /// When set, serve() moves the id-sorted per-object finals here at
   /// finish() time (see finish(finals)) — how a partition worker extracts
   /// the records the coordinator's cross-partition reduce consumes.
   std::vector<EngineObjectFinal>* collect_finals = nullptr;
-  /// Distributed-tracing parent lookup: called per batch (only while the
-  /// process Tracer is enabled) for the TraceContext the batch's spans
-  /// should join — a net front-end returns its latest wire trace frame.
-  /// Unset or invalid context ⇒ spans root a fresh local trace.
-  /// Observational only: aggregates are bit-identical either way.
-  std::function<obs::TraceContext()> trace_parent;
 };
 
 class StreamingEngine {
@@ -276,26 +256,20 @@ class StreamingEngine {
 
   /// Drains any EventSource (engine/event_source.hpp) through ingest()
   /// and returns finish(). One ingestion path for every producer: file
-  /// replay and live network ingest both land here. The source is
-  /// attach()ed first — it binds the stream identity and positions
-  /// itself past a restored engine's consumed prefix — then batches flow
-  /// until the source ends, with periodic atomic checkpoints per
-  /// `options`.
+  /// replay and live network ingest both land here, and the source's
+  /// hooks (trace_parent, ingested, checkpointed, status) are the only
+  /// per-producer behaviour. The source is attach()ed first — it binds
+  /// the stream identity and positions itself past a restored engine's
+  /// consumed prefix — then batches flow until the source ends, with
+  /// periodic atomic checkpoints per `options`.
   EngineMetrics serve(EventSource& source, const ServeOptions& options);
 
-  /// Drains `reader` through ingest() in batch-sized chunks and returns
-  /// finish(). The whole log never resides in memory. Invariant header
-  /// state (server count, batch geometry) is validated and hoisted once,
-  /// before the read → ingest loop. On an engine restored from a
-  /// checkpoint, serve() first seeks the reader forward to the snapshot's
-  /// event offset, so passing the original log resumes mid-stream.
-  EngineMetrics serve(EventLogReader& reader, const ServeOptions& options);
-  EngineMetrics serve(EventLogReader& reader,
-                      std::size_t batch_events = 1 << 16) {
-    ServeOptions options;
-    options.batch_events = batch_events;
-    return serve(reader, options);
-  }
+  /// Drains `reader` in options.batch_events chunks through a
+  /// double-buffered LogReplaySource and returns finish(). The whole log
+  /// never resides in memory. On an engine restored from a checkpoint,
+  /// serve() first seeks the reader forward to the snapshot's event
+  /// offset, so passing the original log resumes mid-stream.
+  EngineMetrics serve(EventLogReader& reader, const ServeOptions& options = {});
 
   /// Freezes the full engine state — every object's policy, predictor,
   /// simulation, and lower-bound accumulators, plus the stream position —
@@ -303,7 +277,10 @@ class StreamingEngine {
   /// Object records are written in ascending object id, so the snapshot
   /// is canonical: independent of this engine's shard count and thread
   /// count, and restorable into any other shard/thread geometry.
-  /// The engine remains serveable afterwards.
+  /// Written atomically: the snapshot is sealed under "<path>.tmp",
+  /// renamed over `path` and the directory synced, so a crash mid-write
+  /// never clobbers the previous good snapshot. The engine remains
+  /// serveable afterwards.
   void checkpoint(const std::string& path);
 
   /// Reconstructs an engine from a snapshot written by checkpoint().
@@ -357,6 +334,9 @@ class StreamingEngine {
   struct ObjectState;
   struct Telemetry;
 
+  /// ingest() with the trace context the batch's span joins.
+  void ingest(const LogEvent* events, std::size_t count,
+              obs::TraceContext parent);
   Shard& shard_for(std::uint64_t object_id);
   void run_shard_tasks(const std::vector<std::size_t>& shard_ids,
                        const std::function<void(Shard&)>& work);
@@ -398,14 +378,5 @@ class StreamingEngine {
   /// touched, so the caller may retry with corrected input.
   bool failed_ = false;
 };
-
-/// One-shot convenience: serves the log at `log_path` and returns the
-/// aggregates (stats optionally copied out).
-EngineMetrics serve_event_log(const std::string& log_path,
-                              const SystemConfig& config,
-                              const EngineOptions& options,
-                              const EnginePolicyFactory& make_policy,
-                              const EnginePredictorFactory& make_predictor,
-                              EngineStats* stats = nullptr);
 
 }  // namespace repl

@@ -17,19 +17,27 @@
 // delivers every event it produced before the failure, then throws from
 // next_batch() — and keeps throwing on retry (sticky), so a caller can
 // never mistake a failed stream for a drained one.
+//
+// What a front-end knows and the engine does not — the trace a batch rode
+// in on, its own status text, what to do once events are ingested or
+// durable — is the source's to say, through the hooks below. Every hook
+// has a no-op default, so serve() runs one loop for every producer.
 #pragma once
 
 #include <cstddef>
 #include <exception>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "engine/prefetch.hpp"
+#include "obs/trace.hpp"
 #include "trace/event_log.hpp"
 
 namespace repl {
 
 class StreamingEngine;
+struct EngineStats;
 
 class EventSource {
  public:
@@ -51,6 +59,25 @@ class EventSource {
   /// the engine's decode-bytes telemetry; only called between
   /// next_batch() calls, on the serving thread.
   virtual std::uint64_t bytes_consumed() const { return 0; }
+
+  /// Trace context the last delivered batch rode in on (a net source's
+  /// newest wire trace frame); the batch's spans join it. Invalid (the
+  /// default) roots a fresh local trace. Called after each next_batch(),
+  /// only while the process Tracer is enabled.
+  virtual obs::TraceContext trace_parent() const { return {}; }
+
+  /// Called after each batch is ingested, with the engine's running
+  /// stats — where a partition worker streams progress to its
+  /// coordinator.
+  virtual void ingested(const EngineStats&) {}
+
+  /// Called once a periodic checkpoint covering the first
+  /// `events_ingested` events of the stream has landed atomically.
+  virtual void checkpointed(std::uint64_t /*events_ingested*/) {}
+
+  /// Text appended to each periodic stats line (queue depths, connection
+  /// counts); empty appends nothing.
+  virtual std::string status() const { return {}; }
 };
 
 /// File replay: serves a finished event log, optionally double-buffered

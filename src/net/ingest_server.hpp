@@ -146,7 +146,7 @@ class NetIngestServer {
   void stop();
 
   /// Record that a checkpoint just landed (drives checkpoint-age
-  /// metrics). Wire into ServeOptions::on_checkpoint.
+  /// metrics). NetIngestSource::checkpointed() calls it.
   void note_checkpoint(std::uint64_t events_ingested);
 
   /// Kernel-assigned ports (valid after start()); -1 when disabled.
@@ -162,8 +162,8 @@ class NetIngestServer {
   obs::MetricsRegistry& registry() const { return *registry_; }
 
   /// Trace context announced by the most recent trace frame on any
-  /// connection (invalid before the first). Wire into
-  /// ServeOptions::trace_parent so engine spans join the sender's trace.
+  /// connection (invalid before the first). NetIngestSource::trace_parent()
+  /// returns it, so engine spans join the sender's trace.
   obs::TraceContext latest_trace() const;
 
   std::uint64_t events_admitted() const;
@@ -224,6 +224,9 @@ class NetIngestServer {
 /// from a checkpoint tells reconnecting clients how much to skip.
 /// Idempotent per engine: a front-end may attach early (to learn the
 /// bound ports before serve() blocks) and serve() re-attaches harmlessly.
+/// The hooks need no wiring: engine spans join the newest wire trace
+/// frame, each checkpoint drives the server's checkpoint-age metrics, and
+/// stats lines end with the queue depth and connection counts.
 class NetIngestSource final : public EventSource {
  public:
   NetIngestSource(NetIngestServer& server, std::uint32_t num_servers)
@@ -231,6 +234,14 @@ class NetIngestSource final : public EventSource {
 
   void attach(StreamingEngine& engine) override;
   bool next_batch(std::vector<LogEvent>& out) override;
+  obs::TraceContext trace_parent() const override {
+    return server_.latest_trace();
+  }
+  void checkpointed(std::uint64_t events_ingested) override {
+    server_.note_checkpoint(events_ingested);
+  }
+  /// "queued=<events> conns=<total>/<failed>f".
+  std::string status() const override;
 
  private:
   NetIngestServer& server_;

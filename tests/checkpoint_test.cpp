@@ -696,6 +696,10 @@ TEST_F(CheckpointFileTest, PeriodicCheckpointsDuringServeResume) {
     }
     // Crash here: the engine is dropped without finish().
   }
+  // A direct checkpoint() call stages through "<path>.tmp" and renames
+  // too: the snapshot is in place and the staging file is gone.
+  EXPECT_TRUE(std::filesystem::exists(ckpt));
+  EXPECT_FALSE(std::filesystem::exists(ckpt + ".tmp"));
 
   // Resume from the last on-disk snapshot and drain to the end.
   auto resumed = StreamingEngine::restore(
@@ -718,8 +722,8 @@ TEST_F(CheckpointFileTest, PeriodicCheckpointsDuringServeResume) {
   EXPECT_EQ(metrics.lower_bound, full.lower_bound);
   EXPECT_EQ(metrics.num_transfers, full.num_transfers);
 
-  // The ServeOptions path writes through the .tmp staging name and
-  // renames; the staging file must not remain.
+  // Periodic checkpoints during serve() go through the same atomic
+  // checkpoint(); the staging file must not remain.
   {
     EventLogReader again(log);
     auto engine = fresh_engine(4, 1);

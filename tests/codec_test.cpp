@@ -27,6 +27,7 @@
 #include "codec/varint.hpp"
 #include "codec/word_codec.hpp"
 #include "engine/engine.hpp"
+#include "engine/event_source.hpp"
 #include "trace/event_log.hpp"
 #include "trace/stream_gen.hpp"
 #include "util/rng.hpp"
@@ -796,16 +797,14 @@ TEST_F(CodecLogTest, CompressedServeMatchesRawBitForBitAcrossResumeCut) {
   {
     EventLogReader reader(raw);
     auto engine = builder.build();
-    reference = engine->serve(reader, std::size_t{512});
+    reference = engine->serve(reader, {.batch_events = 512});
   }
   // Synchronous ingestion delivers the same batches: bit-identical.
   {
     EventLogReader reader(raw);
     auto engine = builder.build();
-    ServeOptions serve_options;
-    serve_options.batch_events = 512;
-    serve_options.async_ingest = false;
-    const EngineMetrics metrics = engine->serve(reader, serve_options);
+    LogReplaySource source(reader, 512, /*async_ingest=*/false);
+    const EngineMetrics metrics = engine->serve(source, ServeOptions{});
     EXPECT_EQ(metrics.online_cost, reference.online_cost);
     EXPECT_EQ(metrics.lower_bound, reference.lower_bound);
   }
@@ -813,7 +812,7 @@ TEST_F(CodecLogTest, CompressedServeMatchesRawBitForBitAcrossResumeCut) {
   {
     EventLogReader reader(compressed);
     auto engine = builder.build();
-    const EngineMetrics metrics = engine->serve(reader, std::size_t{512});
+    const EngineMetrics metrics = engine->serve(reader, {.batch_events = 512});
     EXPECT_EQ(metrics.objects, reference.objects);
     EXPECT_EQ(metrics.events, reference.events);
     EXPECT_EQ(metrics.num_local, reference.num_local);
@@ -843,7 +842,7 @@ TEST_F(CodecLogTest, CompressedServeMatchesRawBitForBitAcrossResumeCut) {
   {
     auto resumed = builder.restore(ckpt);
     EventLogReader reader(compressed);
-    const EngineMetrics metrics = resumed->serve(reader, std::size_t{512});
+    const EngineMetrics metrics = resumed->serve(reader, {.batch_events = 512});
     EXPECT_EQ(metrics.online_cost, reference.online_cost);
     EXPECT_EQ(metrics.lower_bound, reference.lower_bound);
     EXPECT_EQ(metrics.num_transfers, reference.num_transfers);
@@ -902,7 +901,7 @@ TEST_F(CodecLogTest, WrongCompressedLogIsRejectedOnResume) {
   }
   auto resumed = builder.restore(ckpt);
   EventLogReader reader(wrong);
-  EXPECT_THROW(resumed->serve(reader, std::size_t{256}),
+  EXPECT_THROW(resumed->serve(reader, {.batch_events = 256}),
                std::invalid_argument);
 }
 

@@ -144,6 +144,21 @@ std::vector<LogEvent> read_all(const std::string& path) {
   return events;
 }
 
+/// Serves the log at `log_path` on a fresh engine (stats optionally
+/// copied out).
+EngineMetrics serve_log(const std::string& log_path,
+                        const SystemConfig& config,
+                        const EngineOptions& options,
+                        const EnginePolicyFactory& make_policy,
+                        const EnginePredictorFactory& make_predictor,
+                        EngineStats* stats = nullptr) {
+  EventLogReader reader(log_path);
+  StreamingEngine engine(config, options, make_policy, make_predictor);
+  EngineMetrics metrics = engine.serve(reader);
+  if (stats != nullptr) *stats = engine.stats();
+  return metrics;
+}
+
 /// The acceptance-criteria matrix: engine == serial Simulator sweep, at
 /// 1 / 4 / hardware-concurrency threads and several shard counts.
 TEST_F(EngineTest, AggregatesBitIdenticalToSerialSimulator) {
@@ -164,9 +179,8 @@ TEST_F(EngineTest, AggregatesBitIdenticalToSerialSimulator) {
       options.num_threads = threads;
       options.num_shards = shards;
       EngineStats stats;
-      const EngineMetrics metrics = serve_event_log(
-          log, config, options, drwp_factory(), last_gap_factory(6),
-          &stats);
+      const EngineMetrics metrics = serve_log(
+          log, config, options, drwp_factory(), last_gap_factory(6), &stats);
 
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
@@ -200,8 +214,8 @@ TEST_F(EngineTest, RandomizedPolicySeedsAreShardAndThreadInvariant) {
       options.num_threads = threads;
       options.num_shards = shards;
       const EngineMetrics metrics =
-          serve_event_log(log, config, options, randomized_factory(),
-                          last_gap_factory(4), nullptr);
+          serve_log(log, config, options, randomized_factory(),
+                    last_gap_factory(4));
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
       EXPECT_EQ(metrics.online_cost, ref.online_cost);
@@ -217,8 +231,8 @@ TEST_F(EngineTest, ShardMetricsPartitionTheGlobals) {
   EngineOptions options;
   options.num_shards = 16;
   options.num_threads = 1;
-  const EngineMetrics metrics = serve_event_log(
-      log, config, options, drwp_factory(), last_gap_factory(5), nullptr);
+  const EngineMetrics metrics =
+      serve_log(log, config, options, drwp_factory(), last_gap_factory(5));
 
   std::size_t objects = 0, events = 0, local = 0, transfers = 0;
   for (const EngineShardMetrics& shard : metrics.shards) {

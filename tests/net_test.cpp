@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint/snapshot.hpp"
 #include "codec/block.hpp"
 #include "codec/crc32.hpp"
 #include "codec/endian.hpp"
@@ -27,6 +29,7 @@
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "predictor/last_gap.hpp"
 #include "trace/event_log.hpp"
 
@@ -875,6 +878,75 @@ TEST_F(NetTest, MetricsEndpointServesPrometheusAndJsonOverHttp) {
 
   EXPECT_NE(http_get(port, "/bogus").find("404"), std::string::npos);
   server.stop();
+}
+
+TEST_F(NetTest, SourceHooksNeedNoWiring) {
+  // The net source carries the front-end's hooks itself. With tracing on
+  // and ServeOptions naming only the checkpoint cadence and path, the
+  // engine's ingest spans join the client's wire trace frame and every
+  // checkpoint reaches the server's checkpoint gauges.
+  const std::vector<LogEvent> all = make_events(4000, 31);
+  const EngineMetrics reference = reference_metrics(all);
+  constexpr std::uint64_t kTraceId = 0x7e57c0ffee15900dULL;
+  constexpr std::uint64_t kSpanId = 0x5ca1ab1eULL;
+
+  NetServerOptions options;
+  options.tcp_port = -1;
+  options.unix_path = temp_path("ingest.sock");
+  options.batch_events = 256;
+  NetIngestServer server(options);
+  auto engine = make_engine();
+  NetIngestSource source(server, kServers);
+  source.attach(*engine);
+
+  ServeOptions serve;
+  serve.checkpoint_every = 1000;
+  serve.checkpoint_path = temp_path("live.ckpt");
+  const std::string part = temp_path("trace.jsonl");
+  EngineMetrics metrics;
+  {
+    struct StopTracer {
+      ~StopTracer() { obs::Tracer::global().stop(); }
+    } stop_tracer;
+    obs::Tracer::global().start(part, "net-test");
+    std::thread client([&] {
+      try {
+        EventStreamClient c(connect_unix(options.unix_path));
+        c.handshake(kServers);
+        c.send_trace(kTraceId, kSpanId);
+        for (const LogEvent& event : all) c.send(event);
+        c.finish();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "client: " << e.what();
+      }
+    });
+    metrics = engine->serve(source, serve);
+    client.join();
+  }
+  expect_same(metrics, reference);
+
+  std::ifstream in(part);
+  std::string line;
+  std::size_t ingest_spans = 0;
+  const std::string want = "\"trace_id\":\"7e57c0ffee15900d\"";
+  while (std::getline(in, line)) {
+    if (line.find("\"name\":\"engine.ingest\"") == std::string::npos) continue;
+    ++ingest_spans;
+    EXPECT_NE(line.find(want), std::string::npos) << line;
+  }
+  EXPECT_EQ(ingest_spans, engine->stats().batches);
+  EXPECT_GT(ingest_spans, 0u);
+
+  const std::uint64_t last_cut =
+      read_snapshot_header(serve.checkpoint_path).events_ingested;
+  EXPECT_EQ(last_cut, all.size());
+  double gauge = -1.0;
+  for (const obs::Sample& sample : server.registry().collect()) {
+    if (sample.name == "repl_checkpoint_events") gauge = sample.value;
+  }
+  EXPECT_EQ(gauge, static_cast<double>(last_cut));
+  // The stats-line suffix: nothing left queued, one clean connection.
+  EXPECT_EQ(source.status(), "queued=0 conns=1/0f");
 }
 
 TEST_F(NetTest, RegistryAgreesWithServerCountersEndToEnd) {

@@ -7,6 +7,7 @@
 // telemetry-on serving produces bit-identical aggregates.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
@@ -14,11 +15,14 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -31,7 +35,6 @@
 #include "obs/http_exporter.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
 #include "predictor/last_gap.hpp"
 #include "util/histogram.hpp"
@@ -125,28 +128,6 @@ TEST(ObsMetricsTest, HistogramQuantileFreeFunction) {
                std::invalid_argument);
   EXPECT_THROW(histogram_quantile(bounds, cumulative, 1.5),
                std::invalid_argument);
-}
-
-TEST(ObsStageTimerTest, RecordsIntoAccumulatorAndHistogram) {
-  double acc = 0.0;
-  Histogram h(Histogram::default_latency_bounds());
-  {
-    obs::StageTimer t(&acc, &h);
-  }
-  EXPECT_GT(acc, 0.0);
-  EXPECT_EQ(h.snapshot().count, 1u);
-
-  // stop() records once; the destructor must not double-record.
-  double acc2 = 0.0;
-  obs::StageTimer t2(&acc2);
-  const double s = t2.stop();
-  EXPECT_EQ(acc2, s);
-  EXPECT_EQ(t2.stop(), 0.0);
-  EXPECT_EQ(acc2, s);
-
-  // Fully disarmed: never touches the clock, records nothing.
-  obs::StageTimer disarmed(nullptr, nullptr);
-  EXPECT_EQ(disarmed.stop(), 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -965,11 +946,13 @@ std::vector<LogEvent> obs_events(std::size_t count) {
 }
 
 /// In-memory EventSource: serves pre-chunked batches of a fixed stream
-/// (binds the same synthetic identity the net source uses).
+/// (binds the same synthetic identity the net source uses), with a fixed
+/// status() text.
 class VectorSource final : public EventSource {
  public:
-  VectorSource(std::vector<LogEvent> events, std::size_t batch)
-      : events_(std::move(events)), batch_(batch) {}
+  VectorSource(std::vector<LogEvent> events, std::size_t batch,
+               std::string status = "")
+      : events_(std::move(events)), batch_(batch), status_(std::move(status)) {}
 
   void attach(StreamingEngine& engine) override {
     EventLogHeader header;
@@ -989,22 +972,30 @@ class VectorSource final : public EventSource {
     return true;
   }
 
+  std::string status() const override { return status_; }
+
  private:
   std::vector<LogEvent> events_;
   std::size_t batch_;
+  std::string status_;
   std::size_t at_ = 0;
 };
 
-EngineMetrics obs_serve(MetricsRegistry* registry, ServeOptions serve_options,
-                        std::size_t count) {
+StreamingEngine make_obs_engine(MetricsRegistry* registry) {
   SystemConfig config;
   config.num_servers = kObsServers;
   config.transfer_cost = 10.0;
   EngineOptions options;
   options.metrics = registry;
-  StreamingEngine engine(config, options, obs_policy_factory(),
+  return StreamingEngine(config, options, obs_policy_factory(),
                          obs_predictor_factory(kObsServers));
-  VectorSource source(obs_events(count), 256);
+}
+
+EngineMetrics obs_serve(MetricsRegistry* registry,
+                        const ServeOptions& serve_options, std::size_t count,
+                        const std::string& status = "") {
+  StreamingEngine engine = make_obs_engine(registry);
+  VectorSource source(obs_events(count), 256, status);
   return engine.serve(source, serve_options);
 }
 
@@ -1058,14 +1049,25 @@ TEST(ObsEngineParityTest, TelemetryOnAggregatesAreBitIdentical) {
 }
 
 TEST(ObsEngineParityTest, StatsReporterEmitsLines) {
-  std::vector<std::string> lines;
   ServeOptions serve_options;
   serve_options.stats_every = 1e-9;  // every batch
-  serve_options.stats_sink = [&lines](const std::string& line) {
-    lines.push_back(line);
-  };
-  serve_options.stats_extra = [] { return std::string("extra=1"); };
-  const EngineMetrics metrics = obs_serve(nullptr, serve_options, 5000);
+  // The stats line reads its batch latencies from the registry, so
+  // asking for it without one fails before the source is attached.
+  EXPECT_THROW(obs_serve(nullptr, serve_options, 5000), std::invalid_argument);
+
+  // Lines go through the structured logger; keep the message after the
+  // "<timestamp> INFO  engine " prefix.
+  obs::Logger& log = obs::Logger::global();
+  log.reset();
+  std::vector<std::string> lines;
+  log.set_sink([&lines](const std::string& line) {
+    const std::size_t at = line.find(" engine ");
+    if (at != std::string::npos) lines.push_back(line.substr(at + 8));
+  });
+  MetricsRegistry registry;
+  const EngineMetrics metrics =
+      obs_serve(&registry, serve_options, 5000, "extra=1");
+  log.reset();
   EXPECT_EQ(metrics.events, 5000u);
   ASSERT_FALSE(lines.empty());
   for (const std::string& line : lines) {
@@ -1082,6 +1084,136 @@ TEST(ObsEngineParityTest, StatsReporterEmitsLines) {
       << lines.back();
   EXPECT_NE(lines.back().find("ev/batch=250.0"), std::string::npos)
       << lines.back();
+}
+
+/// The engine's series as "name" or "name{key=value}".
+std::set<std::string> series_keys(const std::vector<Sample>& samples) {
+  std::set<std::string> keys;
+  for (const Sample& s : samples) {
+    std::string key = s.name;
+    for (const auto& [k, v] : s.labels) key += "{" + k + "=" + v + "}";
+    keys.insert(key);
+  }
+  return keys;
+}
+
+/// The README's engine metric inventory (the first table after
+/// "**Metric inventory.**"), in series_keys() form: a labeled row
+/// `name{stage=…}` expands to one key per backquoted label value in its
+/// meaning column.
+std::set<std::string> readme_engine_inventory() {
+  std::ifstream in(REPL_README_PATH);
+  std::string line;
+  while (std::getline(in, line) &&
+         line.find("**Metric inventory.**") == std::string::npos) {
+  }
+  std::set<std::string> keys;
+  bool in_table = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("| `", 0) != 0) {
+      if (in_table) break;
+      continue;
+    }
+    in_table = true;
+    const std::size_t name_end = line.find('`', 3);
+    const std::string cell = line.substr(3, name_end - 3);
+    const std::size_t brace = cell.find('{');
+    if (brace == std::string::npos) {
+      keys.insert(cell);
+      continue;
+    }
+    const std::string name = cell.substr(0, brace);
+    const std::string label = cell.substr(brace + 1, cell.find('=') - brace - 1);
+    // Label values: the backquoted words of the last cell.
+    std::size_t at = line.rfind('|', line.size() - 2);
+    while ((at = line.find('`', at)) != std::string::npos) {
+      const std::size_t close = line.find('`', at + 1);
+      keys.insert(name + "{" + label + "=" +
+                  line.substr(at + 1, close - at - 1) + "}");
+      at = close + 1;
+    }
+  }
+  return keys;
+}
+
+std::uint64_t counter_of(const std::vector<Sample>& samples,
+                         const std::string& name) {
+  for (const Sample& s : samples) {
+    if (s.name == name) return s.counter_value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+const Sample& histogram_of(const std::vector<Sample>& samples,
+                           const std::string& name,
+                           const std::string& stage = "") {
+  for (const Sample& s : samples) {
+    if (s.name != name) continue;
+    if (stage.empty() ? s.labels.empty()
+                      : s.labels == obs::Labels{{"stage", stage}}) {
+      return s;
+    }
+  }
+  throw std::runtime_error("no histogram " + name + " " + stage);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(ObsEngineParityTest, EachIntervalIsMeasuredOnceIntoEverySink) {
+  // One serve with a registry and periodic checkpoints: every stage's
+  // registry histogram and its EngineStats field come from the same
+  // measurement, so they agree bit for bit, and the counters agree with
+  // the stats they mirror.
+  const std::filesystem::path ckpt =
+      std::filesystem::temp_directory_path() /
+      ("repl_obs_stage_test_" + std::to_string(::getpid()) + ".ckpt");
+  MetricsRegistry registry;
+  StreamingEngine engine = make_obs_engine(&registry);
+  VectorSource source(obs_events(5000), 256);
+  ServeOptions serve_options;
+  serve_options.checkpoint_every = 1000;
+  serve_options.checkpoint_path = ckpt.string();
+  engine.serve(source, serve_options);
+  std::filesystem::remove(ckpt);
+  const EngineStats& stats = engine.stats();
+  ASSERT_EQ(stats.batches, 20u);
+  ASSERT_EQ(stats.checkpoints_written, 5u);
+
+  const std::vector<Sample> samples = registry.collect();
+  const std::pair<const char*, double> stages[] = {
+      {"source_wait", stats.source_wait_seconds},
+      {"route", stats.route_seconds},
+      {"execute", stats.execute_seconds},
+      {"reduce", stats.finish_seconds},
+      {"checkpoint_write", stats.checkpoint_seconds},
+  };
+  for (const auto& [stage, seconds] : stages) {
+    const Sample& h = histogram_of(samples, "repl_stage_seconds", stage);
+    EXPECT_EQ(bits(h.sum), bits(seconds)) << stage;
+    EXPECT_GT(h.count, 0u) << stage;
+  }
+  EXPECT_EQ(histogram_of(samples, "repl_stage_seconds", "route").count,
+            stats.batches);
+  EXPECT_EQ(histogram_of(samples, "repl_stage_seconds", "checkpoint_write")
+                .count,
+            stats.checkpoints_written);
+  const Sample& batch = histogram_of(samples, "repl_batch_seconds");
+  EXPECT_EQ(bits(batch.sum), bits(stats.ingest_seconds));
+  EXPECT_EQ(batch.count, stats.batches);
+
+  EXPECT_EQ(counter_of(samples, "repl_events_ingested_total"),
+            stats.events_ingested);
+  EXPECT_EQ(counter_of(samples, "repl_batches_total"), stats.batches);
+  EXPECT_EQ(counter_of(samples, "repl_checkpoint_writes_total"),
+            stats.checkpoints_written);
+  EXPECT_EQ(counter_of(samples, "repl_checkpoint_bytes_total"),
+            stats.checkpoint_bytes);
+
+  // The engine registers exactly the series the README documents.
+  const std::set<std::string> documented = readme_engine_inventory();
+  EXPECT_EQ(documented.size(), 14u);
+  EXPECT_EQ(series_keys(samples), documented);
 }
 
 }  // namespace
