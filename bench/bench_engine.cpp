@@ -2,8 +2,9 @@
 // multi-object event logs to disk (objects swept geometrically up to
 // --objects, a fixed --events per row), then serves each log through the
 // sharded StreamingEngine at every thread count in --threads, reporting
-// events/sec. Per-object traces are never materialized — the stream goes
-// binary log → batcher → shards.
+// events/sec and the allocator bytes each object holds when the stream
+// drains (bytes/obj). Per-object traces are never materialized — the
+// stream goes binary log → batcher → shards.
 //
 // Components are spec-driven (api/registry.hpp): --policy/--predictor
 // select any registered causal combination, and a comparison grid
@@ -20,6 +21,9 @@
 // bit-for-bit against a serial per-object Simulator sweep over the same
 // log, with components built from the same specs. A machine-readable
 // BENCH_engine.json accompanies the table.
+#include <malloc.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -37,6 +41,7 @@
 #include "api/registry.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
+#include "engine/event_source.hpp"
 #include "offline/opt_lower_bound.hpp"
 #include "run/parallel_runner.hpp"
 #include "trace/event_log.hpp"
@@ -63,10 +68,59 @@ struct RowResult {
   double ingest_seconds = 0.0;
   double finish_seconds = 0.0;
   std::uint64_t steals = 0;
+  /// Allocator bytes held per object when the stream drains.
+  double bytes_per_object = 0.0;
   double online_cost = 0.0;
   double ratio = 1.0;
   bool verified = false;
   bool identical = true;
+};
+
+/// Allocator bytes in use: mallinfo2 uordblks + hblkhd. Unlike RSS it
+/// falls when memory is freed, so a difference of two samples is what
+/// the engine holds.
+std::uint64_t heap_in_use() {
+  const struct mallinfo2 info = ::mallinfo2();
+  return static_cast<std::uint64_t>(info.uordblks) +
+         static_cast<std::uint64_t>(info.hblkhd);
+}
+
+/// File replay that measures per-object memory the way the repository
+/// benchmark does: when the stream drains, before finish() frees
+/// anything, the allocator bytes in use minus `heap_before` (sampled
+/// before the engine was built), divided by the objects instantiated.
+class HeapSamplingSource final : public EventSource {
+ public:
+  HeapSamplingSource(EventLogReader& reader, std::size_t batch_events,
+                     std::uint64_t heap_before)
+      : inner_(reader, batch_events, /*async_ingest=*/true),
+        heap_before_(heap_before) {}
+
+  void attach(StreamingEngine& engine) override {
+    engine_ = &engine;
+    inner_.attach(engine);
+  }
+
+  bool next_batch(std::vector<LogEvent>& out) override {
+    if (inner_.next_batch(out)) return true;
+    const std::size_t objects =
+        std::max<std::size_t>(1, engine_->object_count());
+    bytes_per_object = (static_cast<double>(heap_in_use()) -
+                        static_cast<double>(heap_before_)) /
+                       static_cast<double>(objects);
+    return false;
+  }
+
+  std::uint64_t bytes_consumed() const override {
+    return inner_.bytes_consumed();
+  }
+
+  double bytes_per_object = 0.0;
+
+ private:
+  LogReplaySource inner_;
+  std::uint64_t heap_before_;
+  StreamingEngine* engine_ = nullptr;
 };
 
 /// One policy×predictor grid point served over the reference log.
@@ -535,7 +589,7 @@ int main(int argc, char** argv) {
   }
 
   Table table({"objects", "events", "threads", "used", "events/s",
-               "ingest_s", "finish_s", "steals", "cost", "ratio",
+               "ingest_s", "finish_s", "steals", "bytes/obj", "cost", "ratio",
                "identical"});
   std::vector<RowResult> rows;
   std::vector<ComparisonResult> comparison_rows;
@@ -573,12 +627,14 @@ int main(int argc, char** argv) {
       options.base_seed = seed;
       options.compress_checkpoints = cli.get_bool("compress");
 
+      const EngineBuilder builder =
+          make_builder(config, options, policy_spec, predictor_spec);
+      ::malloc_trim(0);
+      const std::uint64_t heap_before = heap_in_use();
+      auto engine = builder.build();
       EventLogReader reader(log_path);
-      auto engine = make_builder(config, options, policy_spec,
-                                 predictor_spec)
-                        .build();
-      const EngineMetrics metrics =
-          engine->serve(reader, {.batch_events = batch});
+      HeapSamplingSource source(reader, batch, heap_before);
+      const EngineMetrics metrics = engine->serve(source, {});
       const EngineStats& stats = engine->stats();
       last_metrics = metrics;
       last_options = options;
@@ -596,6 +652,7 @@ int main(int argc, char** argv) {
       row.events_per_sec =
           wall > 0.0 ? static_cast<double>(row.events) / wall : 0.0;
       row.steals = stats.steals;
+      row.bytes_per_object = source.bytes_per_object;
       row.online_cost = metrics.online_cost;
       row.ratio = metrics.ratio();
       if (verify) {
@@ -613,6 +670,7 @@ int main(int argc, char** argv) {
                      Table::cell(row.ingest_seconds, 3),
                      Table::cell(row.finish_seconds, 3),
                      Table::cell(row.steals),
+                     Table::cell(row.bytes_per_object, 1),
                      Table::cell(row.online_cost, 1),
                      Table::cell(row.ratio, 4),
                      row.verified ? (row.identical ? "yes" : "NO") : "-"});
@@ -843,6 +901,7 @@ int main(int argc, char** argv) {
     json.key("ingest_seconds").value(row.ingest_seconds);
     json.key("finish_seconds").value(row.finish_seconds);
     json.key("steals").value(row.steals);
+    json.key("bytes_per_object").value(row.bytes_per_object);
     json.key("online_cost").value(row.online_cost);
     json.key("ratio").value(row.ratio);
     json.key("verified").value(row.verified);

@@ -9,10 +9,10 @@ namespace repl {
 
 namespace {
 
-/// Shared shape of every spec-driven factory: capture the canonical AST
-/// and the config by value (the registry itself is immutable after
-/// startup), build per call. Safe to invoke concurrently from pool
-/// workers.
+/// Shared shape of every spec-driven factory: bind the canonical spec's
+/// builder once (the registry itself is immutable after startup) and
+/// capture it with the config by value, then build per call without
+/// validating again. Safe to invoke concurrently from pool workers.
 ComponentSpec checked_spec(ComponentKind kind, const std::string& text) {
   ComponentRegistry& registry = ComponentRegistry::instance();
   return registry.canonicalize(kind, parse_component_spec(text));
@@ -22,26 +22,27 @@ ComponentSpec checked_spec(ComponentKind kind, const std::string& text) {
 
 ObjectPolicyFactory spec_object_policy_factory(const SystemConfig& config,
                                                const std::string& spec_text) {
-  const ComponentSpec spec = checked_spec(ComponentKind::kPolicy, spec_text);
-  return [config, spec](const ObjectContext& ctx) -> PolicyPtr {
-    BuildContext build;
-    build.config = config;
-    build.seed = ctx.seed;
-    build.trace = ctx.trace;
-    return ComponentRegistry::instance().build_policy(spec, build);
+  auto build = ComponentRegistry::instance().policy_builder(
+      checked_spec(ComponentKind::kPolicy, spec_text));
+  return [config, build = std::move(build)](const ObjectContext& ctx) {
+    BuildContext context;
+    context.config = config;
+    context.seed = ctx.seed;
+    context.trace = ctx.trace;
+    return build(context);
   };
 }
 
 ObjectPredictorFactory spec_object_predictor_factory(
     const SystemConfig& config, const std::string& spec_text) {
-  const ComponentSpec spec =
-      checked_spec(ComponentKind::kPredictor, spec_text);
-  return [config, spec](const ObjectContext& ctx) -> PredictorPtr {
-    BuildContext build;
-    build.config = config;
-    build.seed = ctx.seed;
-    build.trace = ctx.trace;
-    return ComponentRegistry::instance().build_predictor(spec, build);
+  auto build = ComponentRegistry::instance().predictor_builder(
+      checked_spec(ComponentKind::kPredictor, spec_text));
+  return [config, build = std::move(build)](const ObjectContext& ctx) {
+    BuildContext context;
+    context.config = config;
+    context.seed = ctx.seed;
+    context.trace = ctx.trace;
+    return build(context);
   };
 }
 
@@ -93,14 +94,18 @@ EngineBuilder& EngineBuilder::options(EngineOptions options) {
 }
 
 EngineBuilder& EngineBuilder::policy(const std::string& spec_text) {
-  policy_ = check_engine_spec(ComponentKind::kPolicy, spec_text);
-  policy_text_ = print_component_spec(*policy_);
+  const ComponentSpec spec =
+      check_engine_spec(ComponentKind::kPolicy, spec_text);
+  policy_ = ComponentRegistry::instance().policy_builder(spec);
+  policy_text_ = print_component_spec(spec);
   return *this;
 }
 
 EngineBuilder& EngineBuilder::predictor(const std::string& spec_text) {
-  predictor_ = check_engine_spec(ComponentKind::kPredictor, spec_text);
-  predictor_text_ = print_component_spec(*predictor_);
+  const ComponentSpec spec =
+      check_engine_spec(ComponentKind::kPredictor, spec_text);
+  predictor_ = ComponentRegistry::instance().predictor_builder(spec);
+  predictor_text_ = print_component_spec(spec);
   return *this;
 }
 
@@ -109,30 +114,31 @@ EngineBuilder& EngineBuilder::experiment(const ExperimentSpec& experiment) {
 }
 
 EnginePolicyFactory EngineBuilder::policy_factory() const {
-  const ComponentSpec spec =
-      policy_ ? *policy_
-              : check_engine_spec(ComponentKind::kPolicy,
-                                  ExperimentSpec{}.policy);
-  const SystemConfig config = config_;
-  return [config, spec](const EngineObjectContext& ctx) -> PolicyPtr {
-    BuildContext build;
-    build.config = config;
-    build.seed = ctx.seed;
-    return ComponentRegistry::instance().build_policy(spec, build);
+  if (!policy_) {
+    return EngineBuilder(*this)
+        .policy(ExperimentSpec{}.policy)
+        .policy_factory();
+  }
+  return [config = config_, build = policy_](const EngineObjectContext& ctx) {
+    BuildContext context;
+    context.config = config;
+    context.seed = ctx.seed;
+    return build(context);
   };
 }
 
 EnginePredictorFactory EngineBuilder::predictor_factory() const {
-  const ComponentSpec spec =
-      predictor_ ? *predictor_
-                 : check_engine_spec(ComponentKind::kPredictor,
-                                     ExperimentSpec{}.predictor);
-  const SystemConfig config = config_;
-  return [config, spec](const EngineObjectContext& ctx) -> PredictorPtr {
-    BuildContext build;
-    build.config = config;
-    build.seed = ctx.seed;
-    return ComponentRegistry::instance().build_predictor(spec, build);
+  if (!predictor_) {
+    return EngineBuilder(*this)
+        .predictor(ExperimentSpec{}.predictor)
+        .predictor_factory();
+  }
+  return [config = config_,
+          build = predictor_](const EngineObjectContext& ctx) {
+    BuildContext context;
+    context.config = config;
+    context.seed = ctx.seed;
+    return build(context);
   };
 }
 

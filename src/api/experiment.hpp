@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "api/registry.hpp"
@@ -72,7 +71,9 @@ class EngineBuilder {
   const std::string& predictor_spec() const { return predictor_text_; }
 
   /// Thread-safe engine factories over the current specs (defaults
-  /// applied when unset).
+  /// applied when unset). The specs were validated and bound when they
+  /// were set, so neither this call nor the engine's per-object calls
+  /// validate a spec again.
   EnginePolicyFactory policy_factory() const;
   EnginePredictorFactory predictor_factory() const;
 
@@ -95,8 +96,11 @@ class EngineBuilder {
 
   SystemConfig config_;
   EngineOptions options_;
-  std::optional<ComponentSpec> policy_;
-  std::optional<ComponentSpec> predictor_;
+  /// Builders bound to the canonical specs when they were set; empty
+  /// while unset. An engine's factories wrap them, so building an engine
+  /// validates no spec again.
+  ComponentRegistry::BoundPolicyBuilder policy_;
+  ComponentRegistry::BoundPredictorBuilder predictor_;
   std::string policy_text_;
   std::string predictor_text_;
 };

@@ -331,15 +331,50 @@ std::string ComponentRegistry::canonical_string(
       canonicalize(kind, parse_component_spec(spec_text)));
 }
 
+namespace {
+
+[[noreturn]] void clairvoyant_fail(ComponentKind kind,
+                                   const ComponentSpec& spec) {
+  spec_fail(std::string(component_kind_name(kind)) + " '" +
+            print_component_spec(spec) +
+            "' is clairvoyant (requires the full trace) and cannot be "
+            "constructed without one");
+}
+
+}  // namespace
+
+ComponentRegistry::BoundPolicyBuilder ComponentRegistry::policy_builder(
+    const ComponentSpec& spec) const {
+  validate(ComponentKind::kPolicy, spec);
+  const bool clairvoyant = requires_trace(ComponentKind::kPolicy, spec);
+  // Entries are never erased, so the builder outlives every binding.
+  const PolicyBuilder* build =
+      &entry(ComponentKind::kPolicy, spec.name).build_policy;
+  return [spec, clairvoyant, build](const BuildContext& ctx) -> PolicyPtr {
+    if (clairvoyant && ctx.trace == nullptr) {
+      clairvoyant_fail(ComponentKind::kPolicy, spec);
+    }
+    return (*build)(spec, ctx);
+  };
+}
+
+ComponentRegistry::BoundPredictorBuilder ComponentRegistry::predictor_builder(
+    const ComponentSpec& spec) const {
+  validate(ComponentKind::kPredictor, spec);
+  const bool clairvoyant = requires_trace(ComponentKind::kPredictor, spec);
+  const PredictorBuilder* build =
+      &entry(ComponentKind::kPredictor, spec.name).build_predictor;
+  return [spec, clairvoyant, build](const BuildContext& ctx) -> PredictorPtr {
+    if (clairvoyant && ctx.trace == nullptr) {
+      clairvoyant_fail(ComponentKind::kPredictor, spec);
+    }
+    return (*build)(spec, ctx);
+  };
+}
+
 PolicyPtr ComponentRegistry::build_policy(const ComponentSpec& spec,
                                           const BuildContext& ctx) const {
-  validate(ComponentKind::kPolicy, spec);
-  if (ctx.trace == nullptr && requires_trace(ComponentKind::kPolicy, spec)) {
-    spec_fail("policy '" + print_component_spec(spec) +
-              "' is clairvoyant (requires the full trace) and cannot be "
-              "constructed without one");
-  }
-  return entry(ComponentKind::kPolicy, spec.name).build_policy(spec, ctx);
+  return policy_builder(spec)(ctx);
 }
 
 PolicyPtr ComponentRegistry::build_policy(const std::string& spec_text,
@@ -349,15 +384,7 @@ PolicyPtr ComponentRegistry::build_policy(const std::string& spec_text,
 
 PredictorPtr ComponentRegistry::build_predictor(const ComponentSpec& spec,
                                                 const BuildContext& ctx) const {
-  validate(ComponentKind::kPredictor, spec);
-  if (ctx.trace == nullptr &&
-      requires_trace(ComponentKind::kPredictor, spec)) {
-    spec_fail("predictor '" + print_component_spec(spec) +
-              "' is clairvoyant (requires the full trace) and cannot be "
-              "constructed without one");
-  }
-  return entry(ComponentKind::kPredictor, spec.name)
-      .build_predictor(spec, ctx);
+  return predictor_builder(spec)(ctx);
 }
 
 PredictorPtr ComponentRegistry::build_predictor(const std::string& spec_text,

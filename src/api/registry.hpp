@@ -112,6 +112,11 @@ class ComponentRegistry {
       std::function<PolicyPtr(const ComponentSpec&, const BuildContext&)>;
   using PredictorBuilder =
       std::function<PredictorPtr(const ComponentSpec&, const BuildContext&)>;
+  /// A builder bound to one validated spec: what a factory that builds
+  /// many instances of the same component calls per instance.
+  using BoundPolicyBuilder = std::function<PolicyPtr(const BuildContext&)>;
+  using BoundPredictorBuilder =
+      std::function<PredictorPtr(const BuildContext&)>;
 
   /// The process-wide registry, populated with every built-in component.
   static ComponentRegistry& instance();
@@ -149,8 +154,15 @@ class ComponentRegistry {
   std::string canonical_string(ComponentKind kind,
                                const std::string& spec_text) const;
 
-  /// Validates and constructs. Clairvoyant components throw SpecError
-  /// when `ctx.trace` is null.
+  /// Validates `spec` and looks up its registry entry once, then returns
+  /// the builder bound to it; calling that builder constructs one
+  /// instance without validating again. The bound builder throws
+  /// SpecError for a clairvoyant component when `ctx.trace` is null, and
+  /// is safe to call concurrently.
+  BoundPolicyBuilder policy_builder(const ComponentSpec& spec) const;
+  BoundPredictorBuilder predictor_builder(const ComponentSpec& spec) const;
+
+  /// policy_builder(spec)(ctx): validates and constructs one instance.
   PolicyPtr build_policy(const ComponentSpec& spec,
                          const BuildContext& ctx) const;
   PolicyPtr build_policy(const std::string& spec_text,

@@ -1,9 +1,9 @@
 #include "core/adaptive_drwp.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 namespace repl {
 
@@ -72,10 +72,8 @@ double AdaptiveDrwpPolicy::monitored_ratio() const {
 }
 
 std::string AdaptiveDrwpPolicy::name() const {
-  std::ostringstream os;
-  os << "adaptive-drwp(alpha=" << alpha() << ",beta=" << options_.beta
-     << ")";
-  return os.str();
+  return "adaptive-drwp(alpha=" + format_general(alpha()) +
+         ",beta=" + format_general(options_.beta) + ")";
 }
 
 std::unique_ptr<ReplicationPolicy> AdaptiveDrwpPolicy::clone() const {

@@ -1,9 +1,9 @@
 #include "core/drwp.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 namespace repl {
 
@@ -263,9 +263,7 @@ void DrwpPolicy::load_state(StateReader& in) {
 }
 
 std::string DrwpPolicy::name() const {
-  std::ostringstream os;
-  os << "drwp(alpha=" << alpha_ << ")";
-  return os.str();
+  return "drwp(alpha=" + format_general(alpha_) + ")";
 }
 
 std::unique_ptr<ReplicationPolicy> DrwpPolicy::clone() const {

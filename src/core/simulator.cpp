@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "util/check.hpp"
 
@@ -10,6 +11,15 @@ namespace repl {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The per-event observability logs of one run, allocated only when
+/// SimulationOptions::record_events is set: the streaming path keeps no
+/// log at all.
+struct EventLog {
+  std::vector<ServeRecord> serves;
+  std::vector<CopySegment> segments;
+  std::vector<TransferRecord> transfers;
+};
 
 /// The canonical event sink: validates the event stream and accumulates
 /// costs, copy segments, and transfers.
@@ -27,34 +37,41 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// addition per segment, in close order, the exact sequence a post-hoc
 /// sweep over the segment list would perform — so a streaming consumer
 /// (the engine, checkpoints) needs only this scalar, and the segment
-/// list itself is retained only when per-event recording is on.
+/// list itself is kept only when there is a log to keep it in.
+///
+/// Per-server state (open-segment begin, special-from time, holding bit)
+/// lives in one allocation: 2n doubles, then the holding bits.
 class Recorder final : public EventSink {
  public:
-  Recorder(const SystemConfig& config, bool record_events,
-           double billing_horizon)
+  /// `log` (null: record nothing) must outlive the recorder.
+  Recorder(const SystemConfig& config, EventLog* log, double billing_horizon)
       : config_(config),
-        record_events_(record_events),
+        log_(log),
         billing_horizon_(billing_horizon),
-        holding_(static_cast<std::size_t>(config.num_servers), false),
-        open_begin_(static_cast<std::size_t>(config.num_servers), 0.0),
-        open_special_(static_cast<std::size_t>(config.num_servers), kInf) {}
+        servers_(new double[2 * num_servers() + (num_servers() + 63) / 64]) {
+    for (std::size_t s = 0; s < num_servers(); ++s) {
+      open_begin(s) = 0.0;
+      open_special(s) = kInf;
+    }
+    std::fill_n(holding_bytes(), (num_servers() + 7) / 8, 0);
+  }
 
   void set_billing_horizon(double horizon) { billing_horizon_ = horizon; }
 
   void on_create(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(!holding_at(server),
+    REPL_CHECK_MSG(!holding(server),
                    "create at server already holding a copy");
-    holding_at(server) = true;
+    set_holding(server, true);
     ++count_;
-    open_begin_[static_cast<std::size_t>(server)] = time;
-    open_special_[static_cast<std::size_t>(server)] = kInf;
+    open_begin(static_cast<std::size_t>(server)) = time;
+    open_special(static_cast<std::size_t>(server)) = kInf;
   }
 
   void on_drop(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(holding_at(server), "drop at server without a copy");
-    holding_at(server) = false;
+    REPL_CHECK_MSG(holding(server), "drop at server without a copy");
+    set_holding(server, false);
     --count_;
     REPL_CHECK_MSG(count_ >= 1,
                    "at-least-one-copy requirement violated at t=" << time);
@@ -63,10 +80,10 @@ class Recorder final : public EventSink {
 
   void on_mark_special(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(holding_at(server), "mark_special without a copy");
+    REPL_CHECK_MSG(holding(server), "mark_special without a copy");
     REPL_CHECK_MSG(count_ == 1,
                    "special copy must be the only copy (Proposition 1)");
-    auto& sf = open_special_[static_cast<std::size_t>(server)];
+    double& sf = open_special(static_cast<std::size_t>(server));
     REPL_CHECK_MSG(sf == kInf, "copy marked special twice");
     sf = time;
   }
@@ -74,30 +91,32 @@ class Recorder final : public EventSink {
   void on_transfer(int src, int dst, double time) override {
     check_time(time);
     REPL_CHECK_MSG(src != dst, "self-transfer");
-    REPL_CHECK_MSG(holding_at(src), "transfer from a server without a copy");
+    REPL_CHECK_MSG(holding(src), "transfer from a server without a copy");
     ++transfer_count_;
     // Transfers after the cost horizon (e.g. post-trace home migrations
     // during the flush) are recorded but not billed.
     if (time <= billing_horizon_) ++billed_transfer_count_;
-    if (record_events_) transfers_.push_back(TransferRecord{src, dst, time});
+    if (log_ != nullptr) {
+      log_->transfers.push_back(TransferRecord{src, dst, time});
+    }
   }
 
   void on_set_duration(int server, double time, double duration) override {
     check_time(time);
-    REPL_CHECK(holding_at(server));
+    REPL_CHECK(holding(server));
     REPL_CHECK(duration > 0.0);
     if (std::isnan(initial_intended_)) initial_intended_ = duration;
     // A renewed intended duration un-marks a special copy.
-    open_special_[static_cast<std::size_t>(server)] = kInf;
+    open_special(static_cast<std::size_t>(server)) = kInf;
   }
 
   /// Closes all still-open segments with end = +inf. No further events
   /// may follow.
   void finish() {
     for (int s = 0; s < config_.num_servers; ++s) {
-      if (holding_at(s)) {
+      if (holding(s)) {
         close_segment(s, kInf);
-        holding_at(s) = false;
+        set_holding(s, false);
       }
     }
   }
@@ -107,16 +126,14 @@ class Recorder final : public EventSink {
   std::size_t billed_transfer_count() const { return billed_transfer_count_; }
   double last_time() const { return last_time_; }
   double initial_intended() const { return initial_intended_; }
-  std::vector<CopySegment>& segments() { return segments_; }
-  std::vector<TransferRecord>& transfers() { return transfers_; }
 
   /// Storage cost within [0, horizon], weighted by per-server rates.
   /// Must be called after finish() (all segments closed and billed).
   double storage_cost() const { return storage_cost_; }
 
   /// Checkpoint protocol: the cost accumulators and per-server open-copy
-  /// state. The event logs (segments/transfers) are observability, not
-  /// cost state, and restart empty after a restore.
+  /// state. The event log is observability, not cost state, and restarts
+  /// empty after a restore.
   void save_state(StateWriter& out) const {
     out.i32(count_);
     out.u64(static_cast<std::uint64_t>(transfer_count_));
@@ -124,11 +141,11 @@ class Recorder final : public EventSink {
     out.f64(last_time_);
     out.f64(initial_intended_);
     out.f64(storage_cost_);
-    out.u64(static_cast<std::uint64_t>(holding_.size()));
-    for (std::size_t s = 0; s < holding_.size(); ++s) {
-      out.boolean(holding_[s]);
-      out.f64(open_begin_[s]);
-      out.f64(open_special_[s]);
+    out.u64(static_cast<std::uint64_t>(num_servers()));
+    for (std::size_t s = 0; s < num_servers(); ++s) {
+      out.boolean(holding(static_cast<int>(s)));
+      out.f64(open_begin(s));
+      out.f64(open_special(s));
     }
   }
 
@@ -139,24 +156,46 @@ class Recorder final : public EventSink {
     last_time_ = in.f64();
     initial_intended_ = in.f64();
     storage_cost_ = in.f64();
-    if (in.u64() != holding_.size()) in.fail("recorder server count mismatch");
-    for (std::size_t s = 0; s < holding_.size(); ++s) {
-      holding_[s] = in.boolean();
-      open_begin_[s] = in.f64();
-      open_special_[s] = in.f64();
+    if (in.u64() != num_servers()) in.fail("recorder server count mismatch");
+    for (std::size_t s = 0; s < num_servers(); ++s) {
+      set_holding(static_cast<int>(s), in.boolean());
+      open_begin(s) = in.f64();
+      open_special(s) = in.f64();
     }
-    if (count_ < 1 || count_ > static_cast<int>(holding_.size())) {
+    if (count_ < 1 || count_ > config_.num_servers) {
       in.fail("recorder copy count " + std::to_string(count_) +
               " out of range");
     }
-    segments_.clear();
-    transfers_.clear();
   }
 
  private:
-  std::vector<bool>::reference holding_at(int server) {
+  std::size_t num_servers() const {
+    return static_cast<std::size_t>(config_.num_servers);
+  }
+  double& open_begin(std::size_t s) { return servers_[s]; }
+  double open_begin(std::size_t s) const { return servers_[s]; }
+  double& open_special(std::size_t s) { return servers_[num_servers() + s]; }
+  double open_special(std::size_t s) const {
+    return servers_[num_servers() + s];
+  }
+  /// The holding bits, one per server, after the 2n doubles.
+  unsigned char* holding_bytes() const {
+    return reinterpret_cast<unsigned char*>(servers_.get() +
+                                            2 * num_servers());
+  }
+  bool holding(int server) const {
     REPL_CHECK(server >= 0 && server < config_.num_servers);
-    return holding_[static_cast<std::size_t>(server)];
+    const auto s = static_cast<unsigned>(server);
+    const unsigned byte = holding_bytes()[s / 8];
+    return ((byte >> (s % 8)) & 1u) != 0;
+  }
+  void set_holding(int server, bool value) {
+    REPL_CHECK(server >= 0 && server < config_.num_servers);
+    const auto s = static_cast<unsigned>(server);
+    const auto bit = static_cast<unsigned char>(1u << (s % 8));
+    unsigned char& byte = holding_bytes()[s / 8];
+    byte = value ? static_cast<unsigned char>(byte | bit)
+                 : static_cast<unsigned char>(byte & ~bit);
   }
 
   void check_time(double time) {
@@ -174,24 +213,20 @@ class Recorder final : public EventSink {
     // final horizon would — in the same operation order as a post-hoc
     // sweep, keeping costs bit-identical to the pre-streaming code path.
     const double capped = std::min(end, billing_horizon_);
-    if (capped > open_begin_[s]) {
-      storage_cost_ += config_.storage_rate(server) * (capped - open_begin_[s]);
+    if (capped > open_begin(s)) {
+      storage_cost_ += config_.storage_rate(server) * (capped - open_begin(s));
     }
-    if (record_events_) {
-      segments_.push_back(CopySegment{server, open_begin_[s],
-                                      open_special_[s], end});
+    if (log_ != nullptr) {
+      log_->segments.push_back(
+          CopySegment{server, open_begin(s), open_special(s), end});
     }
-    open_special_[s] = kInf;
+    open_special(s) = kInf;
   }
 
   const SystemConfig& config_;
-  bool record_events_;
+  EventLog* log_;
   double billing_horizon_;
-  std::vector<bool> holding_;
-  std::vector<double> open_begin_;
-  std::vector<double> open_special_;
-  std::vector<CopySegment> segments_;
-  std::vector<TransferRecord> transfers_;
+  std::unique_ptr<double[]> servers_;
   int count_ = 0;
   std::size_t transfer_count_ = 0;
   std::size_t billed_transfer_count_ = 0;
@@ -208,6 +243,10 @@ const SystemConfig& validated(const SystemConfig& config) {
 
 }  // namespace
 
+/// What one run keeps between steps: the recorder's cost state, the
+/// clock, and the two result fields nothing else derives (the local-serve
+/// count and the r0 prediction). finish() assembles the SimulationResult,
+/// names included; the event log exists only when recording.
 struct OnlineSimulation::Impl {
   Impl(const SystemConfig& cfg, const SimulationOptions& opts,
        ReplicationPolicy& pol, Predictor& pred)
@@ -215,25 +254,24 @@ struct OnlineSimulation::Impl {
         options(opts),
         policy(pol),
         predictor(pred),
-        recorder(config, options.record_events,
+        log(options.record_events ? std::make_unique<EventLog>() : nullptr),
+        recorder(config, log.get(),
                  options.horizon < 0.0 ? kInf : options.horizon) {
     predictor.reset();
-    const Prediction pred0 = predictor.predict(
-        PredictionQuery{-1, config.initial_server, 0.0,
-                        config.transfer_cost});
-    policy.reset(config, pred0, recorder);
-    result.config = config;
-    result.policy_name = policy.name();
-    result.predictor_name = predictor.name();
-    result.initial_prediction = pred0;
+    initial_prediction = predictor.predict(PredictionQuery{
+        -1, config.initial_server, 0.0, config.transfer_cost});
+    policy.reset(config, initial_prediction, recorder);
   }
 
   const SystemConfig& config;
   SimulationOptions options;
   ReplicationPolicy& policy;
   Predictor& predictor;
+  std::unique_ptr<EventLog> log;
   Recorder recorder;
-  SimulationResult result;
+  std::size_t num_local = 0;
+  /// The prediction issued for the dummy request r0.
+  Prediction initial_prediction;
   std::size_t index = 0;
   double last_request_time = 0.0;
   bool finished = false;
@@ -275,9 +313,9 @@ void OnlineSimulation::step(int server, double time) {
           (action.local ? 0u : 1u) +
               static_cast<std::size_t>(action.extra_transfers),
       "serve action inconsistent with emitted transfers");
-  if (action.local) ++im.result.num_local;
+  if (action.local) ++im.num_local;
 
-  if (im.options.record_events) {
+  if (im.log) {
     ServeRecord record;
     record.index = im.index;
     record.server = server;
@@ -288,13 +326,13 @@ void OnlineSimulation::step(int server, double time) {
     record.special_since = action.special_since;
     record.intended_duration = action.intended_duration;
     record.prediction = pred;
-    im.result.serves.push_back(record);
+    im.log->serves.push_back(record);
   }
   ++im.index;
 }
 
 void OnlineSimulation::reserve(std::size_t num_requests) {
-  if (impl_->options.record_events) impl_->result.serves.reserve(num_requests);
+  if (impl_->log) impl_->log->serves.reserve(num_requests);
 }
 
 std::size_t OnlineSimulation::steps() const { return impl_->index; }
@@ -319,8 +357,8 @@ void OnlineSimulation::save_state(StateWriter& out) const {
   }
   out.u64(static_cast<std::uint64_t>(im.index));
   out.f64(im.last_request_time);
-  out.u64(static_cast<std::uint64_t>(im.result.num_local));
-  out.boolean(im.result.initial_prediction.within_lambda);
+  out.u64(static_cast<std::uint64_t>(im.num_local));
+  out.boolean(im.initial_prediction.within_lambda);
   im.recorder.save_state(out);
   im.policy.save_state(out);
   im.predictor.save_state(out);
@@ -354,11 +392,16 @@ void OnlineSimulation::load_state(StateReader& in) {
   }
   im.index = static_cast<std::size_t>(in.u64());
   im.last_request_time = in.f64();
-  im.result.num_local = static_cast<std::size_t>(in.u64());
-  im.result.initial_prediction.within_lambda = in.boolean();
+  im.num_local = static_cast<std::size_t>(in.u64());
+  im.initial_prediction.within_lambda = in.boolean();
   im.recorder.load_state(in);
   im.policy.load_state(in);
   im.predictor.load_state(in);
+  // The log restarts empty: a restored run reports post-restore events.
+  if (im.log) {
+    im.log->segments.clear();
+    im.log->transfers.clear();
+  }
 }
 
 SimulationResult OnlineSimulation::finish() {
@@ -388,23 +431,28 @@ SimulationResult OnlineSimulation::finish() {
   REPL_CHECK(im.recorder.count() >= 1);
 
   im.recorder.finish();
-  im.result.horizon = horizon;
-  im.result.storage_cost = im.recorder.storage_cost();
-  im.result.num_transfers = im.recorder.billed_transfer_count();
-  im.result.transfer_cost =
-      lambda * static_cast<double>(im.result.num_transfers);
-  im.result.initial_intended_duration = im.recorder.initial_intended();
-
-  if (im.options.record_events) {
-    im.result.segments = std::move(im.recorder.segments());
-    std::sort(im.result.segments.begin(), im.result.segments.end(),
+  SimulationResult result;
+  result.config = im.config;
+  result.horizon = horizon;
+  result.storage_cost = im.recorder.storage_cost();
+  result.num_transfers = im.recorder.billed_transfer_count();
+  result.transfer_cost = lambda * static_cast<double>(result.num_transfers);
+  result.num_local = im.num_local;
+  result.initial_intended_duration = im.recorder.initial_intended();
+  result.initial_prediction = im.initial_prediction;
+  if (im.log) {
+    result.serves = std::move(im.log->serves);
+    result.segments = std::move(im.log->segments);
+    std::sort(result.segments.begin(), result.segments.end(),
               [](const CopySegment& a, const CopySegment& b) {
                 if (a.begin != b.begin) return a.begin < b.begin;
                 return a.server < b.server;
               });
-    im.result.transfers = std::move(im.recorder.transfers());
+    result.transfers = std::move(im.log->transfers);
   }
-  return std::move(im.result);
+  result.policy_name = im.policy.name();
+  result.predictor_name = im.predictor.name();
+  return result;
 }
 
 Simulator::Simulator(SystemConfig config, SimulationOptions options)

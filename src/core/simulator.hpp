@@ -85,7 +85,8 @@ struct SimulationOptions {
   /// convention of counting cost up to r_m only).
   double horizon = -1.0;
   /// Keep per-event logs (serves/segments/transfers). Benches on long
-  /// traces may disable to save memory; analysis requires them.
+  /// traces may disable to save memory; analysis requires them. Off, a
+  /// run allocates no log at all (the streaming engine's setting).
   bool record_events = true;
 };
 

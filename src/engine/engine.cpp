@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
-#include <unordered_map>
+#include <string>
 #include <utility>
 
 #include <cstdio>
@@ -34,6 +34,20 @@ namespace {
 std::size_t shard_index(std::uint64_t object_id, std::size_t num_shards) {
   return static_cast<std::size_t>(SplitMix64(object_id).next() %
                                   static_cast<std::uint64_t>(num_shards));
+}
+
+/// Home slot mix of a shard's id table: MurmurHash3's 64-bit finalizer,
+/// a different function from shard_index's SplitMix64. With a
+/// power-of-two shard count every id in one shard shares the low bits of
+/// SplitMix64(id), so reusing those bits would pile a shard's ids onto a
+/// fraction of its table.
+std::uint64_t table_hash(std::uint64_t id) {
+  id ^= id >> 33;
+  id *= 0xff51afd7ed558ccdULL;
+  id ^= id >> 33;
+  id *= 0xc4ceb9fe1a85ec53ULL;
+  id ^= id >> 33;
+  return id;
 }
 
 /// One timed interval of the serve pipeline, measured once: a single
@@ -200,41 +214,109 @@ struct StreamingEngine::Telemetry {
   obs::Histogram& checkpoint_restore;
 };
 
+/// One object's record. Records live by value in their shard's vector,
+/// which moves them when it grows, so nothing may point into a record:
+/// the policy, the predictor and the simulation's state are separate heap
+/// objects, and the simulation's references to them survive a move.
 struct StreamingEngine::ObjectState {
-  ObjectState(const SystemConfig& config, const SimulationOptions& sim,
-              PolicyPtr pol, PredictorPtr pred, bool with_lower_bound)
-      : policy(std::move(pol)),
+  ObjectState(std::uint64_t object_id, const SystemConfig& config,
+              const SimulationOptions& sim, PolicyPtr pol, PredictorPtr pred,
+              bool with_lower_bound)
+      : id(object_id),
+        policy(std::move(pol)),
         predictor(std::move(pred)),
         simulation(config, sim, *policy, *predictor) {
     if (with_lower_bound) lower_bound.emplace(config);
   }
 
+  void step(int server, double time) {
+    simulation.step(server, time);
+    if (lower_bound) lower_bound->step(server, time);
+  }
+
+  /// The record's event count is the simulation's step count: both
+  /// advance once per ingested event.
   void save_state(StateWriter& out) const {
-    out.u64(static_cast<std::uint64_t>(events));
+    out.u64(static_cast<std::uint64_t>(simulation.steps()));
     out.boolean(lower_bound.has_value());
     if (lower_bound) lower_bound->save_state(out);
     simulation.save_state(out);
   }
 
   void load_state(StateReader& in) {
-    events = static_cast<std::size_t>(in.u64());
+    const std::uint64_t events = in.u64();
     if (in.boolean() != lower_bound.has_value()) {
       in.fail("lower-bound presence mismatch");
     }
     if (lower_bound) lower_bound->load_state(in);
     simulation.load_state(in);
     in.expect_end();
+    if (events != simulation.steps()) {
+      in.fail("event count " + std::to_string(events) +
+              " disagrees with the restored step count " +
+              std::to_string(simulation.steps()));
+    }
   }
 
+  EngineObjectFinal finish() {
+    const SimulationResult result = simulation.finish();
+    EngineObjectFinal final;
+    final.id = id;
+    final.events = simulation.steps();
+    final.num_local = result.num_local;
+    final.num_transfers = result.num_transfers;
+    final.online_cost = result.total_cost();
+    final.lower_bound = lower_bound ? lower_bound->value() : 0.0;
+    return final;
+  }
+
+  std::uint64_t id;
   PolicyPtr policy;
   PredictorPtr predictor;
   OnlineSimulation simulation;
   std::optional<StreamingLowerBound> lower_bound;
-  std::size_t events = 0;
 };
 
 struct StreamingEngine::Shard {
-  std::unordered_map<std::uint64_t, std::unique_ptr<ObjectState>> objects;
+  static constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
+
+  /// The record of `id`, or null.
+  ObjectState* find(std::uint64_t id) {
+    if (index.empty()) return nullptr;
+    const std::uint32_t at = slot(id);
+    return at == kEmptySlot ? nullptr : &objects[at];
+  }
+
+  /// Appends the record of an id the shard does not hold yet.
+  ObjectState& insert(ObjectState&& state) {
+    REPL_CHECK(objects.size() < kEmptySlot);
+    // Load factor at most 3/4; the first object allocates the table.
+    if ((objects.size() + 1) * 4 > index.size() * 3) {
+      index.assign(std::max<std::size_t>(16, 2 * index.size()), kEmptySlot);
+      for (std::size_t i = 0; i < objects.size(); ++i) {
+        slot(objects[i].id) = static_cast<std::uint32_t>(i);
+      }
+    }
+    std::uint32_t& at = slot(state.id);
+    REPL_CHECK_MSG(at == kEmptySlot,
+                   "object " << state.id << " inserted twice");
+    at = static_cast<std::uint32_t>(objects.size());
+    objects.push_back(std::move(state));
+    return objects.back();
+  }
+
+  /// Frees the records and the table.
+  void release() {
+    std::vector<ObjectState>().swap(objects);
+    std::vector<std::uint32_t>().swap(index);
+  }
+
+  /// Object records in creation order.
+  std::vector<ObjectState> objects;
+  /// Open-addressing id table over `objects`: power-of-two capacity,
+  /// linear probing, each slot a record position or kEmptySlot. Empty
+  /// until the shard's first object, so an idle shard allocates nothing.
+  std::vector<std::uint32_t> index;
   /// Events routed to this shard for the batch in flight, in stream order.
   std::vector<LogEvent> inbox;
   /// Object records routed to this shard by restore(), decoded by the
@@ -250,6 +332,18 @@ struct StreamingEngine::Shard {
   /// Filled by finish(), sorted by object id.
   std::vector<EngineObjectFinal> finals;
   EngineShardMetrics metrics;
+
+ private:
+  /// The slot holding `id`, or the empty slot where it belongs. The
+  /// table is never full, so the probe ends.
+  std::uint32_t& slot(std::uint64_t id) {
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t i = static_cast<std::size_t>(table_hash(id)) & mask;;
+         i = (i + 1) & mask) {
+      std::uint32_t& at = index[i];
+      if (at == kEmptySlot || objects[at].id == id) return at;
+    }
+  }
 };
 
 StreamingEngine::StreamingEngine(SystemConfig config, EngineOptions options,
@@ -288,8 +382,8 @@ StreamingEngine::Shard& StreamingEngine::shard_for(std::uint64_t object_id) {
   return *shards_[shard_index(object_id, options_.num_shards)];
 }
 
-std::unique_ptr<StreamingEngine::ObjectState>
-StreamingEngine::make_object_state(std::uint64_t object_id) {
+StreamingEngine::ObjectState StreamingEngine::make_object_state(
+    std::uint64_t object_id) {
   SimulationOptions sim_options;
   sim_options.horizon = options_.horizon;
   sim_options.record_events = false;
@@ -297,9 +391,8 @@ StreamingEngine::make_object_state(std::uint64_t object_id) {
   context.object_id = object_id;
   context.seed = ParallelRunner::object_seed(
       options_.base_seed, static_cast<std::size_t>(object_id));
-  return std::make_unique<ObjectState>(
-      config_, sim_options, make_policy_(context), make_predictor_(context),
-      options_.compute_lower_bound);
+  return ObjectState(object_id, config_, sim_options, make_policy_(context),
+                     make_predictor_(context), options_.compute_lower_bound);
 }
 
 void StreamingEngine::run_shard_tasks(
@@ -404,13 +497,11 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
                 nullptr, {}, route.stop());
   run_shard_tasks(active, [&](Shard& shard) {
     for (const LogEvent& event : shard.inbox) {
-      std::unique_ptr<ObjectState>& slot = shard.objects[event.object];
-      if (!slot) slot = make_object_state(event.object);
-      slot->simulation.step(static_cast<int>(event.server), event.time);
-      if (slot->lower_bound) {
-        slot->lower_bound->step(static_cast<int>(event.server), event.time);
+      ObjectState* state = shard.find(event.object);
+      if (state == nullptr) {
+        state = &shard.insert(make_object_state(event.object));
       }
-      ++slot->events;
+      state->step(static_cast<int>(event.server), event.time);
     }
     shard.inbox.clear();
   });
@@ -437,20 +528,10 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
 
   run_shard_tasks(all_shards, [](Shard& shard) {
     shard.finals.reserve(shard.objects.size());
-    for (auto& [id, state] : shard.objects) {
-      const SimulationResult result = state->simulation.finish();
-      EngineObjectFinal final;
-      final.id = id;
-      final.events = state->events;
-      final.num_local = result.num_local;
-      final.num_transfers = result.num_transfers;
-      final.online_cost = result.total_cost();
-      final.lower_bound =
-          state->lower_bound ? state->lower_bound->value() : 0.0;
-      shard.finals.push_back(final);
-      state.reset();  // release simulation state as we go
+    for (ObjectState& state : shard.objects) {
+      shard.finals.push_back(state.finish());
     }
-    shard.objects.clear();
+    shard.release();
     std::sort(shard.finals.begin(), shard.finals.end(),
               [](const EngineObjectFinal& a, const EngineObjectFinal& b) {
                 return a.id < b.id;
@@ -715,10 +796,10 @@ void StreamingEngine::checkpoint(const std::string& path) {
   run_shard_tasks(active, [](Shard& shard) {
     shard.snapshots.clear();
     shard.snapshots.reserve(shard.objects.size());
-    for (const auto& [id, state] : shard.objects) {
+    for (const ObjectState& state : shard.objects) {
       StateWriter writer;
-      state->save_state(writer);
-      shard.snapshots.emplace_back(id, writer.release());
+      state.save_state(writer);
+      shard.snapshots.emplace_back(state.id, writer.release());
     }
     std::sort(shard.snapshots.begin(), shard.snapshots.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -869,11 +950,11 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
     if (routed == 0) break;
     engine->run_shard_tasks(active, [&engine](Shard& shard) {
       for (auto& [object_id, bytes] : shard.restore_inbox) {
-        auto state = engine->make_object_state(object_id);
+        ObjectState state = engine->make_object_state(object_id);
         StateReader in(bytes.data(), bytes.size(),
                        "object " + std::to_string(object_id));
-        state->load_state(in);
-        shard.objects.emplace(object_id, std::move(state));
+        state.load_state(in);
+        shard.insert(std::move(state));
       }
       shard.restore_inbox.clear();
     });

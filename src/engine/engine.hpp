@@ -9,8 +9,13 @@
 // stream into traces.
 //
 // Architecture:
-//   * a sharded object table: object state lives in one of `num_shards`
-//     hash maps, shard = mix(object_id) mod num_shards;
+//   * a sharded object table: shard = mix(object_id) mod num_shards, and
+//     each shard keeps its objects' records by value in one vector, in
+//     creation order, found through an open-addressing table of 32-bit
+//     record positions (linear probing, load at most 3/4, hashed with a
+//     mix independent of the shard's). A shard allocates nothing until
+//     its first object; an object costs one record plus its policy,
+//     predictor and simulation state (~1.5 KB in all at 10 servers);
 //   * an event batcher: ingest() routes a time-ordered batch to per-shard
 //     inboxes and executes the non-empty shards in parallel on the
 //     work-stealing ThreadPool. Within a shard events stay in stream
@@ -340,7 +345,7 @@ class StreamingEngine {
   Shard& shard_for(std::uint64_t object_id);
   void run_shard_tasks(const std::vector<std::size_t>& shard_ids,
                        const std::function<void(Shard&)>& work);
-  std::unique_ptr<ObjectState> make_object_state(std::uint64_t object_id);
+  ObjectState make_object_state(std::uint64_t object_id);
 
   SystemConfig config_;
   EngineOptions options_;

@@ -1,7 +1,8 @@
 #include "extensions/randomized_drwp.hpp"
 
 #include <cmath>
-#include <sstream>
+
+#include "util/format.hpp"
 
 namespace repl {
 
@@ -44,9 +45,7 @@ void RandomizedDrwpPolicy::load_state(StateReader& in) {
 }
 
 std::string RandomizedDrwpPolicy::name() const {
-  std::ostringstream os;
-  os << "randomized-drwp(alpha=" << alpha() << ")";
-  return os.str();
+  return "randomized-drwp(alpha=" + format_general(alpha()) + ")";
 }
 
 std::unique_ptr<ReplicationPolicy> RandomizedDrwpPolicy::clone() const {

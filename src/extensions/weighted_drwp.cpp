@@ -1,6 +1,6 @@
 #include "extensions/weighted_drwp.hpp"
 
-#include <sstream>
+#include "util/format.hpp"
 
 namespace repl {
 
@@ -11,9 +11,7 @@ double WeightedDrwpPolicy::choose_duration(const Prediction& pred,
 }
 
 std::string WeightedDrwpPolicy::name() const {
-  std::ostringstream os;
-  os << "weighted-drwp(alpha=" << alpha() << ")";
-  return os.str();
+  return "weighted-drwp(alpha=" + format_general(alpha()) + ")";
 }
 
 std::unique_ptr<ReplicationPolicy> WeightedDrwpPolicy::clone() const {

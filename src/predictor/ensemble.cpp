@@ -1,8 +1,7 @@
 #include "predictor/ensemble.hpp"
 
-#include <sstream>
-
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 namespace repl {
 
@@ -99,11 +98,12 @@ void EnsemblePredictor::load_state(StateReader& in) {
 }
 
 std::string EnsemblePredictor::name() const {
-  std::ostringstream os;
-  os << "ensemble(" << experts_.size() << " experts";
-  if (config_.penalty < 1.0) os << ", penalty=" << config_.penalty;
-  os << ")";
-  return os.str();
+  std::string name =
+      "ensemble(" + std::to_string(experts_.size()) + " experts";
+  if (config_.penalty < 1.0) {
+    name += ", penalty=" + format_general(config_.penalty);
+  }
+  return name + ")";
 }
 
 }  // namespace repl

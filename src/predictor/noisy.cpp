@@ -1,9 +1,8 @@
 #include "predictor/noisy.hpp"
 
-#include <sstream>
-
 #include "predictor/oracle.hpp"
 #include "util/check.hpp"
+#include "util/format.hpp"
 #include "util/rng.hpp"
 
 namespace repl {
@@ -28,9 +27,7 @@ Prediction AccuracyPredictor::predict(const PredictionQuery& query) {
 }
 
 std::string AccuracyPredictor::name() const {
-  std::ostringstream os;
-  os << "accuracy(" << accuracy_ << ")";
-  return os.str();
+  return "accuracy(" + format_general(accuracy_) + ")";
 }
 
 }  // namespace repl

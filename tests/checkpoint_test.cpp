@@ -10,12 +10,17 @@
 //    restore() cleanly with a diagnostic (no UB under ASan/UBSan),
 //    mirroring event_log_test's corruption coverage;
 //  * empty-state snapshots — zero-event and single-event logs serve and
-//    checkpoint correctly.
+//    checkpoint correctly;
+//  * pinned bytes — a fixed log's snapshot under five spec pairs keeps
+//    its exact size and CRC-32C, so no save_state stream or component
+//    name drifts.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -25,8 +30,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/experiment.hpp"
 #include "checkpoint/snapshot.hpp"
 #include "checkpoint/state_io.hpp"
+#include "codec/crc32.hpp"
 #include "core/adaptive_drwp.hpp"
 #include "core/drwp.hpp"
 #include "core/simulator.hpp"
@@ -39,6 +46,7 @@
 #include "predictor/noisy.hpp"
 #include "predictor/oracle.hpp"
 #include "trace/event_log.hpp"
+#include "trace/stream_gen.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -751,6 +759,125 @@ TEST_F(CheckpointFileTest, ServeRequiresPathWithCheckpointEvery) {
   ServeOptions options;
   options.checkpoint_every = 10;
   EXPECT_THROW(engine->serve(reader, options), std::invalid_argument);
+}
+
+// A record's event count and its simulation's step count advance
+// together, so a snapshot whose two disagree is corrupt: restore must
+// reject it, naming the object, rather than report the wrong count.
+TEST_F(CheckpointFileTest, RestoreRejectsEventCountOffByOne) {
+  const std::vector<LogEvent> events = interleaved_events(600, 12, 5);
+  const std::string path = temp_path("count.ckpt");
+  auto engine = fresh_engine(4, 1);
+  engine->ingest(events);
+  engine->checkpoint(path);
+
+  // Rewrite object 7's record with its event count (the record's first
+  // field) one higher; every other byte stays as written.
+  const std::string tampered = temp_path("count_tampered.ckpt");
+  {
+    SnapshotReader reader(path);
+    SnapshotWriter writer(tampered, reader.header());
+    std::uint64_t id = 0;
+    std::vector<unsigned char> payload;
+    bool rewritten = false;
+    while (reader.next_object(id, payload)) {
+      if (id == 7) {
+        StateReader in(payload.data(), payload.size(), "record 7");
+        StateWriter count;
+        count.u64(in.u64() + 1);
+        std::copy(count.buffer().begin(), count.buffer().end(),
+                  payload.begin());
+        rewritten = true;
+      }
+      writer.add_object(id, payload);
+    }
+    writer.close();
+    ASSERT_TRUE(rewritten);
+  }
+
+  try {
+    StreamingEngine::restore(tampered, test_config(), EngineOptions{},
+                             engine_policy_factory(),
+                             engine_predictor_factory());
+    FAIL() << "restore accepted an event count off by one";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("object 7:"), std::string::npos) << what;
+    EXPECT_NE(what.find("event count"), std::string::npos) << what;
+  }
+}
+
+/// One pinned snapshot: a spec pair, the engine it needs, and the size
+/// and CRC-32C of the file it must produce.
+struct PinnedSnapshot {
+  const char* policy;
+  const char* predictor;
+  bool weighted_rates;  // storage rates 1..10, no lower bound
+  std::uint64_t bytes;
+  std::uint32_t crc;
+};
+
+// Snapshot bytes are the on-disk contract: fixtures, live checkpoints and
+// worker snapshots written by an older build must restore bit for bit.
+// These constants pin the exact files for a fixed log under five spec
+// pairs, so a change to any save_state stream, the recorder's layout or
+// a component's name() shows up here as a byte difference.
+TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
+  const std::string log = temp_path("pinned.evlog");
+  StreamWorkloadConfig workload;
+  workload.num_objects = 200;
+  workload.num_servers = 10;
+  workload.rate = 200.0 / 64.0;
+  workload.max_events = 5000;
+  ASSERT_EQ(generate_event_log(workload, 2024, log), 5000u);
+  std::vector<LogEvent> events;
+  {
+    EventLogReader reader(log);
+    LogEvent event;
+    while (reader.next(event)) events.push_back(event);
+  }
+
+  const PinnedSnapshot pinned[] = {
+      {"drwp(alpha=0.3)", "last_gap", false, 215945, 0x740ab898},
+      {"adaptive(alpha=1.5)", "ensemble(last_gap,history(ewma=0.3))", false,
+       335045, 0x268cdf41},
+      {"randomized(alpha=0.1)", "history(ewma=0.3)", false, 236768,
+       0xdb7fbaf1},
+      {"drwp(alpha=0.30000000000000004)", "fixed(within=true)", false,
+       192157, 0x2817f80a},
+      {"weighted(alpha=0.3)", "last_gap", true, 195349, 0xacfdebea},
+  };
+  for (const PinnedSnapshot& pin : pinned) {
+    SCOPED_TRACE(std::string(pin.policy) + " + " + pin.predictor);
+    SystemConfig config;
+    config.num_servers = 10;
+    config.transfer_cost = 10.0;
+    EngineOptions options;
+    options.num_shards = 7;
+    options.num_threads = 2;
+    if (pin.weighted_rates) {
+      for (int s = 1; s <= 10; ++s) config.storage_rates.push_back(s);
+      options.compute_lower_bound = false;
+    }
+    EngineBuilder builder;
+    builder.config(config).options(options);
+    builder.policy(pin.policy).predictor(pin.predictor);
+    auto engine = builder.build();
+    EventLogReader reader(log);
+    engine->bind_log(reader.header());
+    for (std::size_t at = 0; at < events.size(); at += 1024) {
+      engine->ingest(events.data() + at,
+                     std::min<std::size_t>(1024, events.size() - at));
+    }
+    const std::string path = temp_path("pinned.ckpt");
+    engine->checkpoint(path);
+
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), pin.bytes);
+    EXPECT_EQ(crc32c(bytes.data(), bytes.size()), pin.crc);
+  }
 }
 
 }  // namespace

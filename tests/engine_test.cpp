@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "trace/stream_gen.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace repl {
 namespace {
@@ -55,27 +57,18 @@ EnginePredictorFactory last_gap_factory(int num_servers) {
   };
 }
 
-/// The serial reference: group the stream per object (id order), run the
-/// batch Simulator + OPTL per object, reduce in id order.
-struct SerialReference {
-  std::size_t objects = 0;
-  std::size_t events = 0;
-  std::size_t num_local = 0;
-  std::size_t num_transfers = 0;
-  double online_cost = 0.0;
-  double lower_bound = 0.0;
-};
-
-SerialReference serial_reference(const std::vector<LogEvent>& events,
-                                 const SystemConfig& config,
-                                 bool randomized, std::uint64_t base_seed) {
+/// The serial reference per object: group the stream per object (id
+/// order), run the batch Simulator + OPTL per object.
+std::vector<EngineObjectFinal> serial_finals(
+    const std::vector<LogEvent>& events, const SystemConfig& config,
+    bool randomized, std::uint64_t base_seed) {
   std::map<std::uint64_t, std::vector<Request>> per_object;
   for (const LogEvent& e : events) {
     per_object[e.object].push_back(
         Request{e.time, static_cast<int>(e.server)});
   }
 
-  SerialReference ref;
+  std::vector<EngineObjectFinal> finals;
   SimulationOptions options;
   options.record_events = false;
   const Simulator simulator(config, options);
@@ -92,12 +85,40 @@ SerialReference serial_reference(const std::vector<LogEvent>& events,
     LastGapPredictor predictor(config.num_servers);
     const SimulationResult result =
         simulator.run(*policy, trace, predictor);
+    EngineObjectFinal final;
+    final.id = id;
+    final.events = trace.size();
+    final.num_local = result.num_local;
+    final.num_transfers = result.num_transfers;
+    final.online_cost = result.total_cost();
+    final.lower_bound = opt_lower_bound(config, trace);
+    finals.push_back(final);
+  }
+  return finals;
+}
+
+/// The serial reference aggregates: serial_finals reduced in id order.
+struct SerialReference {
+  std::size_t objects = 0;
+  std::size_t events = 0;
+  std::size_t num_local = 0;
+  std::size_t num_transfers = 0;
+  double online_cost = 0.0;
+  double lower_bound = 0.0;
+};
+
+SerialReference serial_reference(const std::vector<LogEvent>& events,
+                                 const SystemConfig& config,
+                                 bool randomized, std::uint64_t base_seed) {
+  SerialReference ref;
+  for (const EngineObjectFinal& final :
+       serial_finals(events, config, randomized, base_seed)) {
     ++ref.objects;
-    ref.events += trace.size();
-    ref.num_local += result.num_local;
-    ref.num_transfers += result.num_transfers;
-    ref.online_cost += result.total_cost();
-    ref.lower_bound += opt_lower_bound(config, trace);
+    ref.events += final.events;
+    ref.num_local += final.num_local;
+    ref.num_transfers += final.num_transfers;
+    ref.online_cost += final.online_cost;
+    ref.lower_bound += final.lower_bound;
   }
   return ref;
 }
@@ -459,6 +480,114 @@ TEST_F(EngineTest, StreamingLowerBoundMatchesBatch) {
   StreamingLowerBound streaming(config);
   for (const Request& r : trace.requests()) streaming.step(r.server, r.time);
   EXPECT_EQ(streaming.value(), opt_lower_bound(config, trace));
+}
+
+/// Requires `finals` to equal the serial reference record for record,
+/// bit for bit; reports the first difference only.
+void expect_finals_equal(const std::vector<EngineObjectFinal>& finals,
+                         const std::vector<EngineObjectFinal>& ref) {
+  ASSERT_EQ(finals.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const EngineObjectFinal& a = finals[i];
+    const EngineObjectFinal& b = ref[i];
+    if (a.id != b.id || a.events != b.events || a.num_local != b.num_local ||
+        a.num_transfers != b.num_transfers ||
+        a.online_cost != b.online_cost || a.lower_bound != b.lower_bound) {
+      ADD_FAILURE() << "final " << i << " differs: object " << a.id
+                    << " vs reference object " << b.id;
+      return;
+    }
+  }
+}
+
+/// The object table under growth and colliding ids: id 0, UINT64_MAX,
+/// multiples of 2^32 (identical low words) and a dense run, 5,000+
+/// objects in all, so a shard's table grows many times while ingest
+/// runs. Per-object finals match the serial sweep bit for bit at 1 and
+/// 3 shards, and a checkpoint cut mid-growth restores into the other
+/// shard count and finishes identically.
+TEST_F(EngineTest, ObjectTableGrowsUnderCollidingIds) {
+  const SystemConfig config = engine_config(4);
+  std::vector<std::uint64_t> ids = {0, UINT64_MAX};
+  for (std::uint64_t k = 1; k <= 2500; ++k) ids.push_back(k << 32);
+  for (std::uint64_t k = 1; k <= 2700; ++k) ids.push_back(k);
+  Rng rng(404);
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[static_cast<std::size_t>(rng.uniform_index(i + 1))]);
+  }
+
+  // Every id first appears in shuffled order, interleaved with repeat
+  // requests for ids already seen.
+  std::vector<LogEvent> events;
+  std::size_t introduced = 0;
+  std::size_t cut = 0;  // event index once half the ids exist
+  double t = 0.0;
+  while (introduced < ids.size() || events.size() < 20000) {
+    t += rng.uniform(0.01, 1.0);
+    std::uint64_t id;
+    if (introduced < ids.size() && (introduced == 0 || rng.bernoulli(0.3))) {
+      id = ids[introduced++];
+      // The cut falls just after this event.
+      if (introduced == ids.size() / 2) cut = events.size() + 1;
+    } else {
+      id = ids[static_cast<std::size_t>(rng.uniform_index(introduced))];
+    }
+    events.push_back(LogEvent{
+        t, id, static_cast<std::uint32_t>(rng.uniform_index(4))});
+  }
+  ASSERT_GT(cut, 0u);
+
+  const std::vector<EngineObjectFinal> ref =
+      serial_finals(events, config, /*randomized=*/false,
+                    EngineOptions{}.base_seed);
+  ASSERT_EQ(ref.size(), ids.size());
+  ASSERT_GE(ref.size(), 5000u);
+  const EngineMetrics ref_metrics = reduce_object_finals(ref);
+
+  const auto engine_options = [](std::size_t shards) {
+    EngineOptions options;
+    options.num_shards = shards;
+    options.num_threads = shards == 1 ? 1 : 2;
+    return options;
+  };
+  const auto expect_metrics = [&](const EngineMetrics& metrics) {
+    EXPECT_EQ(metrics.objects, ref_metrics.objects);
+    EXPECT_EQ(metrics.events, ref_metrics.events);
+    EXPECT_EQ(metrics.num_local, ref_metrics.num_local);
+    EXPECT_EQ(metrics.num_transfers, ref_metrics.num_transfers);
+    EXPECT_EQ(metrics.online_cost, ref_metrics.online_cost);
+    EXPECT_EQ(metrics.lower_bound, ref_metrics.lower_bound);
+  };
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    StreamingEngine engine(config, engine_options(shards), drwp_factory(),
+                           last_gap_factory(4));
+    engine.ingest(events);
+    EXPECT_EQ(engine.object_count(), ids.size());
+    std::vector<EngineObjectFinal> finals;
+    expect_metrics(engine.finish(&finals));
+    expect_finals_equal(finals, ref);
+
+    const std::size_t other = shards == 1 ? 3 : 1;
+    const std::string ckpt = temp_path("growth_" + std::to_string(shards));
+    {
+      StreamingEngine first(config, engine_options(shards), drwp_factory(),
+                            last_gap_factory(4));
+      first.ingest(events.data(), cut);
+      EXPECT_EQ(first.object_count(), ids.size() / 2);
+      first.checkpoint(ckpt);
+    }
+    auto resumed = StreamingEngine::restore(ckpt, config,
+                                            engine_options(other),
+                                            drwp_factory(),
+                                            last_gap_factory(4));
+    EXPECT_EQ(resumed->object_count(), ids.size() / 2);
+    resumed->ingest(events.data() + cut, events.size() - cut);
+    std::vector<EngineObjectFinal> resumed_finals;
+    expect_metrics(resumed->finish(&resumed_finals));
+    expect_finals_equal(resumed_finals, ref);
+  }
 }
 
 }  // namespace

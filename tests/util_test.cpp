@@ -1,15 +1,20 @@
 // Unit tests for src/util: RNG, distributions, statistics, histograms,
-// CSV, table rendering, CLI parsing.
+// CSV, table rendering, CLI parsing, number formatting.
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/format.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -35,6 +40,29 @@ TEST(Check, MessagesIncludeExpressionAndText) {
     const std::string what = e.what();
     EXPECT_NE(what.find("false"), std::string::npos);
     EXPECT_NE(what.find("extra 42"), std::string::npos);
+  }
+}
+
+// Component names are formatted with format_general and recorded in
+// snapshots written by builds that streamed the number through an
+// ostream, so the two spellings must agree for every double.
+TEST(Format, GeneralMatchesOstreamDefaultPrecision) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.3, 0.30000000000000004, 1.5, 0.1, 1.0, 10.0, 100000.0,
+      999999.5, 1234567.0, 1e-5, 0.0001, 0.00012345678, 123456.7, 1e300,
+      -2.5e-310, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max()};
+  Rng rng(77);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.next_u64()));
+    values.push_back(rng.uniform(0.0, 2.0));
+  }
+  for (const double value : values) {
+    std::ostringstream os;
+    os << value;
+    ASSERT_EQ(format_general(value), os.str());
   }
 }
 
