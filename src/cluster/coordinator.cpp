@@ -10,12 +10,14 @@
 #include <cstring>
 #include <filesystem>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "checkpoint/partition_manifest.hpp"
 #include "cluster/partition.hpp"
+#include "net/client.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -39,19 +41,21 @@ std::string format_double(double value) {
 struct ClusterCoordinator::Partition {
   std::uint32_t id = 0;
   pid_t pid = -1;
-  std::unique_ptr<ReconnectingEventStreamClient> client;
+  /// The current incarnation's event stream, dialed once after its hello.
+  std::unique_ptr<EventStreamClient> client;
   /// Partition-local events encountered in the log so far (1-based
   /// position of the most recent one). Main serving thread only.
   std::uint64_t seen = 0;
-  /// Events the worker already held at the initial handshake (restored
-  /// from a pre-existing checkpoint); positions <= this are skipped.
-  std::uint64_t send_from = 0;
+  /// Events the current incarnation already held at its handshake
+  /// (restored from a checkpoint); positions <= this are not sent. A
+  /// respawn resumes at or below `seen`, so after the first start this
+  /// only bounds catch_up.
+  std::uint64_t resume_events = 0;
   std::size_t respawns = 0;
 
   // Control-plane state, guarded by ClusterCoordinator::ctl_mu_.
   std::uint64_t active_epoch = 0;
   bool hello_seen = false;
-  ControlHello hello;
   std::uint64_t progress_events = 0;
   std::uint64_t checkpoint_events = 0;
   std::vector<EngineObjectFinal> finals;
@@ -305,13 +309,8 @@ void ClusterCoordinator::control_connection_main(Socket sock,
           // Latest connection for a partition wins: a respawned worker's
           // stream replaces its predecessor's, whose thread goes stale.
           part->active_epoch = epoch;
-          part->hello_seen = true;
-          part->hello = msg.hello;
-          // A restored worker already holds (and has checkpointed) its
-          // snapshot's events; one with nothing left to catch up never
-          // sends a progress or checkpoint message.
-          part->progress_events = msg.hello.resume_events;
-          part->checkpoint_events = msg.hello.resume_events;
+          // A rejected hello throws into the catch below, which marks
+          // the partition failed with the diagnostic; it is never seen.
           require_partition_function_version(msg.hello.pf_version);
           REPL_REQUIRE_MSG(
               msg.hello.num_partitions == options_.num_partitions,
@@ -328,6 +327,12 @@ void ClusterCoordinator::control_connection_main(Socket sock,
                            "worker base seed " << msg.hello.base_seed
                                                << " != coordinator's "
                                                << options_.base_seed);
+          part->hello_seen = true;
+          // A restored worker already holds (and has checkpointed) its
+          // snapshot's events; one with nothing left to catch up never
+          // sends a progress or checkpoint message.
+          part->progress_events = msg.hello.resume_events;
+          part->checkpoint_events = msg.hello.resume_events;
           continue;
         }
         // hello-first is assembler-enforced, so part is set here.
@@ -443,32 +448,45 @@ void ClusterCoordinator::spawn_worker(std::uint32_t p) {
                                << part.respawns);
 }
 
-void ClusterCoordinator::kill_worker(std::uint32_t p) {
+std::optional<int> ClusterCoordinator::reap_worker(std::uint32_t p,
+                                                   int flags) {
   Partition& part = *parts_[p];
-  if (part.pid < 0) return;
-  ::kill(part.pid, SIGKILL);
+  if (part.pid < 0) return std::nullopt;
   int status = 0;
-  while (::waitpid(part.pid, &status, 0) < 0 && errno == EINTR) {
+  pid_t reaped = 0;
+  while ((reaped = ::waitpid(part.pid, &status, flags)) < 0 &&
+         errno == EINTR) {
   }
+  if (reaped == 0) return std::nullopt;  // WNOHANG and still running
   part.pid = -1;
   inst_->workers_alive.add(-1.0);
+  return status;
 }
 
-void ClusterCoordinator::respawn_worker(std::uint32_t p) {
+void ClusterCoordinator::kill_worker(std::uint32_t p) {
+  if (parts_[p]->pid < 0) return;
+  ::kill(parts_[p]->pid, SIGKILL);
+  reap_worker(p, 0);
+}
+
+void ClusterCoordinator::respawn_worker(std::uint32_t p,
+                                        const std::string& failure) {
   Partition& part = *parts_[p];
   if (part.respawns >= options_.max_respawns) {
     throw std::runtime_error(
         "partition " + std::to_string(p) + ": respawn budget (" +
-        std::to_string(options_.max_respawns) + ") exhausted");
+        std::to_string(options_.max_respawns) +
+        ") exhausted; last failure: " + failure);
   }
   ++part.respawns;
   ++total_respawns_;
   inst_->respawns[p]->inc();
   REPL_LOG_WARN("cluster", "respawning worker partition="
                                << p << " attempt=" << part.respawns << "/"
-                               << options_.max_respawns);
+                               << options_.max_respawns
+                               << " failure=" << failure);
   kill_worker(p);
-  part.client->drop();
+  part.client.reset();
   {
     // The dead worker's control stream is history: clear its partial
     // state so the respawn's hello/finals/summary start clean. Clearing
@@ -486,30 +504,56 @@ void ClusterCoordinator::respawn_worker(std::uint32_t p) {
     part.respawns_published = part.respawns;
   }
   spawn_worker(p);
-  await_hello(p);
-  part.client->connect();
+  dial_worker(p);
 }
 
 void ClusterCoordinator::await_hello(std::uint32_t p) {
   Partition& part = *parts_[p];
-  const double budget = options_.reconnect.backoff_budget_seconds();
-  std::unique_lock<std::mutex> lock(ctl_mu_);
-  if (ctl_cv_.wait_for(lock, std::chrono::duration<double>(budget),
-                       [&] { return part.hello_seen; })) {
-    return;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(ctl_mu_);
+      if (ctl_cv_.wait_for(lock, std::chrono::milliseconds(10), [&] {
+            return part.hello_seen || part.control_failed;
+          })) {
+        if (!part.control_failed) return;
+        throw std::runtime_error("partition " + std::to_string(p) + ": " +
+                                 part.control_error);
+      }
+    }
+    // No hello yet: a worker that has exited will never send one.
+    if (const std::optional<int> status = reap_worker(p, WNOHANG)) {
+      const std::string how =
+          WIFSIGNALED(*status)
+              ? "signal " + std::to_string(WTERMSIG(*status))
+              : "status " + std::to_string(WEXITSTATUS(*status));
+      throw std::runtime_error("partition " + std::to_string(p) +
+                               ": worker exited (" + how +
+                               ") before its hello");
+    }
   }
-  // Dialing now would sleep through the same budget a second time.
-  std::ostringstream message;
-  message << "partition " << p << ": worker sent no hello within " << budget
-          << " s (it failed to start or to reach the control socket)";
-  throw std::runtime_error(message.str());
+}
+
+void ClusterCoordinator::dial_worker(std::uint32_t p) {
+  Partition& part = *parts_[p];
+  await_hello(p);
+  try {
+    EventStreamClientOptions copt;
+    copt.block_events = options_.batch_events;
+    part.client = std::make_unique<EventStreamClient>(
+        connect_unix(event_socket_path(p)), copt);
+    part.resume_events = part.client->handshake(
+        static_cast<std::uint32_t>(options_.config.num_servers));
+  } catch (const std::exception& e) {
+    throw std::runtime_error("partition " + std::to_string(p) +
+                             ": dial after hello failed: " + e.what());
+  }
 }
 
 void ClusterCoordinator::catch_up(std::uint32_t p, std::uint64_t through) {
   Partition& part = *parts_[p];
   // What the respawned worker reported holding (its restored snapshot's
   // cumulative event count; 0 when it started fresh).
-  const std::uint64_t resume = part.client->resume_events();
+  const std::uint64_t resume = part.resume_events;
   if (through <= resume) return;
   // Re-read the source log, filter this partition, skip the prefix the
   // worker holds, and resend up to (and including) position `through`.
@@ -538,16 +582,18 @@ void ClusterCoordinator::catch_up(std::uint32_t p, std::uint64_t through) {
   part.client->flush();
 }
 
-void ClusterCoordinator::recover(std::uint32_t p, std::uint64_t through) {
+void ClusterCoordinator::recover(std::uint32_t p, std::uint64_t through,
+                                 std::string failure) {
   for (;;) {
-    respawn_worker(p);  // throws once the budget is exhausted
+    respawn_worker(p, failure);  // throws once the budget is exhausted
     try {
       catch_up(p, through);
       return;
     } catch (const CheckFailure&) {
       throw;  // a short log is not survivable by respawning again
-    } catch (const std::exception&) {
+    } catch (const std::exception& e) {
       // The fresh worker died mid-catch-up; go around (budget-capped).
+      failure = e.what();
     }
   }
 }
@@ -559,11 +605,11 @@ void ClusterCoordinator::route_event(std::uint32_t p, const LogEvent& event) {
       part.client->send(event);
       inst_->routed[p]->inc();
       return;
-    } catch (const std::exception&) {
+    } catch (const std::exception& e) {
       // The worker is gone. Everything strictly before the current
       // event either landed or is re-sent by catch_up; the current
       // event retries on the fresh transport.
-      recover(p, part.seen - 1);
+      recover(p, part.seen - 1, e.what());
     }
   }
 }
@@ -574,8 +620,8 @@ void ClusterCoordinator::finish_partition(std::uint32_t p) {
     try {
       part.client->finish();
       return;
-    } catch (const std::exception&) {
-      recover(p, part.seen);
+    } catch (const std::exception& e) {
+      recover(p, part.seen, e.what());
     }
   }
 }
@@ -583,17 +629,19 @@ void ClusterCoordinator::finish_partition(std::uint32_t p) {
 void ClusterCoordinator::await_summary(std::uint32_t p) {
   Partition& part = *parts_[p];
   for (;;) {
+    std::string failure;
     {
       std::unique_lock<std::mutex> lock(ctl_mu_);
       ctl_cv_.wait(lock, [&] {
         return part.summary_seen || part.control_failed;
       });
       if (part.summary_seen) return;
+      failure = part.control_error;
     }
     // The worker died between finishing its event stream and delivering
     // its summary: respawn from its checkpoint, replay the tail, finish
     // again, and wait for the fresh incarnation's summary.
-    recover(p, part.seen);
+    recover(p, part.seen, failure);
     finish_partition(p);
   }
 }
@@ -611,22 +659,13 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
   }
 
   start_control_plane();
+  // Every worker is spawned before any is dialed, so they start up in
+  // parallel.
   for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
     spawn_worker(p);
   }
   for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
-    Partition& part = *parts_[p];
-    EventStreamClientOptions copt;
-    copt.block_events = options_.batch_events;
-    ReconnectPolicy policy = options_.reconnect;
-    policy.seed += p;  // decorrelate the fleet's jitter
-    const std::string path = event_socket_path(p);
-    part.client = std::make_unique<ReconnectingEventStreamClient>(
-        [path] { return connect_unix(path); },
-        static_cast<std::uint32_t>(options_.config.num_servers), policy,
-        copt);
-    await_hello(p);
-    part.send_from = part.client->connect();
+    dial_worker(p);
   }
 
   serve_start_ = std::chrono::steady_clock::now();
@@ -656,7 +695,7 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
           partition_of(event.object, options_.num_partitions);
       Partition& part = *parts_[p];
       ++part.seen;
-      if (part.seen > part.send_from) route_event(p, event);
+      if (part.seen > part.resume_events) route_event(p, event);
       if (options_.on_progress) options_.on_progress(p, part.seen);
     }
     bool emit_stats = false;
@@ -768,13 +807,7 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
 
   // Workers exit on their own after the summary; reap them.
   for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
-    Partition& part = *parts_[p];
-    if (part.pid < 0) continue;
-    int status = 0;
-    while (::waitpid(part.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    part.pid = -1;
-    inst_->workers_alive.add(-1.0);
+    reap_worker(p, 0);
   }
   stop_control_plane();
   return result;

@@ -5,8 +5,8 @@
 // partition map (cluster/partition.hpp). It fork/execs one worker
 // process per partition, routes each event to its partition's worker
 // over the existing v2 event wire (each worker is a NetIngestServer on
-// a unix-domain socket; the coordinator is one reconnecting event-stream
-// client per worker), and listens on one control socket where workers
+// a unix-domain socket; the coordinator is one event-stream client per
+// worker incarnation), and listens on one control socket where workers
 // report progress, checkpoints, and — when their slice drains — the
 // id-sorted per-object finals plus a summary (cluster/control.hpp).
 //
@@ -20,17 +20,22 @@
 // finish() reduces through — accumulates it in the same floating-point
 // order.
 //
+// Start-up: every worker incarnation, first spawn or respawn, starts
+// the same way. The coordinator waits until the worker's hello (sent
+// once its event listener is bound) is accepted, then dials its event
+// socket exactly once. A rejected hello, a worker that exits before its
+// hello, or a failed dial fails the start at once, naming its cause;
+// the wait has no deadline, so a slow snapshot restore is not a failure.
+//
 // Failure model: a worker death surfaces as a transport error on its
 // event stream (or a control-stream EOF without a summary). The
 // coordinator reaps the process, respawns it — from its per-partition
-// checkpoint when one exists, fresh otherwise — waits for its hello
-// (sent once its event listener is bound), reconnects (capped
-// exponential backoff stays as the fallback), replays the partition's
-// tail from the worker's reported resume offset by re-reading the source
-// log, and continues. First spawns wait for the hello the same way.
-// Aggregates after any number of kill/respawn cycles are bit-identical
-// to an uninterrupted run, because the resume offset counts exactly the
-// events the snapshot covers and everything after is replayed.
+// checkpoint when one exists, fresh otherwise — starts it as above,
+// replays the partition's tail from the worker's reported resume offset
+// by re-reading the source log, and continues. Aggregates after any
+// number of kill/respawn cycles are bit-identical to an uninterrupted
+// run, because the resume offset counts exactly the events the snapshot
+// covers and everything after is replayed.
 #pragma once
 
 #include <chrono>
@@ -40,6 +45,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +53,6 @@
 #include "cluster/control.hpp"
 #include "core/types.hpp"
 #include "engine/engine.hpp"
-#include "net/client.hpp"
 #include "net/socket.hpp"
 #include "obs/federation.hpp"
 
@@ -86,14 +91,12 @@ struct ClusterCoordinatorOptions {
   /// Per-partition checkpoint cadence, in partition-local events;
   /// 0 disables (a killed worker then replays its whole slice).
   std::uint64_t checkpoint_every = 0;
-  /// Respawn budget per partition; exhausting it propagates the last
-  /// transport error out of serve_log.
+  /// Respawn budget per partition; exhausting it fails serve_log with an
+  /// error that names the failure which triggered the last respawn.
   std::size_t max_respawns = 3;
 
   /// repl_cluster_* series land here; null = coordinator-private registry.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Backoff schedule for (re)connecting to worker event sockets.
-  ReconnectPolicy reconnect;
 
   /// Directory for per-process trace part files. Non-empty: every worker
   /// incarnation gets --trace-out=<dir>/trace.p<P>.i<N>.jsonl, the
@@ -183,22 +186,31 @@ class ClusterCoordinator {
   void control_accept_loop();
   void control_connection_main(Socket sock, std::uint64_t epoch);
   void spawn_worker(std::uint32_t p);
+  /// waitpid on partition p's worker with `flags` (0 or WNOHANG). Once
+  /// it is reaped, clears its pid and returns the wait status; nullopt
+  /// when there is no worker or, under WNOHANG, it is still running.
+  std::optional<int> reap_worker(std::uint32_t p, int flags);
   /// SIGKILL + reap; idempotent, no-op when already reaped.
   void kill_worker(std::uint32_t p);
-  /// kill + respawn + reconnect; throws once the respawn budget is gone.
-  void respawn_worker(std::uint32_t p);
-  /// Blocks until partition p's current worker says hello (it binds its
-  /// event listener first, so the dial that follows lands at once; the
-  /// dial keeps the reconnect policy as its fallback). Throws once the
-  /// policy's whole backoff budget passes without a hello, so a worker
-  /// that never starts fails the serve within the one budget an
-  /// unreachable worker's dial would spend.
+  /// kill + spawn + dial_worker; throws once the respawn budget is gone,
+  /// naming `failure`, the error that called for this respawn.
+  void respawn_worker(std::uint32_t p, const std::string& failure);
+  /// Blocks until partition p's current worker's hello is accepted. It
+  /// binds its event listener before the hello, so the dial that follows
+  /// lands. Throws at once on a rejected hello (with the coordinator's
+  /// diagnostic) or when the worker exits first (with its exit status).
+  /// No deadline: a slow start is not a failure.
   void await_hello(std::uint32_t p);
+  /// The one start path, for the first spawn and every respawn:
+  /// await_hello, then one dial and handshake, whose resume offset it
+  /// records. A failed dial throws at once.
+  void dial_worker(std::uint32_t p);
   /// Re-reads the log and re-sends partition-p events in positions
   /// (resume offset, through] that the respawned worker is missing.
   void catch_up(std::uint32_t p, std::uint64_t through);
-  /// respawn + catch_up until both succeed (budget-capped).
-  void recover(std::uint32_t p, std::uint64_t through);
+  /// respawn + catch_up until both succeed (budget-capped); `failure`
+  /// is the error that called for the first respawn.
+  void recover(std::uint32_t p, std::uint64_t through, std::string failure);
   void route_event(std::uint32_t p, const LogEvent& event);
   void finish_partition(std::uint32_t p);
   void await_summary(std::uint32_t p);

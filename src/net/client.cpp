@@ -113,83 +113,4 @@ bool EventStreamClient::write_paced(const unsigned char* data,
   return true;
 }
 
-double ReconnectPolicy::backoff_budget_seconds() const {
-  double total = 0.0;
-  double delay = initial_backoff_seconds;
-  for (std::size_t attempt = 1; attempt < max_attempts; ++attempt) {
-    total += delay * (1.0 + jitter / 2.0);
-    delay = std::min(max_backoff_seconds, delay * 2.0);
-  }
-  return total;
-}
-
-ReconnectingEventStreamClient::ReconnectingEventStreamClient(
-    std::function<Socket()> dial, std::uint32_t num_servers,
-    ReconnectPolicy policy, EventStreamClientOptions options)
-    : dial_(std::move(dial)),
-      num_servers_(num_servers),
-      policy_(policy),
-      options_(options),
-      rng_(policy.seed) {
-  REPL_REQUIRE_MSG(dial_ != nullptr, "reconnecting client needs a dial fn");
-  REPL_REQUIRE_MSG(policy_.max_attempts >= 1,
-                   "reconnect policy needs at least one attempt");
-  REPL_REQUIRE_MSG(policy_.initial_backoff_seconds >= 0.0 &&
-                       policy_.max_backoff_seconds >=
-                           policy_.initial_backoff_seconds,
-                   "reconnect backoff bounds are inverted");
-  REPL_REQUIRE_MSG(policy_.jitter >= 0.0 && policy_.jitter < 2.0,
-                   "reconnect jitter must lie in [0, 2)");
-}
-
-std::uint64_t ReconnectingEventStreamClient::connect() {
-  double delay = policy_.initial_backoff_seconds;
-  for (std::size_t attempt = 0;; ++attempt) {
-    ++attempts_;
-    try {
-      client_ = std::make_unique<EventStreamClient>(dial_(), options_);
-      resume_events_ = client_->handshake(num_servers_);
-      ++connects_;
-      return resume_events_;
-    } catch (const std::exception&) {
-      client_.reset();
-      if (attempt + 1 >= policy_.max_attempts) throw;
-    }
-    // Deterministic jitter around the capped exponential schedule, so a
-    // fleet of clients (or respawned workers) does not thundering-herd
-    // the same instant while tests stay reproducible from the seed.
-    const double jittered =
-        delay * (1.0 - policy_.jitter / 2.0 + policy_.jitter *
-                                                  rng_.next_double());
-    if (policy_.on_retry) policy_.on_retry(attempt, jittered);
-    if (jittered > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(jittered));
-    }
-    delay = std::min(policy_.max_backoff_seconds, delay * 2.0);
-  }
-}
-
-void ReconnectingEventStreamClient::drop() { client_.reset(); }
-
-bool ReconnectingEventStreamClient::send(const LogEvent& event) {
-  REPL_REQUIRE_MSG(client_ != nullptr, "send on a disconnected client");
-  return client_->send(event);
-}
-
-bool ReconnectingEventStreamClient::flush() {
-  REPL_REQUIRE_MSG(client_ != nullptr, "flush on a disconnected client");
-  return client_->flush();
-}
-
-bool ReconnectingEventStreamClient::send_trace(std::uint64_t trace_id,
-                                               std::uint64_t span_id) {
-  REPL_REQUIRE_MSG(client_ != nullptr, "send_trace on a disconnected client");
-  return client_->send_trace(trace_id, span_id);
-}
-
-void ReconnectingEventStreamClient::finish() {
-  REPL_REQUIRE_MSG(client_ != nullptr, "finish on a disconnected client");
-  client_->finish();
-}
-
 }  // namespace repl

@@ -13,13 +13,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/socket.hpp"
 #include "trace/event_log.hpp"
-#include "util/rng.hpp"
 
 namespace repl {
 
@@ -86,87 +83,6 @@ class EventStreamClient {
   bool handshaken_ = false;
   bool finished_ = false;
   bool aborted_ = false;
-};
-
-/// Dial/backoff policy for ReconnectingEventStreamClient.
-struct ReconnectPolicy {
-  /// Dial attempts per connect() call before the last error propagates.
-  std::size_t max_attempts = 10;
-  /// Capped exponential backoff between attempts: the n-th failed attempt
-  /// sleeps initial * 2^n (clamped to max), scaled by a deterministic
-  /// jitter factor in [1 - jitter/2, 1 + jitter/2] drawn from `seed`.
-  double initial_backoff_seconds = 0.02;
-  double max_backoff_seconds = 1.0;
-  double jitter = 0.5;
-  std::uint64_t seed = 0x5eed5eed5eed5eedULL;
-  /// Observability hook: called before each backoff sleep with the
-  /// 0-based attempt index and the jittered delay about to be slept.
-  std::function<void(std::size_t attempt, double delay_seconds)> on_retry;
-
-  /// The longest connect() can sleep before giving up: every backoff
-  /// step at the top of its jitter range.
-  double backoff_budget_seconds() const;
-};
-
-/// Reconnect-with-backoff mode of the event-stream client: owns the dial
-/// function instead of a connected socket, so a dropped transport (or a
-/// server that is not up yet) is survivable. connect() dials with capped
-/// exponential backoff + jitter, handshakes, and returns the server's
-/// REPLNACK resume offset — the number of logical-stream events the
-/// server already holds. The *caller* owns resumption: replay your
-/// source from that offset, then continue send()ing. On a mid-stream
-/// send/flush failure, call reconnect() (drop + connect) and resume from
-/// the fresh offset — exactly the loop a cluster coordinator runs when
-/// it respawns a worker.
-class ReconnectingEventStreamClient {
- public:
-  /// `dial` must return a connected Socket or throw; it is retried under
-  /// the policy's backoff schedule.
-  ReconnectingEventStreamClient(std::function<Socket()> dial,
-                                std::uint32_t num_servers,
-                                ReconnectPolicy policy = {},
-                                EventStreamClientOptions options = {});
-
-  /// Establishes (or re-establishes) the transport; returns the server's
-  /// resume offset. Throws the last dial/handshake error once
-  /// max_attempts is exhausted.
-  std::uint64_t connect();
-
-  /// Discards the current transport without the clean finish() half-close
-  /// — the right move after a send/flush threw (the socket is already
-  /// broken; finishing it would throw again).
-  void drop();
-
-  /// drop() + connect().
-  std::uint64_t reconnect() {
-    drop();
-    return connect();
-  }
-
-  bool connected() const { return client_ != nullptr; }
-  /// The offset returned by the most recent successful handshake.
-  std::uint64_t resume_events() const { return resume_events_; }
-  /// Successful connections / total dial attempts so far.
-  std::size_t connects() const { return connects_; }
-  std::size_t attempts() const { return attempts_; }
-
-  /// Pass-throughs to the live transport; REPL_REQUIRE connected().
-  /// Errors propagate — call reconnect() and resume from its offset.
-  bool send(const LogEvent& event);
-  bool flush();
-  bool send_trace(std::uint64_t trace_id, std::uint64_t span_id);
-  void finish();
-
- private:
-  std::function<Socket()> dial_;
-  std::uint32_t num_servers_;
-  ReconnectPolicy policy_;
-  EventStreamClientOptions options_;
-  std::unique_ptr<EventStreamClient> client_;
-  Rng rng_;
-  std::uint64_t resume_events_ = 0;
-  std::size_t connects_ = 0;
-  std::size_t attempts_ = 0;
 };
 
 }  // namespace repl

@@ -1,8 +1,6 @@
 #include "util/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -33,107 +31,6 @@ double histogram_quantile(const std::vector<double>& bounds,
   const double frac = (rank - static_cast<double>(below)) /
                       static_cast<double>(inside);
   return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  REPL_REQUIRE(hi > lo);
-  REPL_REQUIRE(bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
-  bin = std::min(bin, counts_.size() - 1);
-  ++counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  REPL_REQUIRE(bin < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  REPL_REQUIRE(bin < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin + 1) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t max_count = 1;
-  for (std::size_t c : counts_) max_count = std::max(max_count, c);
-  std::ostringstream os;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::size_t bar =
-        counts_[b] == 0
-            ? 0
-            : std::max<std::size_t>(1, counts_[b] * width / max_count);
-    os << "[" << bin_lo(b) << ", " << bin_hi(b) << ") "
-       << std::string(bar, '#') << " " << counts_[b] << "\n";
-  }
-  return os.str();
-}
-
-LogHistogram::LogHistogram(double lo, double hi, std::size_t bins_per_decade)
-    : log_lo_(std::log10(lo)) {
-  REPL_REQUIRE(lo > 0.0);
-  REPL_REQUIRE(hi > lo);
-  REPL_REQUIRE(bins_per_decade > 0);
-  step_ = 1.0 / static_cast<double>(bins_per_decade);
-  const double decades = std::log10(hi) - log_lo_;
-  const auto bins =
-      static_cast<std::size_t>(std::ceil(decades / step_ - 1e-12));
-  counts_.assign(std::max<std::size_t>(bins, 1), 0);
-}
-
-void LogHistogram::add(double x) {
-  ++total_;
-  if (x <= 0.0 || std::log10(x) < log_lo_) {
-    ++underflow_;
-    return;
-  }
-  const auto bin =
-      static_cast<std::size_t>((std::log10(x) - log_lo_) / step_);
-  if (bin >= counts_.size()) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[bin];
-}
-
-double LogHistogram::bin_lo(std::size_t bin) const {
-  REPL_REQUIRE(bin < counts_.size());
-  return std::pow(10.0, log_lo_ + step_ * static_cast<double>(bin));
-}
-
-double LogHistogram::bin_hi(std::size_t bin) const {
-  REPL_REQUIRE(bin < counts_.size());
-  return std::pow(10.0, log_lo_ + step_ * static_cast<double>(bin + 1));
-}
-
-std::string LogHistogram::ascii(std::size_t width) const {
-  std::size_t max_count = 1;
-  for (std::size_t c : counts_) max_count = std::max(max_count, c);
-  std::ostringstream os;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::size_t bar =
-        counts_[b] == 0
-            ? 0
-            : std::max<std::size_t>(1, counts_[b] * width / max_count);
-    os << "[" << bin_lo(b) << ", " << bin_hi(b) << ") "
-       << std::string(bar, '#') << " " << counts_[b] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace repl

@@ -1,9 +1,7 @@
-// Fixed-bin and logarithmic histograms for inter-request time analysis.
+// Quantile estimation over bucketed distributions.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace repl {
@@ -13,64 +11,9 @@ namespace repl {
 /// for the implicit +Inf bucket, i.e. cumulative.size() == bounds.size()+1,
 /// cumulative.back() == total count). Linear interpolation inside the
 /// selected bucket; +Inf hits clamp to the last finite bound; 0 when
-/// empty. Shared by util histograms and the obs metrics layer.
+/// empty. The obs metrics layer estimates its histogram quantiles here.
 double histogram_quantile(const std::vector<double>& bounds,
                           const std::vector<std::uint64_t>& cumulative,
                           double q);
-
-/// Linear-bin histogram over [lo, hi); out-of-range samples go to
-/// underflow/overflow counters.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
-  /// Renders a compact ASCII bar chart (one line per bin).
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
-
-/// Log10-bin histogram over [lo, hi); useful for inter-request times that
-/// span several orders of magnitude (the IBM-like traces do).
-class LogHistogram {
- public:
-  LogHistogram(double lo, double hi, std::size_t bins_per_decade = 4);
-
-  void add(double x);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
-  std::string ascii(std::size_t width = 50) const;
-
- private:
-  double log_lo_;
-  double step_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
 
 }  // namespace repl

@@ -6,6 +6,7 @@
 // workers at every point of the kill matrix and respawning them from
 // their per-partition checkpoints.
 #include <signal.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
@@ -29,6 +30,7 @@
 #include "codec/endian.hpp"
 #include "engine/engine.hpp"
 #include "obs/federation.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "trace/event_log.hpp"
 #include "util/json.hpp"
@@ -734,13 +736,8 @@ struct KillPlan {
   std::atomic<bool> fired{false};
 };
 
-ClusterServeResult run_cluster(const std::string& log_path,
-                               const std::string& socket_dir,
-                               std::uint32_t partitions,
-                               std::uint64_t checkpoint_every,
-                               std::size_t batch_events,
-                               KillPlan* kill = nullptr,
-                               std::string* health = nullptr) {
+ClusterCoordinatorOptions cluster_options(const std::string& socket_dir,
+                                          std::uint32_t partitions) {
   ClusterCoordinatorOptions options;
   options.num_partitions = partitions;
   options.worker_binary = kClusterBin == nullptr ? "" : kClusterBin;
@@ -750,6 +747,17 @@ ClusterServeResult run_cluster(const std::string& log_path,
   // Deliberately a different geometry from the reference serve: parity
   // must hold at any shard/thread count.
   options.worker_shards = 8;
+  return options;
+}
+
+ClusterServeResult run_cluster(const std::string& log_path,
+                               const std::string& socket_dir,
+                               std::uint32_t partitions,
+                               std::uint64_t checkpoint_every,
+                               std::size_t batch_events,
+                               KillPlan* kill = nullptr,
+                               std::string* health = nullptr) {
+  ClusterCoordinatorOptions options = cluster_options(socket_dir, partitions);
   options.checkpoint_every = checkpoint_every;
   options.batch_events = batch_events;
   if (kill != nullptr) {
@@ -823,39 +831,191 @@ TEST_F(ClusterTest, MultiPartitionServeIsBitIdenticalToSingleProcess) {
   }
 }
 
-TEST_F(ClusterTest, WorkerThatNeverSaysHelloFailsTheServe) {
-  // The coordinator dials a worker once its hello arrives. A worker that
-  // never says hello (here its binary does not exist) must fail the serve
-  // within one reconnect backoff budget: the hello wait spends it, and no
-  // dial schedule sleeps through it again.
-  const std::string log = write_log(make_events(1000, 17));
-  ClusterCoordinatorOptions options;
-  options.num_partitions = 1;
-  options.worker_binary = (dir_ / "no-such-worker").string();
-  options.socket_dir = run_dir("nohello");
-  options.config = cluster_config();
-  options.base_seed = kSeed;
-  options.reconnect.max_attempts = 4;
-  options.reconnect.initial_backoff_seconds = 0.1;
-  options.reconnect.max_backoff_seconds = 0.4;
-  const double budget = options.reconnect.backoff_budget_seconds();
-  ASSERT_NEAR(budget, 0.875, 1e-9);  // (0.1 + 0.2 + 0.4) * 1.25
-  ClusterCoordinator coordinator(options);
-  const auto start = std::chrono::steady_clock::now();
-  std::string error;
-  try {
-    coordinator.serve_log(log);
-  } catch (const std::exception& e) {
-    error = e.what();
+/// Writes an executable /bin/sh script that runs `prologue`, then execs
+/// the repl_cluster launcher with the script's (possibly rewritten)
+/// arguments.
+std::string write_worker_wrapper(const std::filesystem::path& path,
+                                 const std::string& prologue) {
+  {
+    std::ofstream out(path);
+    out << "#!/bin/sh\n" << prologue << "exec '" << kClusterBin
+        << "' \"$@\"\n";
   }
+  std::filesystem::permissions(path, std::filesystem::perms::owner_exec,
+                               std::filesystem::perm_options::add);
+  return path.string();
+}
+
+std::uint64_t respawn_count(const ClusterCoordinator& coordinator,
+                            std::uint32_t partition) {
+  return coordinator.registry()
+      .counter("repl_cluster_worker_respawns_total", "",
+               {{"partition", std::to_string(partition)}})
+      .value();
+}
+
+TEST_F(ClusterTest, WorkerThatNeverSaysHelloFailsTheServe) {
+  // A worker start fails at once, naming its cause, when the worker
+  // exits before its hello or the coordinator rejects its hello. No
+  // respawn is tried: one with the same flags would fail the same way.
+  const std::string log = write_log(make_events(1000, 17));
+
+  // A 1-partition serve leaves part0.ckpt and its manifest behind; a
+  // 2-partition cold start over them hands partition 0 a snapshot its
+  // manifest check refuses.
+  const std::string stale = run_dir("stale");
+  run_cluster(log, stale, 1, /*checkpoint_every=*/256, /*batch_events=*/256);
+  const std::string snapshot = stale + "/part0.ckpt";
+  ASSERT_TRUE(std::filesystem::exists(snapshot));
+  ASSERT_TRUE(std::filesystem::exists(partition_manifest_path(snapshot)));
+
+  struct Case {
+    const char* name;
+    std::string binary;
+    std::string dir;
+    std::uint32_t partitions;
+    std::string cause;
+  };
+  const Case cases[] = {
+      {"missing binary", (dir_ / "no-such-worker").string(),
+       run_dir("missing"), 1,
+       "partition 0: worker exited (status 127) before its hello"},
+      {"rejected hello",
+       write_worker_wrapper(
+           dir_ / "wrong-seed.sh",
+           "for a; do shift; case \"$a\" in --seed=*) a=--seed=1 ;; esac; "
+           "set -- \"$@\" \"$a\"; done\n"),
+       run_dir("seed"), 1, "worker base seed 1 != coordinator's"},
+      {"refused snapshot", kClusterBin, stale, 2,
+       "partition 0: worker exited (status 1) before its hello"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ClusterCoordinatorOptions options = cluster_options(c.dir, c.partitions);
+    options.worker_binary = c.binary;
+    ClusterCoordinator coordinator(options);
+    const auto start = std::chrono::steady_clock::now();
+    expect_throws_with([&] { coordinator.serve_log(log); }, c.cause);
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(elapsed, 2.0);
+    EXPECT_EQ(respawn_count(coordinator, 0), 0u);
+  }
+}
+
+TEST_F(ClusterTest, SlowStartingWorkerStillJoins) {
+  // The hello wait has no deadline: a worker that takes 6 s to start
+  // (as a long snapshot restore would) joins, and parity holds.
+  const std::string log = write_log(make_events(2000, 37));
+  ClusterCoordinatorOptions options = cluster_options(run_dir("slow"), 1);
+  options.worker_binary =
+      write_worker_wrapper(dir_ / "slow-worker.sh", "sleep 6\n");
+  ClusterCoordinator coordinator(options);
+  const ClusterServeResult result = coordinator.serve_log(log);
+  expect_same(single_reference(log), result.metrics);
+  EXPECT_EQ(result.respawns, 0u);
+}
+
+TEST_F(ClusterTest, ExhaustedRespawnBudgetNamesTheLastFailure) {
+  // Every incarnation of partition 1's worker is SIGKILLed once it has
+  // been routed events. With one respawn allowed, the second death ends
+  // the serve, and the budget error names the failed write that found it.
+  const std::vector<LogEvent> events = make_events(12000, 101);
+  const std::string log = write_log(events);
+  const std::uint64_t cut = slice_counts(events, 2)[1] / 4;
+  ClusterCoordinatorOptions options = cluster_options(run_dir("budget"), 2);
+  options.batch_events = 256;
+  options.max_respawns = 1;
+  ClusterCoordinator* coordinator_ptr = nullptr;
+  int killed = -1;
+  options.on_progress = [&](std::uint32_t partition, std::uint64_t routed) {
+    if (partition != 1 || routed < cut) return;
+    const int pid = coordinator_ptr->worker_pid(1);
+    if (pid > 0 && pid != killed) {
+      ::kill(pid, SIGKILL);
+      // Wait for the death but leave the reaping to the coordinator: the
+      // next write to this worker then fails, before routing ends.
+      siginfo_t info{};
+      ::waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT);
+      killed = pid;
+    }
+  };
+  ClusterCoordinator coordinator(options);
+  coordinator_ptr = &coordinator;
+  expect_throws_with([&] { coordinator.serve_log(log); },
+                     "partition 1: respawn budget (1) exhausted; "
+                     "last failure: socket write failed: ");
+  EXPECT_EQ(respawn_count(coordinator, 1), 1u);
+}
+
+TEST_F(ClusterTest, RespawnThatExitsBeforeItsHelloFailsAtOnce) {
+  // A respawn starts through the same hello-then-dial path as the first
+  // start. The first incarnation serves until it is SIGKILLed; the next
+  // exits before its hello (as one that refuses its snapshot does), which
+  // fails the serve at once, naming the exit, with no further respawn.
+  const std::vector<LogEvent> events = make_events(8000, 53);
+  const std::string log = write_log(events);
+  const std::string marker = (dir_ / "first-incarnation").string();
+  ClusterCoordinatorOptions options = cluster_options(run_dir("respawn"), 1);
+  options.batch_events = 256;
+  options.worker_binary = write_worker_wrapper(
+      dir_ / "one-incarnation.sh",
+      "if [ -e '" + marker + "' ]; then exit 3; fi\n: > '" + marker + "'\n");
+  ClusterCoordinator* coordinator_ptr = nullptr;
+  std::chrono::steady_clock::time_point killed_at{};
+  options.on_progress = [&](std::uint32_t, std::uint64_t routed) {
+    if (routed < events.size() / 4 ||
+        killed_at != std::chrono::steady_clock::time_point{}) {
+      return;
+    }
+    const int pid = coordinator_ptr->worker_pid(0);
+    ASSERT_GT(pid, 0);
+    ::kill(pid, SIGKILL);
+    killed_at = std::chrono::steady_clock::now();
+  };
+  ClusterCoordinator coordinator(options);
+  coordinator_ptr = &coordinator;
+  expect_throws_with([&] { coordinator.serve_log(log); },
+                     "partition 0: worker exited (status 3) before its hello");
+  ASSERT_NE(killed_at, std::chrono::steady_clock::time_point{});
   const double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
+                             std::chrono::steady_clock::now() - killed_at)
                              .count();
-  EXPECT_NE(error.find("no hello"), std::string::npos) << error;
-  EXPECT_GE(elapsed, budget);
-  // A second backoff schedule after the wait would add at least
-  // 0.75 * 0.7 s.
-  EXPECT_LT(elapsed, 1.5 * budget);
+  EXPECT_LT(elapsed, 2.0);
+  EXPECT_EQ(respawn_count(coordinator, 0), 1u);
+}
+
+TEST_F(ClusterTest, StartFailureReapsEveryWorkerOnce) {
+  // Partition 1's worker exits before its hello while partition 0's
+  // starts and is dialed. The exit check reaps partition 1's worker, so
+  // the live-worker gauge reads 1 when the serve fails; tearing the
+  // coordinator down reaps partition 0's and leaves partition 1's pid
+  // alone, so the gauge ends at exactly 0.
+  const std::string log = write_log(make_events(1000, 17));
+  obs::MetricsRegistry registry;
+  ClusterCoordinatorOptions options = cluster_options(run_dir("half"), 2);
+  options.metrics = &registry;
+  options.worker_binary = write_worker_wrapper(
+      dir_ / "partition1-exits.sh",
+      "for a; do [ \"$a\" = --partition=1 ] && exit 4; done\n");
+  const obs::Gauge* alive = nullptr;
+  {
+    ClusterCoordinator coordinator(options);
+    alive = &registry.gauge("repl_cluster_workers_alive", "");
+    const auto start = std::chrono::steady_clock::now();
+    expect_throws_with(
+        [&] { coordinator.serve_log(log); },
+        "partition 1: worker exited (status 4) before its hello");
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(elapsed, 2.0);
+    EXPECT_GT(coordinator.worker_pid(0), 0);
+    EXPECT_EQ(coordinator.worker_pid(1), -1);
+    EXPECT_EQ(alive->value(), 1.0);
+  }
+  EXPECT_EQ(alive->value(), 0.0);
 }
 
 TEST_F(ClusterTest, FederationAndTracingCoverTheWholeServe) {

@@ -1012,38 +1012,10 @@ TEST_F(NetTest, RegistryAgreesWithServerCountersEndToEnd) {
   EXPECT_TRUE(saw_admitted);
 }
 
-// ---------------------------------------------------------------------
-// Reconnect-with-backoff client
-
-TEST_F(NetTest, ReconnectBackoffExhaustsAttemptsAndPropagates) {
-  // No server ever listens: every dial fails, the backoff schedule runs
-  // between attempts, and the last error propagates out of connect().
-  std::vector<double> delays;
-  ReconnectPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_seconds = 0.001;
-  policy.max_backoff_seconds = 0.004;
-  policy.on_retry = [&](std::size_t attempt, double delay) {
-    EXPECT_EQ(attempt, delays.size());
-    EXPECT_GT(delay, 0.0);
-    delays.push_back(delay);
-  };
-  const std::string path = temp_path("never.sock");
-  ReconnectingEventStreamClient client([&] { return connect_unix(path); },
-                                       kServers, policy);
-  EXPECT_THROW(client.connect(), std::exception);
-  EXPECT_EQ(client.attempts(), 3u);
-  EXPECT_EQ(client.connects(), 0u);
-  EXPECT_FALSE(client.connected());
-  // on_retry fires between attempts, not after the final failure.
-  EXPECT_EQ(delays.size(), 2u);
-}
-
-TEST_F(NetTest, ReconnectingClientSurvivesLateServerAndMidStreamDrop) {
-  // The coordinator's client loop in miniature: the client starts
-  // dialing before the server exists (backoff carries it), streams half
-  // the events, loses its transport at a frame boundary, reconnects,
-  // and finishes. The merged serve equals a direct ingest.
+TEST_F(NetTest, StreamSplitAcrossSequentialConnectionsMatchesDirectIngest) {
+  // One producer streams half its events, closes at a frame boundary,
+  // connects again and streams the rest: the server merges the two
+  // connections into a serve equal to a direct ingest.
   const std::vector<LogEvent> all = make_events(4000, 31);
   const EngineMetrics reference = reference_metrics(all);
 
@@ -1051,42 +1023,25 @@ TEST_F(NetTest, ReconnectingClientSurvivesLateServerAndMidStreamDrop) {
   options.unix_path = temp_path("ingest.sock");
   options.tcp_port = -1;
   options.batch_events = 128;
-  options.min_connections = 2;  // the serve must outlive the drop
-
-  std::size_t attempts = 0;
-  std::size_t connects = 0;
-  std::thread client([&] {
-    ReconnectPolicy policy;
-    policy.max_attempts = 500;
-    policy.initial_backoff_seconds = 0.002;
-    policy.max_backoff_seconds = 0.02;
-    ReconnectingEventStreamClient rc(
-        [&] { return connect_unix(options.unix_path); }, kServers, policy);
-    EXPECT_EQ(rc.connect(), 0u);
-    for (std::size_t i = 0; i < all.size() / 2; ++i) rc.send(all[i]);
-    rc.flush();
-    rc.drop();  // simulated transport loss at a frame boundary
-    EXPECT_FALSE(rc.connected());
-    EXPECT_EQ(rc.reconnect(), 0u);
-    for (std::size_t i = all.size() / 2; i < all.size(); ++i) rc.send(all[i]);
-    rc.finish();
-    attempts = rc.attempts();
-    connects = rc.connects();
-  });
-
-  // Bring the server up only after the client has begun dialing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  options.min_connections = 2;  // the serve must outlive the first one
   NetIngestServer server(options);
   auto engine = make_engine();
   NetIngestSource source(server, kServers);
   source.attach(*engine);
+
+  const auto half = static_cast<std::ptrdiff_t>(all.size() / 2);
+  std::thread client([&] {
+    stream_events(connect_unix(options.unix_path),
+                  std::vector<LogEvent>(all.begin(), all.begin() + half));
+    stream_events(connect_unix(options.unix_path),
+                  std::vector<LogEvent>(all.begin() + half, all.end()));
+  });
   const EngineMetrics metrics = engine->serve(source, ServeOptions{});
   client.join();
 
   expect_same(metrics, reference);
-  EXPECT_EQ(connects, 2u);
-  EXPECT_GE(attempts, connects);
   EXPECT_EQ(server.connections_total(), 2u);
+  EXPECT_EQ(server.connections_failed(), 0u);
 }
 
 // ---------------------------------------------------------------------

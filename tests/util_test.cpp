@@ -1,4 +1,4 @@
-// Unit tests for src/util: RNG, distributions, statistics, histograms,
+// Unit tests for src/util: RNG, distributions, statistics,
 // CSV, table rendering, CLI parsing, number formatting.
 #include <bit>
 #include <cmath>
@@ -15,7 +15,6 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/format.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -269,42 +268,6 @@ TEST(Correlation, PerfectAndAnti) {
   for (double y : ys) neg.push_back(-y);
   EXPECT_NEAR(pearson_correlation(xs, ys), 1.0, 1e-12);
   EXPECT_NEAR(pearson_correlation(xs, neg), -1.0, 1e-12);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // underflow
-  h.add(0.0);   // bin 0
-  h.add(1.9);   // bin 0
-  h.add(2.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(10.0);  // overflow
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_NEAR(h.bin_lo(1), 2.0, 1e-12);
-  EXPECT_NEAR(h.bin_hi(1), 4.0, 1e-12);
-  EXPECT_FALSE(h.ascii().empty());
-}
-
-TEST(LogHistogram, DecadeBins) {
-  LogHistogram h(1.0, 1000.0, 1);  // one bin per decade: [1,10),[10,100),[100,1000)
-  EXPECT_EQ(h.bin_count(), 3u);
-  h.add(5.0);
-  h.add(50.0);
-  h.add(500.0);
-  h.add(0.5);     // underflow
-  h.add(5000.0);  // overflow
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_NEAR(h.bin_lo(1), 10.0, 1e-9);
-  EXPECT_NEAR(h.bin_hi(1), 100.0, 1e-9);
 }
 
 TEST(Csv, RowRoundTrip) {
