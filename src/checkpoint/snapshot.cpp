@@ -1,6 +1,8 @@
 #include "checkpoint/snapshot.hpp"
 
 #include <bit>
+#include <cstring>
+#include <filesystem>
 #include <limits>
 #include <stdexcept>
 
@@ -36,6 +38,12 @@ void sync_path_best_effort(const std::string& path) {
 #endif
 }
 
+void rename_and_sync_dir(const std::string& tmp, const std::string& path) {
+  std::filesystem::rename(tmp, path);
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  sync_path_best_effort(dir.empty() ? "." : dir.string());
+}
+
 SnapshotWriter::SnapshotWriter(const std::string& path,
                                const SnapshotHeader& header)
     : out_(path, std::ios::binary | std::ios::trunc),
@@ -45,43 +53,52 @@ SnapshotWriter::SnapshotWriter(const std::string& path,
     throw std::runtime_error("checkpoint " + path_ +
                              ": cannot open for writing");
   }
-  header_.version = SnapshotHeader::kVersion;  // writers always emit v3
+  header_.version = SnapshotHeader::kVersion;  // writers always emit v4
   REPL_REQUIRE_MSG(header_.codec == SnapshotHeader::kCodecRaw ||
                        header_.codec == SnapshotHeader::kCodecWord,
                    "unknown snapshot codec " << header_.codec);
-  unsigned char raw[SnapshotHeader::kSize] = {};
-  store_le64(raw, SnapshotHeader::kMagic);
-  store_le32(raw + 8, SnapshotHeader::kVersion);
-  store_le32(raw + 12, header_.num_servers);
-  store_le64(raw + 16, header_.num_objects);
-  store_le64(raw + 24, header_.events_ingested);
-  store_le64(raw + 32, header_.batches);
-  store_le64(raw + 40, header_.base_seed);
-  store_le64(raw + 48, std::bit_cast<std::uint64_t>(header_.last_batch_time));
-  store_le32(raw + 56, header_.flags);
-  out_.write(reinterpret_cast<const char*>(raw), SnapshotHeader::kSize);
-
-  // Version-2 extension: log binding + component specs.
-  unsigned char ext[SnapshotHeader::kExtensionSize];
-  store_le64(ext, header_.log_hash);
-  store_le64(ext + 8, header_.log_num_objects);
-  store_le64(ext + 16, header_.log_num_events);
-  out_.write(reinterpret_cast<const char*>(ext), sizeof(ext));
-  const auto write_string = [this](const std::string& s) {
-    REPL_REQUIRE(s.size() <= kMaxSpecBytes);
-    unsigned char len[4];
-    store_le32(len, static_cast<std::uint32_t>(s.size()));
-    out_.write(reinterpret_cast<const char*>(len), sizeof(len));
-    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+  REPL_REQUIRE(header_.policy_spec.size() <= kMaxSpecBytes &&
+               header_.predictor_spec.size() <= kMaxSpecBytes);
+  std::vector<unsigned char> raw(header_.encoded_size());
+  unsigned char* at = raw.data();
+  const auto put32 = [&at](std::uint32_t v) {
+    store_le32(at, v);
+    at += 4;
   };
-  write_string(header_.policy_spec);
-  write_string(header_.predictor_spec);
-
+  const auto put64 = [&at](std::uint64_t v) {
+    store_le64(at, v);
+    at += 8;
+  };
+  const auto put_string = [&](const std::string& text) {
+    put32(static_cast<std::uint32_t>(text.size()));
+    std::memcpy(at, text.data(), text.size());
+    at += text.size();
+  };
+  put64(SnapshotHeader::kMagic);
+  put32(SnapshotHeader::kVersion);
+  put32(header_.num_servers);
+  put64(header_.num_objects);
+  put64(header_.events_ingested);
+  put64(header_.batches);
+  put64(header_.base_seed);
+  put64(std::bit_cast<std::uint64_t>(header_.last_batch_time));
+  put32(header_.flags);
+  put32(0);  // reserved
+  // Version-2 extension: log binding + component specs.
+  put64(header_.log_hash);
+  put64(header_.log_num_objects);
+  put64(header_.log_num_events);
+  put_string(header_.policy_spec);
+  put_string(header_.predictor_spec);
   // Version-3 extension: the object-record payload codec.
-  unsigned char codec_raw[4];
-  store_le32(codec_raw, header_.codec);
-  out_.write(reinterpret_cast<const char*>(codec_raw), sizeof(codec_raw));
-
+  put32(header_.codec);
+  // Version-4 extension: the slice, then the CRC sealing the header.
+  put32(header_.partition_id);
+  put32(header_.num_partitions);
+  put32(header_.pf_version);
+  put32(crc32c(raw.data(), raw.size() - 4));
+  out_.write(reinterpret_cast<const char*>(raw.data()),
+             static_cast<std::streamsize>(raw.size()));
   if (!out_) throw std::runtime_error("checkpoint " + path_ + ": header write failed");
   bytes_written_ = header_.encoded_size();
   open_ = true;
@@ -151,70 +168,67 @@ void SnapshotWriter::close() {
 SnapshotReader::SnapshotReader(const std::string& path)
     : in_(path, std::ios::binary), path_(path) {
   if (!in_) fail("cannot open for reading");
-  unsigned char raw[SnapshotHeader::kSize];
-  in_.read(reinterpret_cast<char*>(raw), SnapshotHeader::kSize);
-  if (in_.gcount() != static_cast<std::streamsize>(SnapshotHeader::kSize)) {
-    fail("truncated header");
-  }
-  if (load_le64(raw) != SnapshotHeader::kMagic) {
+  // Every header byte read is kept, so a v4 header's CRC can cover it.
+  std::vector<unsigned char> raw;
+  const auto take = [&](std::size_t n, const std::string& what) {
+    const std::size_t at = raw.size();
+    raw.resize(at + n);
+    in_.read(reinterpret_cast<char*>(raw.data() + at),
+             static_cast<std::streamsize>(n));
+    if (in_.gcount() != static_cast<std::streamsize>(n)) {
+      fail("truncated " + what);
+    }
+    return raw.data() + at;
+  };
+  const unsigned char* fixed = take(SnapshotHeader::kSize, "header");
+  if (load_le64(fixed) != SnapshotHeader::kMagic) {
     fail("bad magic (not a checkpoint)");
   }
-  header_.version = load_le32(raw + 8);
+  header_.version = load_le32(fixed + 8);
   if (header_.version == 0 || header_.version > SnapshotHeader::kVersion) {
     fail("unsupported version " + std::to_string(header_.version));
   }
-  header_.num_servers = load_le32(raw + 12);
-  if (header_.num_servers == 0) fail("zero num_servers");
-  header_.num_objects = load_le64(raw + 16);
-  header_.events_ingested = load_le64(raw + 24);
-  header_.batches = load_le64(raw + 32);
-  header_.base_seed = load_le64(raw + 40);
-  header_.last_batch_time = std::bit_cast<double>(load_le64(raw + 48));
-  header_.flags = load_le32(raw + 56);
+  header_.num_servers = load_le32(fixed + 12);
+  header_.num_objects = load_le64(fixed + 16);
+  header_.events_ingested = load_le64(fixed + 24);
+  header_.batches = load_le64(fixed + 32);
+  header_.base_seed = load_le64(fixed + 40);
+  header_.last_batch_time = std::bit_cast<double>(load_le64(fixed + 48));
+  header_.flags = load_le32(fixed + 56);
   if (header_.version >= 2) {
-    unsigned char ext[SnapshotHeader::kExtensionSize];
-    in_.read(reinterpret_cast<char*>(ext), sizeof(ext));
-    if (in_.gcount() != static_cast<std::streamsize>(sizeof(ext))) {
-      fail("truncated header extension");
-    }
+    const unsigned char* ext =
+        take(SnapshotHeader::kExtensionSize, "header extension");
     header_.log_hash = load_le64(ext);
     header_.log_num_objects = load_le64(ext + 8);
     header_.log_num_events = load_le64(ext + 16);
-    const auto read_string = [this](std::string& s, const char* what) {
-      unsigned char len_raw[4];
-      in_.read(reinterpret_cast<char*>(len_raw), sizeof(len_raw));
-      if (in_.gcount() != static_cast<std::streamsize>(sizeof(len_raw))) {
-        fail(std::string("truncated ") + what + " length");
-      }
-      const std::uint32_t len = load_le32(len_raw);
+    const auto read_string = [&](std::string& text, const std::string& what) {
+      const std::uint32_t len = load_le32(take(4, what + " length"));
       if (len > kMaxSpecBytes) {
-        fail(std::string("implausible ") + what + " length " +
-             std::to_string(len));
+        fail("implausible " + what + " length " + std::to_string(len));
       }
-      s.resize(len);
-      if (len > 0) {
-        in_.read(s.data(), static_cast<std::streamsize>(len));
-        if (in_.gcount() != static_cast<std::streamsize>(len)) {
-          fail(std::string("truncated ") + what);
-        }
-      }
+      const unsigned char* bytes = take(len, what);
+      text.assign(reinterpret_cast<const char*>(bytes), len);
     };
     read_string(header_.policy_spec, "policy spec");
     read_string(header_.predictor_spec, "predictor spec");
   }
   if (header_.version >= 3) {
-    unsigned char codec_raw[4];
-    in_.read(reinterpret_cast<char*>(codec_raw), sizeof(codec_raw));
-    if (in_.gcount() != static_cast<std::streamsize>(sizeof(codec_raw))) {
-      fail("truncated codec field");
+    header_.codec = load_le32(take(4, "codec field"));
+  }
+  if (header_.version >= 4) {
+    const unsigned char* slice =
+        take(SnapshotHeader::kSliceSize, "slice and header CRC");
+    header_.partition_id = load_le32(slice);
+    header_.num_partitions = load_le32(slice + 4);
+    header_.pf_version = load_le32(slice + 8);
+    if (load_le32(slice + 12) != crc32c(raw.data(), raw.size() - 4)) {
+      fail("header CRC mismatch");
     }
-    header_.codec = load_le32(codec_raw);
-    if (header_.codec != SnapshotHeader::kCodecRaw &&
-        header_.codec != SnapshotHeader::kCodecWord) {
-      fail("unknown object-record codec " + std::to_string(header_.codec));
-    }
-  } else {
-    header_.codec = SnapshotHeader::kCodecRaw;
+  }
+  if (header_.num_servers == 0) fail("zero num_servers");
+  if (header_.codec != SnapshotHeader::kCodecRaw &&
+      header_.codec != SnapshotHeader::kCodecWord) {
+    fail("unknown object-record codec " + std::to_string(header_.codec));
   }
 }
 

@@ -9,7 +9,7 @@
 //
 //   offset  size  field
 //   0       8     magic        "REPLCKPT"
-//   8       4     version      currently 3
+//   8       4     version      currently 4
 //   12      4     num_servers
 //   16      8     num_objects        (object records that follow)
 //   24      8     events_ingested    (the event-log resume offset in
@@ -21,6 +21,7 @@
 //   56      4     flags              bit 0: any_event
 //                                    bit 1: compute_lower_bound
 //                                    bit 2: log binding fields meaningful
+//                                    bit 3: log_hash covers all history
 //   60      4     reserved, 0
 //   --- version 2 extension (absent in version-1 files) ---
 //   64      8     log_hash           rolling hash over every ingested
@@ -38,13 +39,19 @@
 //   --- version 3 extension ---
 //   ...     4     codec              per-record payload codec: 0 raw,
 //                                     1 word codec (codec/word_codec.hpp)
+//   --- version 4 extension ---
+//   ...     4     partition_id       the partition slice the engine
+//   ...     4     num_partitions       serves (0 partitions: unbound),
+//   ...     4     pf_version           under this partition function
+//                                      (cluster/partition.hpp)
+//   ...     4     header CRC-32C     over every header byte before it
 //   ---
 //   then    --    object records, ascending object id.
 //                 Version <= 2:
 //                   0   8   object id
 //                   8   4   payload length in bytes
 //                   12  --  payload (StateWriter stream)
-//                 Version 3:
+//                 Version >= 3:
 //                   0   8   object id
 //                   8   4   encoded length in bytes
 //                   12  4   raw (decoded) length in bytes
@@ -56,17 +63,23 @@
 // The trailing footer makes truncation at an exact record boundary — a
 // crash mid-checkpoint — detectable, which header-count checking alone
 // would miss for the final record. Writers therefore emit to a temporary
-// path and rename into place (see StreamingEngine::serve) so a partial
-// file never shadows a good snapshot.
+// path and rename into place (see StreamingEngine::checkpoint) so a
+// partial file never shadows a good snapshot.
 //
-// Version 3 records carry a per-record CRC whether or not they are
-// compressed, so a flipped bit anywhere in a record fails with a
-// diagnostic naming the record; the word codec shrinks the double-heavy
-// payloads (repeated NaN/inf sentinels, near-constant accumulators).
-// Version 1 files (no extension block) and version 2 files (no codec
-// field, bare records) still read: v1 specs decode empty and the log
-// binding as unknown, which downgrades the resume cross-checks to the
-// version-1 behavior.
+// Every byte of a version-4 file is checked: the header by its own CRC,
+// each record by its record CRC, the footer by its magic, so a flipped
+// bit anywhere fails with a diagnostic naming the header, the record or
+// the footer. The slice makes a
+// cluster worker's snapshot self-describing: one atomic file per cut,
+// which a worker assigned another partition, partition count or
+// partition-function version refuses (StreamingEngine::bind_slice). The
+// word codec shrinks the double-heavy payloads (repeated NaN/inf
+// sentinels, near-constant accumulators). Writers always emit version 4.
+// Version 1 files (no extension block), version 2 files (no codec
+// field, bare records) and version 3 files (no slice, no header CRC)
+// still read: they restore with no slice, v1 specs decode empty and the
+// log binding as unknown, which downgrades the resume cross-checks to
+// the version-1 behavior.
 #pragma once
 
 #include <cstdint>
@@ -76,19 +89,26 @@
 
 namespace repl {
 
-/// Best-effort fsync of a file or directory (no-op off POSIX). Callers
-/// that rename a sealed snapshot over a previous one should sync the
-/// containing directory afterwards so the rename itself is durable.
+/// Best-effort fsync of a file or directory (no-op off POSIX).
 void sync_path_best_effort(const std::string& path);
+
+/// Atomic replace: renames the sealed (already synced) file `tmp` over
+/// `path`, then syncs the containing directory ("." for a bare file
+/// name) so the rename itself survives a power loss. A crash at any
+/// point leaves either the previous file or the new one, never a partial
+/// one. Throws std::filesystem::filesystem_error when the rename fails.
+void rename_and_sync_dir(const std::string& tmp, const std::string& path);
 
 struct SnapshotHeader {
   static constexpr std::uint64_t kMagic = 0x54504b434c504552ULL;  // "REPLCKPT"
   static constexpr std::uint64_t kFooterMagic =
       0x444e4b434c504552ULL;  // "REPLCKND"
-  static constexpr std::uint32_t kVersion = 3;
+  static constexpr std::uint32_t kVersion = 4;
   static constexpr std::size_t kSize = 64;  // fixed part, bytes on disk
   /// Fixed-width portion of the v2 extension (before the spec strings).
   static constexpr std::size_t kExtensionSize = 24;
+  /// The v4 extension: the slice (three u32) and the header CRC.
+  static constexpr std::size_t kSliceSize = 16;
 
   /// Object-record payload codecs (version >= 3).
   static constexpr std::uint32_t kCodecRaw = 0;
@@ -134,12 +154,18 @@ struct SnapshotHeader {
   std::string predictor_spec;
   /// Object-record payload codec (kCodecRaw for versions < 3).
   std::uint32_t codec = kCodecRaw;
+  /// The partition slice the snapshotted engine served (version >= 4;
+  /// num_partitions 0 means unbound, as every pre-v4 file reads).
+  std::uint32_t partition_id = 0;
+  std::uint32_t num_partitions = 0;
+  std::uint32_t pf_version = 0;
 
   /// Total on-disk header size: where the first object record begins.
   std::size_t encoded_size() const {
     if (version < 2) return kSize;
     return kSize + kExtensionSize + 4 + policy_spec.size() + 4 +
-           predictor_spec.size() + (version >= 3 ? 4 : 0);
+           predictor_spec.size() + (version >= 3 ? 4 : 0) +
+           (version >= 4 ? kSliceSize : 0);
   }
 
   /// Object-record prefix bytes for this version (id + lengths [+ crc]).
@@ -187,10 +213,11 @@ class SnapshotWriter {
   bool open_ = false;
 };
 
-/// Reads and validates a snapshot file: header on open, per-record bounds
-/// and id ordering during iteration, footer at the end. Every corruption
-/// mode (bad magic, unsupported version, truncation anywhere, trailing
-/// garbage) raises std::runtime_error with a diagnostic.
+/// Reads and validates a snapshot file: header (and its v4 CRC) on open,
+/// per-record bounds, CRCs and id ordering during iteration, footer at
+/// the end. Every corruption mode (bad magic, unsupported version, header
+/// CRC mismatch, truncation anywhere, trailing garbage) raises
+/// std::runtime_error with a diagnostic.
 class SnapshotReader {
  public:
   explicit SnapshotReader(const std::string& path);

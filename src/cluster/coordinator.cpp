@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "checkpoint/partition_manifest.hpp"
 #include "cluster/partition.hpp"
 #include "net/client.hpp"
 #include "obs/log.hpp"
@@ -418,12 +417,13 @@ void ClusterCoordinator::spawn_worker(std::uint32_t p) {
   if (options_.stats_every > 0) {
     args.push_back("--stats-every=" + format_double(options_.stats_every));
   }
-  // Resume from the partition's checkpoint when a manifest-bound one
-  // exists — which is exactly the respawn-after-kill case (and a cold
-  // start in a directory where a previous serve checkpointed).
+  // Resume from the partition's checkpoint when one exists — which is
+  // exactly the respawn-after-kill case (and a cold start in a directory
+  // where a previous serve checkpointed). Each cut is one atomically
+  // renamed file that names its slice, so whatever cut last landed is
+  // whole, and the worker refuses one cut for another slice.
   const std::string snap = snapshot_path(p);
-  if (std::filesystem::exists(snap) &&
-      std::filesystem::exists(partition_manifest_path(snap))) {
+  if (std::filesystem::exists(snap)) {
     args.push_back("--resume-from=" + snap);
   }
 

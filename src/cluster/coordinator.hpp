@@ -30,12 +30,15 @@
 // Failure model: a worker death surfaces as a transport error on its
 // event stream (or a control-stream EOF without a summary). The
 // coordinator reaps the process, respawns it — from its per-partition
-// checkpoint when one exists, fresh otherwise — starts it as above,
-// replays the partition's tail from the worker's reported resume offset
-// by re-reading the source log, and continues. Aggregates after any
-// number of kill/respawn cycles are bit-identical to an uninterrupted
-// run, because the resume offset counts exactly the events the snapshot
-// covers and everything after is replayed.
+// checkpoint when part<P>.ckpt exists, fresh otherwise — starts it as
+// above, replays the partition's tail from the worker's reported resume
+// offset by re-reading the source log, and continues. A checkpoint cut
+// is that one snapshot file, renamed into place atomically and naming
+// its slice, so a respawn resumes from whichever cut last landed, even
+// one the coordinator never heard about. Aggregates after any number of
+// kill/respawn cycles are bit-identical to an uninterrupted run, because
+// the resume offset counts exactly the events the snapshot covers and
+// everything after is replayed.
 #pragma once
 
 #include <chrono>
@@ -147,6 +150,8 @@ class ClusterCoordinator {
   /// The cluster's file layout under socket_dir.
   std::string event_socket_path(std::uint32_t partition) const;
   std::string control_socket_path() const;
+  /// part<P>.ckpt: partition P's checkpoint, and the file whose
+  /// existence makes a (re)spawn resume.
   std::string snapshot_path(std::uint32_t partition) const;
   /// Part file for one incarnation of one worker (under trace_dir).
   std::string trace_part_path(std::uint32_t partition,

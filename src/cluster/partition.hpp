@@ -15,11 +15,12 @@
 // evenly over its worker's shards at any geometry.
 //
 // kPartitionFunctionVersion names this exact mapping. It is recorded in
-// every per-partition manifest (checkpoint/partition_manifest.hpp) and
-// exchanged in the cluster control handshake; any future change to the
-// mapping must bump it, so a snapshot cut under one mapping can never be
-// silently resumed under another (the events it claims to have ingested
-// would belong to a different slice).
+// the slice block of every worker snapshot (checkpoint/snapshot.hpp,
+// StreamingEngine::bind_slice) and exchanged in the cluster control
+// handshake; any future change to the mapping must bump it, so a
+// snapshot cut under one mapping can never be silently resumed under
+// another (the events it claims to have ingested would belong to a
+// different slice).
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,8 @@ std::uint32_t partition_of(std::uint64_t object_id,
                            std::uint32_t num_partitions);
 
 /// Fails loudly (std::invalid_argument) when `version` is not the
-/// mapping this build implements — the wrong-slice defense used by
-/// manifest validation and the control-plane handshake.
+/// mapping this build implements — the wrong-slice defense of the
+/// control-plane handshake.
 void require_partition_function_version(std::uint32_t version);
 
 }  // namespace repl

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "api/experiment.hpp"
-#include "checkpoint/partition_manifest.hpp"
 #include "cluster/control.hpp"
 #include "cluster/partition.hpp"
 #include "engine/event_source.hpp"
@@ -80,21 +79,11 @@ class WorkerSource final : public EventSource {
     send_metrics();
   }
 
-  /// The engine snapshot just landed atomically: bind it to this slice
-  /// with the manifest, then tell the coordinator. `events_ingested` is
-  /// the cumulative stream position (it carries across restores) —
-  /// exactly what a respawn reports as its resume offset.
+  /// The engine snapshot, slice included, just landed atomically: tell
+  /// the coordinator. `events_ingested` is the cumulative stream
+  /// position (it carries across restores) — exactly what a respawn
+  /// reports as its resume offset.
   void checkpointed(std::uint64_t events_ingested) override {
-    PartitionManifest manifest;
-    manifest.partition_id = options_.partition_id;
-    manifest.num_partitions = options_.num_partitions;
-    manifest.pf_version = kPartitionFunctionVersion;
-    manifest.num_servers =
-        static_cast<std::uint32_t>(options_.config.num_servers);
-    manifest.base_seed = options_.engine.base_seed;
-    manifest.events_ingested = events_ingested;
-    write_partition_manifest(partition_manifest_path(options_.snapshot_path),
-                             manifest);
     inner_.checkpointed(events_ingested);
     ControlCheckpoint note;
     note.events_ingested = events_ingested;
@@ -160,29 +149,15 @@ EngineMetrics run_cluster_worker(const ClusterWorkerOptions& options) {
     builder.predictor(options.predictor_spec);
   }
 
-  std::unique_ptr<StreamingEngine> engine;
-  if (options.resume_from.empty()) {
-    engine = builder.build();
-  } else {
-    // The manifest gate runs before the engine looks at the snapshot:
-    // wrong partition, wrong geometry, wrong partition-function version,
-    // wrong server count, or wrong seed root all fail here with a
-    // diagnostic naming both sides.
-    const PartitionManifest manifest = read_partition_manifest(
-        partition_manifest_path(options.resume_from));
-    require_manifest_matches(manifest, options.partition_id,
-                             options.num_partitions, num_servers);
-    REPL_REQUIRE_MSG(manifest.base_seed == options.engine.base_seed,
-                     "snapshot was cut under base seed "
-                         << manifest.base_seed << ", worker runs "
-                         << options.engine.base_seed);
-    engine = builder.restore(options.resume_from);
-    REPL_REQUIRE_MSG(manifest.events_ingested == engine->resume_position(),
-                     "partition manifest covers "
-                         << manifest.events_ingested
-                         << " events but the snapshot resumes at "
-                         << engine->resume_position());
-  }
+  // Restore checks the snapshot's server count, seed root and specs;
+  // the slice bind refuses one cut for another partition, partition
+  // count or partition-function version, or for no slice at all. Both
+  // fail here, before the hello, naming both sides.
+  std::unique_ptr<StreamingEngine> engine =
+      options.resume_from.empty() ? builder.build()
+                                  : builder.restore(options.resume_from);
+  engine->bind_slice(options.partition_id, options.num_partitions,
+                     kPartitionFunctionVersion);
 
   NetServerOptions net;
   net.tcp_port = -1;

@@ -11,21 +11,20 @@
 // slice drains — the id-sorted per-object finals and a summary for the
 // cross-partition reduce.
 //
-// Start-up order: build or restore the engine, bind the event listener,
-// then send the hello. The coordinator dials the event socket only after
-// the hello arrives, so the hello doubles as the readiness signal and
-// the first dial finds the listener bound.
+// Start-up order: build or restore the engine and bind it to this slice,
+// bind the event listener, then send the hello. The coordinator dials
+// the event socket only after the hello arrives, so the hello doubles
+// as the readiness signal and the first dial finds the listener bound.
 //
 // Correctness guards:
 //   * every ingested event is checked against partition_of(): an event
 //     routed to the wrong worker fails the serve loudly instead of
 //     silently double-counting an object;
-//   * checkpoints are the ordinary engine snapshots plus a partition
-//     manifest (checkpoint/partition_manifest.hpp) binding the cut to
-//     (partition id, partition count, partition-function version, server
-//     count, base seed) — resuming the wrong slice fails loudly;
-//   * restore validates the manifest before the engine touches the
-//     snapshot.
+//   * the engine is bound to its slice (StreamingEngine::bind_slice)
+//     right after build or restore, so every checkpoint is one snapshot
+//     file that names its partition id, partition count and
+//     partition-function version, and a restore of a snapshot cut for
+//     another slice, or for none, fails before the hello.
 #pragma once
 
 #include <cstddef>
@@ -50,14 +49,14 @@ struct ClusterWorkerOptions {
   /// worker dials it once at startup.
   std::string control_socket;
 
-  /// Periodic crash-safe checkpoints: engine snapshot at snapshot_path
-  /// (+ ".pman" manifest) every checkpoint_every partition-local events;
-  /// 0 disables.
+  /// Periodic crash-safe checkpoints: an engine snapshot, bound to this
+  /// slice, at snapshot_path every checkpoint_every partition-local
+  /// events; 0 disables.
   std::string snapshot_path;
   std::uint64_t checkpoint_every = 0;
-  /// Restore from this snapshot (manifest-validated) instead of starting
-  /// fresh; the engine's resume position flows to the coordinator via
-  /// both the event-plane ACK and the control hello.
+  /// Restore from this snapshot (its slice must be this worker's)
+  /// instead of starting fresh; the engine's resume position flows to
+  /// the coordinator via both the event-plane ACK and the control hello.
   std::string resume_from;
 
   SystemConfig config;

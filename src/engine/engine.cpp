@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -759,6 +758,36 @@ void StreamingEngine::bind_log(const EventLogHeader& header) {
   log_num_events_ = header.num_events;
 }
 
+void StreamingEngine::bind_slice(std::uint32_t partition_id,
+                                 std::uint32_t num_partitions,
+                                 std::uint32_t pf_version) {
+  REPL_REQUIRE_MSG(partition_id < num_partitions,
+                   "partition " << partition_id << " of " << num_partitions
+                                << " is not a slice");
+  const auto slice = [](std::uint32_t id, std::uint32_t count,
+                        std::uint32_t version) {
+    return "partition " + std::to_string(id) + " of " +
+           std::to_string(count) + " under partition function " +
+           std::to_string(version);
+  };
+  if (restored_) {
+    REPL_REQUIRE_MSG(num_partitions_ != 0,
+                     "snapshot was cut with no partition slice; this worker "
+                     "serves "
+                         << slice(partition_id, num_partitions, pf_version));
+    REPL_REQUIRE_MSG(partition_id_ == partition_id &&
+                         num_partitions_ == num_partitions &&
+                         pf_version_ == pf_version,
+                     "snapshot was cut for "
+                         << slice(partition_id_, num_partitions_, pf_version_)
+                         << "; this worker serves "
+                         << slice(partition_id, num_partitions, pf_version));
+  }
+  partition_id_ = partition_id;
+  num_partitions_ = num_partitions;
+  pf_version_ = pf_version;
+}
+
 void StreamingEngine::seek_to_resume(EventLogReader& reader) {
   REPL_REQUIRE_MSG(reader.events_read() <= resume_events_,
                    "reader is already past the checkpoint's position ("
@@ -837,6 +866,9 @@ void StreamingEngine::checkpoint(const std::string& path) {
   header.predictor_spec = options_.predictor_spec;
   header.codec = options_.compress_checkpoints ? SnapshotHeader::kCodecWord
                                                : SnapshotHeader::kCodecRaw;
+  header.partition_id = partition_id_;
+  header.num_partitions = num_partitions_;
+  header.pf_version = pf_version_;
   // Atomic replace: seal the snapshot under a temporary name first, so a
   // crash mid-write never clobbers the previous good one.
   const std::string tmp = path + ".tmp";
@@ -845,10 +877,7 @@ void StreamingEngine::checkpoint(const std::string& path) {
     writer.add_object(record->first, record->second);
   }
   writer.close();  // syncs the snapshot's bytes
-  std::filesystem::rename(tmp, path);
-  // Make the replacement itself durable.
-  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
-  sync_path_best_effort(dir.empty() ? "." : dir.string());
+  rename_and_sync_dir(tmp, path);
   stats_.checkpoint_bytes += writer.bytes_written();
   if (telemetry_) {
     telemetry_->checkpoint_writes.inc();
@@ -917,6 +946,10 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
   engine->stats_.events_ingested = header.events_ingested;
   engine->stats_.batches = header.batches;
   engine->resume_events_ = header.events_ingested;
+  engine->restored_ = true;
+  engine->partition_id_ = header.partition_id;
+  engine->num_partitions_ = header.num_partitions;
+  engine->pf_version_ = header.pf_version;
   engine->log_hash_ = header.log_hash;
   engine->log_hash_valid_ =
       (header.flags & SnapshotHeader::kFlagLogHash) != 0;

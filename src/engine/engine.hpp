@@ -312,6 +312,17 @@ class StreamingEngine {
   /// the cheap first line of the wrong-log defense.
   void bind_log(const EventLogHeader& header);
 
+  /// Binds the engine to the slice of a partitioned object space it
+  /// serves: partition `partition_id` of `num_partitions` under
+  /// partition-function version `pf_version` (cluster/partition.hpp).
+  /// Every later checkpoint records the slice. A fresh engine just
+  /// records it. On a restored engine it must equal the snapshot's
+  /// slice, or this throws naming both; a snapshot cut with no slice is
+  /// refused. A restored engine that is never bound keeps the
+  /// snapshot's slice, as spec-less restores keep its specs.
+  void bind_slice(std::uint32_t partition_id, std::uint32_t num_partitions,
+                  std::uint32_t pf_version);
+
   /// Seeks `reader` forward to the snapshot's resume position. When the
   /// reader is still at the log start and the snapshot carries a rolling
   /// event hash (format v2), the skipped prefix is read and verified
@@ -364,6 +375,13 @@ class StreamingEngine {
   /// Stream position recorded in the snapshot this engine was restored
   /// from; 0 for a fresh engine.
   std::uint64_t resume_events_ = 0;
+  /// Built by restore(): bind_slice then checks the snapshot's slice.
+  bool restored_ = false;
+  /// The bound slice (bind_slice / restored snapshot); num_partitions_
+  /// 0 means unbound.
+  std::uint32_t partition_id_ = 0;
+  std::uint32_t num_partitions_ = 0;
+  std::uint32_t pf_version_ = 0;
   /// Rolling hash over every ingested event (event_stream_hash), the
   /// snapshot↔log binding. Continues from the snapshot's value across a
   /// restore; invalid only when restored from a pre-v2 snapshot.

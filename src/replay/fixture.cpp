@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "checkpoint/snapshot.hpp"
 #include "checkpoint/state_io.hpp"
 #include "codec/crc32.hpp"
 #include "codec/endian.hpp"
@@ -122,9 +123,12 @@ void write_fixture(const std::string& path, const Fixture& fixture) {
     file.flush();
     if (!file) fixture_fail(path, "write failed");
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) fixture_fail(path, "rename failed: " + ec.message());
+  sync_path_best_effort(tmp);
+  try {
+    rename_and_sync_dir(tmp, path);
+  } catch (const std::filesystem::filesystem_error& error) {
+    fixture_fail(path, "rename failed: " + error.code().message());
+  }
 }
 
 Fixture read_fixture(const std::string& path) {

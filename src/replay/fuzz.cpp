@@ -704,6 +704,13 @@ SnapCase make_snapshot_case(Rng& rng, const ScratchDir& scratch) {
   }
   header.codec = rng.bernoulli(0.5) ? SnapshotHeader::kCodecWord
                                     : SnapshotHeader::kCodecRaw;
+  if (rng.bernoulli(0.5)) {
+    header.num_partitions =
+        1 + static_cast<std::uint32_t>(rng.uniform_index(8));
+    header.partition_id =
+        static_cast<std::uint32_t>(rng.uniform_index(header.num_partitions));
+    header.pf_version = static_cast<std::uint32_t>(rng.uniform_index(3));
+  }
   const std::size_t n = 1 + rng.uniform_index(10);
   header.num_objects = n;
   std::uint64_t id = rng.uniform_index(5);
@@ -783,17 +790,10 @@ Mutation mutate_snapshot_flip(const SnapCase& c, Rng& rng) {
   const std::size_t bit = rng.uniform_index(8);
   flip_bit(m.bytes, byte, bit);
   m.name = "flip:byte=" + std::to_string(byte) + ":bit=" + std::to_string(bit);
-  if (byte < 12) {
-    m.expect = Expect::kReject;  // magic / version
-  } else if (byte < c.image.header_bytes) {
-    // Header scalars and spec strings: acceptance is fine (specs are
-    // opaque here), but the records must come through untouched.
-    m.expect = Expect::kEither;
-    m.expected_records = c.records;
-  } else {
-    // Record region (v3: fully CRC-covered) or footer.
-    m.expect = Expect::kReject;
-  }
+  // Every byte is covered: magic and version by their checks, the rest
+  // of the header by the v4 header CRC, records by their record CRCs,
+  // the footer by its magic.
+  m.expect = Expect::kReject;
   return m;
 }
 

@@ -139,8 +139,8 @@ Model build_snapshot_model(const Fixture& fixture) {
                                        std::max(image.tail_offset,
                                                 header_bytes)),
                     blob.end());
-  model.patch_count =
-      image.header_ok && image.num_objects == image.records.size();
+  model.patch_count = image.header_ok && image.header_crc_ok &&
+                      image.num_objects == image.records.size();
   return model;
 }
 

@@ -98,9 +98,10 @@ SnapshotImage walk_snapshot_image(const std::vector<unsigned char>& bytes) {
     // header_ok=false; without this guard the subtractions below
     // underflow and read past the buffer.
     if (header_bytes > bytes.size()) return image;
-    // Two length-prefixed spec strings, then (v3) the codec word.
-    // Each check below keeps header_bytes <= bytes.size(), so the
-    // size_t subtractions cannot underflow.
+    // Two length-prefixed spec strings, then (v3) the codec word, then
+    // (v4) the slice block and the header CRC. Each check below keeps
+    // header_bytes <= bytes.size(), so the size_t subtractions cannot
+    // underflow.
     for (int spec = 0; spec < 2; ++spec) {
       if (bytes.size() - header_bytes < 4) return image;
       const std::uint32_t len = load_le32(bytes.data() + header_bytes);
@@ -111,6 +112,15 @@ SnapshotImage walk_snapshot_image(const std::vector<unsigned char>& bytes) {
     if (version >= 3) {
       if (bytes.size() - header_bytes < 4) return image;
       header_bytes += 4;
+    }
+    if (version >= 4) {
+      if (bytes.size() - header_bytes < SnapshotHeader::kSliceSize) {
+        return image;
+      }
+      header_bytes += SnapshotHeader::kSliceSize;
+      image.header_crc_ok =
+          load_le32(bytes.data() + header_bytes - 4) ==
+          crc32c(bytes.data(), header_bytes - 4);
     }
   }
   image.header_ok = true;
@@ -195,7 +205,12 @@ void patch_log_event_count(std::vector<unsigned char>& bytes,
 void patch_snapshot_object_count(std::vector<unsigned char>& bytes,
                                  std::uint64_t num_objects) {
   if (bytes.size() < SnapshotHeader::kSize) return;
+  const SnapshotImage image = walk_snapshot_image(bytes);
   store_le64(bytes.data() + 16, num_objects);
+  if (image.header_ok && image.version >= 4 && image.header_crc_ok) {
+    const std::size_t crc_at = image.header_bytes - 4;
+    store_le32(bytes.data() + crc_at, crc32c(bytes.data(), crc_at));
+  }
 }
 
 std::vector<unsigned char> frame_block(

@@ -807,21 +807,195 @@ TEST_F(CheckpointFileTest, RestoreRejectsEventCountOffByOne) {
   }
 }
 
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The v3 twin of a v4 snapshot: the same bytes without the slice block
+/// and header CRC, with the version set to 3.
+std::vector<char> strip_to_v3(const std::string& v4_path) {
+  const std::size_t header_end = read_snapshot_header(v4_path).encoded_size();
+  std::vector<char> bytes = read_file(v4_path);
+  const auto end = bytes.begin() + static_cast<std::ptrdiff_t>(header_end);
+  bytes.erase(end - static_cast<std::ptrdiff_t>(SnapshotHeader::kSliceSize),
+              end);
+  bytes[8] = 3;
+  return bytes;
+}
+
+/// Restores `path` with the test engine's factories.
+std::unique_ptr<StreamingEngine> restore_test_engine(const std::string& path) {
+  return StreamingEngine::restore(path, test_config(), EngineOptions{},
+                                  engine_policy_factory(),
+                                  engine_predictor_factory());
+}
+
+// A cluster worker's checkpoint is one file that names its slice, so the
+// slice must survive checkpoint -> restore -> checkpoint, with or without
+// a bind on the restored engine.
+TEST_F(CheckpointFileTest, SliceRoundTripsThroughCheckpointAndRestore) {
+  const std::vector<LogEvent> events = interleaved_events(600, 12, 41);
+  auto engine = fresh_engine(4, 1);
+  engine->ingest(events);
+  const std::string unbound = temp_path("unbound.ckpt");
+  engine->checkpoint(unbound);
+  EXPECT_EQ(read_snapshot_header(unbound).num_partitions, 0u);
+
+  engine->bind_slice(1, 4, 1);
+  const std::string bound = temp_path("bound.ckpt");
+  engine->checkpoint(bound);
+  const SnapshotHeader header = read_snapshot_header(bound);
+  EXPECT_EQ(header.version, 4u);
+  EXPECT_EQ(header.partition_id, 1u);
+  EXPECT_EQ(header.num_partitions, 4u);
+  EXPECT_EQ(header.pf_version, 1u);
+
+  // A restore that never binds carries the slice into its checkpoints,
+  // and one that binds the same slice writes the same bytes.
+  const std::string carried = temp_path("carried.ckpt");
+  restore_test_engine(bound)->checkpoint(carried);
+  EXPECT_EQ(read_file(carried), read_file(bound));
+  auto rebound = restore_test_engine(bound);
+  rebound->bind_slice(1, 4, 1);
+  const std::string again = temp_path("again.ckpt");
+  rebound->checkpoint(again);
+  EXPECT_EQ(read_file(again), read_file(bound));
+}
+
+TEST_F(CheckpointFileTest, RestoreRefusesAnotherSlice) {
+  const std::vector<LogEvent> events = interleaved_events(600, 12, 43);
+  auto engine = fresh_engine(4, 1);
+  engine->ingest(events);
+  const std::string unbound = temp_path("unbound.ckpt");
+  engine->checkpoint(unbound);
+  const std::string v3 = temp_path("v3.ckpt");
+  write_file(v3, strip_to_v3(unbound));
+  engine->bind_slice(1, 4, 1);
+  const std::string bound = temp_path("bound.ckpt");
+  engine->checkpoint(bound);
+
+  const auto expect_refused = [](const std::string& path, std::uint32_t id,
+                                 std::uint32_t count, std::uint32_t version,
+                                 const std::string& snapshot_side,
+                                 const std::string& worker_side) {
+    auto restored = restore_test_engine(path);
+    try {
+      restored->bind_slice(id, count, version);
+      FAIL() << "bind_slice accepted " << worker_side;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(snapshot_side), std::string::npos) << what;
+      EXPECT_NE(what.find("this worker serves " + worker_side),
+                std::string::npos)
+          << what;
+    }
+  };
+  const std::string cut_for =
+      "snapshot was cut for partition 1 of 4 under partition function 1";
+  expect_refused(bound, 2, 4, 1, cut_for,
+                 "partition 2 of 4 under partition function 1");
+  expect_refused(bound, 1, 8, 1, cut_for,
+                 "partition 1 of 8 under partition function 1");
+  expect_refused(bound, 1, 4, 2, cut_for,
+                 "partition 1 of 4 under partition function 2");
+  // An unbound snapshot, v4 or v3, cannot resume a partition.
+  for (const std::string& path : {unbound, v3}) {
+    SCOPED_TRACE(path);
+    expect_refused(path, 0, 2, 1,
+                   "snapshot was cut with no partition slice",
+                   "partition 0 of 2 under partition function 1");
+  }
+  // Not a slice at all.
+  EXPECT_THROW(fresh_engine(4, 1)->bind_slice(4, 4, 1), std::invalid_argument);
+}
+
+// The v4 header CRC covers every header byte: a single flipped bit
+// anywhere in it, or a cut anywhere inside it, fails the restore at the
+// reader with a diagnostic naming the cause, before any field is used.
+TEST_F(CheckpointFileTest, EveryHeaderBitFlipAndTruncationIsRejected) {
+  EngineBuilder builder;
+  builder.config(test_config()).policy("drwp(alpha=0.3)").predictor("last_gap");
+  auto engine = builder.build();
+  EventLogHeader log;
+  log.num_servers = kServers;
+  log.num_objects = 200;
+  log.num_events = 4000;
+  engine->bind_log(log);
+  engine->bind_slice(1, 2, 1);
+  engine->ingest(interleaved_events(4000, 200, 47));
+  const std::string path = temp_path("header.ckpt");
+  engine->checkpoint(path);
+  const SnapshotHeader header = read_snapshot_header(path);
+  ASSERT_FALSE(header.policy_spec.empty() || header.predictor_spec.empty());
+  const std::size_t header_bytes = header.encoded_size();
+  ASSERT_NE(builder.restore(path), nullptr);
+  const std::vector<char> intact = read_file(path);
+
+  const std::string probe = temp_path("probe.ckpt");
+  const auto rejection = [&](const std::vector<char>& bytes) -> std::string {
+    write_file(probe, bytes);
+    try {
+      builder.restore(probe);
+    } catch (const std::exception& error) {
+      return error.what();
+    }
+    return "";
+  };
+  std::size_t accepted = 0;
+  for (std::size_t byte = 0; byte < header_bytes; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<char> bytes = intact;
+      bytes[byte] = static_cast<char>(bytes[byte] ^ (1 << bit));
+      const std::string what = rejection(bytes);
+      if (what.empty()) {
+        ++accepted;
+        ADD_FAILURE() << "byte " << byte << " bit " << bit << " restored";
+        continue;
+      }
+      EXPECT_EQ(what.rfind("checkpoint " + probe + ": ", 0), 0u) << what;
+      if (byte >= 12) {
+        EXPECT_TRUE(what.find("header CRC mismatch") != std::string::npos ||
+                    what.find("spec length") != std::string::npos)
+            << "byte " << byte << " bit " << bit << ": " << what;
+      }
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
+  for (std::size_t cut = 0; cut < header_bytes; ++cut) {
+    const std::vector<char> bytes(
+        intact.begin(), intact.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_NE(rejection(bytes).find("truncated"), std::string::npos)
+        << "cut " << cut;
+  }
+}
+
 /// One pinned snapshot: a spec pair, the engine it needs, and the size
-/// and CRC-32C of the file it must produce.
+/// and CRC-32C of the v4 file it must produce and of that file's v3 twin.
 struct PinnedSnapshot {
   const char* policy;
   const char* predictor;
   bool weighted_rates;  // storage rates 1..10, no lower bound
   std::uint64_t bytes;
   std::uint32_t crc;
+  std::uint64_t v3_bytes;
+  std::uint32_t v3_crc;
 };
 
 // Snapshot bytes are the on-disk contract: fixtures, live checkpoints and
 // worker snapshots written by an older build must restore bit for bit.
 // These constants pin the exact files for a fixed log under five spec
 // pairs, so a change to any save_state stream, the recorder's layout or
-// a component's name() shows up here as a byte difference.
+// a component's name() shows up here as a byte difference. Both versions
+// stay pinned: the v3 pins are the files the v3 writer produced, which
+// each v4 file must strip back to exactly, and a restored v3 file must
+// checkpoint to the v4 bytes again.
 TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
   const std::string log = temp_path("pinned.evlog");
   StreamWorkloadConfig workload;
@@ -838,14 +1012,16 @@ TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
   }
 
   const PinnedSnapshot pinned[] = {
-      {"drwp(alpha=0.3)", "last_gap", false, 215945, 0x740ab898},
+      {"drwp(alpha=0.3)", "last_gap", false, 215961, 0x84e2acd7, 215945,
+       0x740ab898},
       {"adaptive(alpha=1.5)", "ensemble(last_gap,history(ewma=0.3))", false,
-       335045, 0x268cdf41},
-      {"randomized(alpha=0.1)", "history(ewma=0.3)", false, 236768,
-       0xdb7fbaf1},
+       335061, 0x93661bf3, 335045, 0x268cdf41},
+      {"randomized(alpha=0.1)", "history(ewma=0.3)", false, 236784,
+       0x664d8ba5, 236768, 0xdb7fbaf1},
       {"drwp(alpha=0.30000000000000004)", "fixed(within=true)", false,
-       192157, 0x2817f80a},
-      {"weighted(alpha=0.3)", "last_gap", true, 195349, 0xacfdebea},
+       192173, 0xbc26b0e0, 192157, 0x2817f80a},
+      {"weighted(alpha=0.3)", "last_gap", true, 195365, 0xb7e25d3e, 195349,
+       0xacfdebea},
   };
   for (const PinnedSnapshot& pin : pinned) {
     SCOPED_TRACE(std::string(pin.policy) + " + " + pin.predictor);
@@ -871,12 +1047,18 @@ TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
     }
     const std::string path = temp_path("pinned.ckpt");
     engine->checkpoint(path);
-
-    std::ifstream in(path, std::ios::binary);
-    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+    const std::vector<char> bytes = read_file(path);
     EXPECT_EQ(bytes.size(), pin.bytes);
     EXPECT_EQ(crc32c(bytes.data(), bytes.size()), pin.crc);
+
+    const std::vector<char> v3 = strip_to_v3(path);
+    EXPECT_EQ(v3.size(), pin.v3_bytes);
+    EXPECT_EQ(crc32c(v3.data(), v3.size()), pin.v3_crc);
+    const std::string v3_path = temp_path("pinned_v3.ckpt");
+    write_file(v3_path, v3);
+    const std::string again = temp_path("pinned_again.ckpt");
+    builder.restore(v3_path)->checkpoint(again);
+    EXPECT_EQ(read_file(again), bytes);
   }
 }
 

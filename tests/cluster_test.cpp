@@ -1,7 +1,7 @@
 // Cluster tests: the deterministic partition function, the control
-// protocol codec and its state machine, the per-partition checkpoint
-// manifest, and — when the repl_cluster launcher is built — true
-// multi-process serving: coordinator + N workers over unix sockets,
+// protocol codec and its state machine, a worker's refusal of a snapshot
+// cut for another slice, and — when the repl_cluster launcher is built —
+// true multi-process serving: coordinator + N workers over unix sockets,
 // bit-identical to single-process serve, including after SIGKILLing
 // workers at every point of the kill matrix and respawning them from
 // their per-partition checkpoints.
@@ -21,10 +21,10 @@
 #include <gtest/gtest.h>
 
 #include "api/experiment.hpp"
-#include "checkpoint/partition_manifest.hpp"
 #include "cluster/control.hpp"
 #include "cluster/coordinator.hpp"
 #include "cluster/partition.hpp"
+#include "cluster/worker.hpp"
 #include "codec/block.hpp"
 #include "codec/crc32.hpp"
 #include "codec/endian.hpp"
@@ -93,7 +93,7 @@ void expect_throws_with(Fn&& fn, const std::string& needle) {
 
 TEST(PartitionFunction, GoldenValuesPinTheMapping) {
   // kPartitionFunctionVersion = 1 IS these outputs. If this test fails,
-  // the mapping changed: every existing manifest and cross-version
+  // the mapping changed: every existing snapshot and cross-version
   // cluster would resume the wrong slice. Bump the version, don't
   // repin silently.
   struct Golden {
@@ -571,102 +571,64 @@ TEST(ControlCodec, DeadAfterFailureAndTruncationIsVisible) {
 }
 
 // ---------------------------------------------------------------------
-// Partition manifest
+// Worker start, in process
 
-class ManifestTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("repl_pman_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+TEST(ClusterWorker, RefusesAnotherSliceBeforeItsHello) {
+  // The worker binds its slice right after the restore, before its event
+  // listener and its hello. No coordinator listens here, so a worker
+  // that got past the bind fails on the control dial instead: each
+  // refusal below names both sides, and the matching slice reaches the
+  // dial.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "repl_worker_slice_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string snapshot = (dir / "part1.ckpt").string();
+  const std::string serves =
+      "; this worker serves partition 1 of 2 under partition function 1";
+  struct Case {
+    bool bound;
+    std::uint32_t id, count, pf_version;
+    std::string cause;
+  };
+  const Case cases[] = {
+      {true, 0, 2, 1,
+       "snapshot was cut for partition 0 of 2 under partition function 1" +
+           serves},
+      {true, 1, 4, 1,
+       "snapshot was cut for partition 1 of 4 under partition function 1" +
+           serves},
+      {true, 1, 2, 2,
+       "snapshot was cut for partition 1 of 2 under partition function 2" +
+           serves},
+      {false, 0, 0, 0, "snapshot was cut with no partition slice" + serves},
+      {true, 1, 2, 1, "cannot connect to unix socket"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.cause);
+    EngineOptions engine_options;
+    engine_options.base_seed = kSeed;
+    EngineBuilder builder;
+    builder.config(cluster_config())
+        .options(engine_options)
+        .policy("drwp(alpha=0.3)")
+        .predictor("last_gap");
+    auto engine = builder.build();
+    if (c.bound) engine->bind_slice(c.id, c.count, c.pf_version);
+    engine->ingest(make_events(500, 17));
+    engine->checkpoint(snapshot);
+
+    ClusterWorkerOptions worker;
+    worker.partition_id = 1;
+    worker.num_partitions = 2;
+    worker.event_socket = (dir / "event.sock").string();
+    worker.control_socket = (dir / "control.sock").string();
+    worker.resume_from = snapshot;
+    worker.config = cluster_config();
+    worker.engine.base_seed = kSeed;
+    expect_throws_with([&] { run_cluster_worker(worker); }, c.cause);
   }
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-
-  std::string file(const std::string& name) const {
-    return (dir_ / name).string();
-  }
-
-  std::filesystem::path dir_;
-};
-
-PartitionManifest test_manifest() {
-  PartitionManifest m;
-  m.partition_id = 2;
-  m.num_partitions = 4;
-  m.pf_version = kPartitionFunctionVersion;
-  m.num_servers = kServers;
-  m.base_seed = kSeed;
-  m.events_ingested = 123456;
-  return m;
-}
-
-TEST_F(ManifestTest, RoundTripsAndNamesItself) {
-  EXPECT_EQ(partition_manifest_path("/x/part2.ckpt"), "/x/part2.ckpt.pman");
-
-  const std::string path = file("part2.ckpt.pman");
-  const PartitionManifest want = test_manifest();
-  write_partition_manifest(path, want);
-  const PartitionManifest got = read_partition_manifest(path);
-  EXPECT_EQ(got.partition_id, want.partition_id);
-  EXPECT_EQ(got.num_partitions, want.num_partitions);
-  EXPECT_EQ(got.pf_version, want.pf_version);
-  EXPECT_EQ(got.num_servers, want.num_servers);
-  EXPECT_EQ(got.base_seed, want.base_seed);
-  EXPECT_EQ(got.events_ingested, want.events_ingested);
-}
-
-TEST_F(ManifestTest, WrongSliceFailsLoudly) {
-  const PartitionManifest m = test_manifest();
-  EXPECT_NO_THROW(require_manifest_matches(m, 2, 4, kServers));
-  EXPECT_THROW(require_manifest_matches(m, 1, 4, kServers),
-               std::invalid_argument);
-  EXPECT_THROW(require_manifest_matches(m, 2, 8, kServers),
-               std::invalid_argument);
-  EXPECT_THROW(require_manifest_matches(m, 2, 4, kServers + 1),
-               std::invalid_argument);
-  PartitionManifest wrong_pf = m;
-  wrong_pf.pf_version = kPartitionFunctionVersion + 1;
-  EXPECT_THROW(require_manifest_matches(wrong_pf, 2, 4, kServers),
-               std::invalid_argument);
-}
-
-TEST_F(ManifestTest, RejectsMissingTruncatedAndCorruptFiles) {
-  EXPECT_THROW(read_partition_manifest(file("absent.pman")),
-               std::runtime_error);
-
-  const std::string path = file("m.pman");
-  write_partition_manifest(path, test_manifest());
-
-  // Truncation.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    ASSERT_EQ(bytes.size(), PartitionManifest::kSize);
-    std::ofstream out(file("short.pman"), std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 4));
-  }
-  EXPECT_THROW(read_partition_manifest(file("short.pman")),
-               std::runtime_error);
-
-  // A flipped payload byte must trip the CRC.
-  {
-    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
-    char byte = 0;
-    io.seekg(40);  // events_ingested
-    io.get(byte);
-    byte = static_cast<char>(byte ^ 0x01);
-    io.seekp(40);
-    io.put(byte);
-  }
-  EXPECT_THROW(read_partition_manifest(path), std::runtime_error);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -860,14 +822,12 @@ TEST_F(ClusterTest, WorkerThatNeverSaysHelloFailsTheServe) {
   // respawn is tried: one with the same flags would fail the same way.
   const std::string log = write_log(make_events(1000, 17));
 
-  // A 1-partition serve leaves part0.ckpt and its manifest behind; a
-  // 2-partition cold start over them hands partition 0 a snapshot its
-  // manifest check refuses.
+  // A 1-partition serve leaves part0.ckpt behind, cut for partition 0
+  // of 1; a 2-partition cold start over it hands partition 0 a snapshot
+  // its slice bind refuses.
   const std::string stale = run_dir("stale");
   run_cluster(log, stale, 1, /*checkpoint_every=*/256, /*batch_events=*/256);
-  const std::string snapshot = stale + "/part0.ckpt";
-  ASSERT_TRUE(std::filesystem::exists(snapshot));
-  ASSERT_TRUE(std::filesystem::exists(partition_manifest_path(snapshot)));
+  ASSERT_TRUE(std::filesystem::exists(stale + "/part0.ckpt"));
 
   struct Case {
     const char* name;
@@ -1148,6 +1108,14 @@ TEST_F(ClusterTest, ColdStartFromWholeSliceSnapshotsReportsTheirProgress) {
   const EngineMetrics want = single_reference(log);
   const std::string dir = run_dir("warm");
   run_cluster(log, dir, 2, /*checkpoint_every=*/1, /*batch_events=*/512);
+  // Each partition's checkpoint is one file; sockets aside, nothing else
+  // is left behind.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_socket()) files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"part0.ckpt", "part1.ckpt"}));
 
   std::string health;
   const ClusterServeResult result =

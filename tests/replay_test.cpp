@@ -150,15 +150,19 @@ TEST_F(ReplayTest, FixtureFileRejectsEveryFlippedByte) {
 }
 
 TEST_F(ReplayTest, SnapshotWalkSurvivesTruncationAtEveryByte) {
-  // Regression: a v2/v3 snapshot truncated inside the extension header
+  // Regression: a v2+ snapshot truncated inside the extension header
   // (64..87 bytes) used to underflow the walker's size_t arithmetic and
-  // read past the buffer. Every prefix must walk cleanly, and a
-  // well-formed header claim must stay inside the bytes it was given.
+  // read past the buffer. Every prefix must walk cleanly, including cuts
+  // inside v4's slice block and header CRC, and a well-formed header
+  // claim must stay inside the bytes it was given.
   SnapshotHeader header;
   header.num_servers = 3;
   header.num_objects = 2;
   header.policy_spec = "drwp(alpha=0.3)";
   header.predictor_spec = "last_gap";
+  header.partition_id = 1;
+  header.num_partitions = 2;
+  header.pf_version = 1;
   const std::string path = temp_path("walk.ckpt");
   {
     SnapshotWriter writer(path, header);
@@ -168,18 +172,25 @@ TEST_F(ReplayTest, SnapshotWalkSurvivesTruncationAtEveryByte) {
   }
   const std::vector<unsigned char> bytes = read_bytes(path);
   ASSERT_GT(bytes.size(), SnapshotHeader::kSize + SnapshotHeader::kExtensionSize);
+  const SnapshotImage whole = walk_snapshot_image(bytes);
+  EXPECT_TRUE(whole.header_ok && whole.header_crc_ok && whole.footer_present);
+  EXPECT_EQ(whole.header_bytes, header.encoded_size());
 
   for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
     std::vector<unsigned char> prefix(
         bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
-    for (const std::uint32_t version : {std::uint32_t{3}, std::uint32_t{2}}) {
-      if (version != 3) {
+    for (const std::uint32_t version :
+         {std::uint32_t{4}, std::uint32_t{3}, std::uint32_t{2}}) {
+      if (version != 4) {
         if (prefix.size() < 12) continue;
         store_le32(prefix.data() + 8, version);
       }
       const SnapshotImage image = walk_snapshot_image(prefix);
       EXPECT_LE(image.header_bytes, prefix.size()) << "cut " << cut;
       EXPECT_LE(image.tail_offset, prefix.size()) << "cut " << cut;
+      if (version == 4 && cut < header.encoded_size()) {
+        EXPECT_FALSE(image.header_ok) << "cut " << cut;
+      }
       if (cut < bytes.size()) {
         EXPECT_FALSE(image.header_ok && image.records.size() == 2 &&
                      image.footer_present)
@@ -200,6 +211,65 @@ TEST_F(ReplayTest, SnapshotWalkSurvivesTruncationAtEveryByte) {
   EXPECT_FALSE(result.signature.empty());
   const FixtureRunResult replay = fixture_run(result.fixture);
   EXPECT_TRUE(replay.pass) << replay.detail;
+}
+
+TEST_F(ReplayTest, SnapshotCountPatchReachesTheRecordChecks) {
+  // The dup-record mutation and the minimizer rewrite a v4 header's
+  // object count. The patch reseals the header CRC, so the reader's
+  // verdict comes from the records, not the header; a header whose CRC
+  // already failed stays failed.
+  SnapshotHeader header;
+  header.num_servers = 3;
+  header.num_objects = 2;
+  const std::string path = temp_path("count.ckpt");
+  {
+    SnapshotWriter writer(path, header);
+    writer.add_object(1, {0x10, 0x20});
+    writer.add_object(4, {0x40});
+    writer.close();
+  }
+  const std::vector<unsigned char> bytes = read_bytes(path);
+  const SnapshotImage image = walk_snapshot_image(bytes);
+  ASSERT_EQ(image.records.size(), 2u);
+  const auto reader_verdict = [&](const std::vector<unsigned char>& file) {
+    write_bytes(path, file);
+    try {
+      SnapshotReader reader(path);
+      std::uint64_t id = 0;
+      std::vector<unsigned char> payload;
+      while (reader.next_object(id, payload)) {
+      }
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
+
+  // Record 1 duplicated, count raised to 3: the ids break order.
+  const SegmentSpan& last = image.records[1];
+  std::vector<unsigned char> dup(
+      bytes.begin(),
+      bytes.begin() + static_cast<std::ptrdiff_t>(last.end()));
+  dup.insert(dup.end(),
+             bytes.begin() + static_cast<std::ptrdiff_t>(last.offset),
+             bytes.end());
+  patch_snapshot_object_count(dup, 3);
+  EXPECT_TRUE(walk_snapshot_image(dup).header_crc_ok);
+  EXPECT_NE(reader_verdict(dup).find("object ids out of order"),
+            std::string::npos);
+
+  // Count lowered to 1: the footer is missing where the header says.
+  std::vector<unsigned char> fewer = bytes;
+  patch_snapshot_object_count(fewer, 1);
+  EXPECT_NE(reader_verdict(fewer).find("bad footer magic"), std::string::npos);
+
+  // A header that failed its CRC before the patch is not resealed.
+  std::vector<unsigned char> broken = bytes;
+  broken[40] ^= 0x01;  // base_seed
+  patch_snapshot_object_count(broken, 2);
+  EXPECT_FALSE(walk_snapshot_image(broken).header_crc_ok);
+  EXPECT_NE(reader_verdict(broken).find("header CRC mismatch"),
+            std::string::npos);
 }
 
 // Overwrites the u32 at `at` and reseals the trailing CRC, so the
