@@ -21,6 +21,7 @@
 // crash, --resume-from restores the snapshot and reconnecting clients
 // are told (in the handshake ACK) how many events to skip, so the
 // resumed session continues the same logical stream.
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -164,6 +165,9 @@ int main(int argc, char** argv) {
   serve_options.stats_every = cli.get_double("stats-every");
 
   EngineMetrics metrics;
+  // Wall seconds around serve(): the wait for clients, admission and
+  // checkpoints as well as the engine's own stages.
+  double wall = 0.0;
   try {
     // The source carries the front-end's hooks: ingest spans adopt the
     // newest trace context a client announced on the wire, checkpoints
@@ -186,7 +190,11 @@ int main(int argc, char** argv) {
                 << server.metrics_port();
     }
     std::cout << std::endl;  // flushed: drivers wait for this line
+    const auto serve_start = std::chrono::steady_clock::now();
     metrics = engine->serve(source, serve_options);
+    wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         serve_start)
+               .count();
     obs::Tracer::global().stop();
     std::cout << "clients: " << server.connections_total() << " total, "
               << server.connections_failed() << " failed\n";
@@ -196,7 +204,6 @@ int main(int argc, char** argv) {
   }
 
   const EngineStats& stats = engine->stats();
-  const double wall = stats.ingest_seconds + stats.finish_seconds;
   Table table({"metric", "value"});
   table.add_row({"objects served", Table::cell(metrics.objects)});
   table.add_row({"events served", Table::cell(metrics.events)});

@@ -184,7 +184,7 @@ struct StreamingEngine::Telemetry {
     return registry.histogram(
         "repl_stage_seconds",
         "Wall seconds per serve-pipeline stage, labeled by stage: "
-        "source_wait (prefetch decode / admission wait), route "
+        "source_wait (log decode / admission wait), route "
         "(validate + shard routing), execute (parallel shard tasks), "
         "reduce (finish), checkpoint_write / checkpoint_restore",
         obs::Histogram::default_latency_bounds(), {{"stage", name}});
@@ -714,10 +714,9 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
 
 EngineMetrics StreamingEngine::serve(EventLogReader& reader,
                                      const ServeOptions& options) {
-  // Double-buffered ingestion: the prefetcher's reader thread decodes
-  // the next batch while the shards execute this one. It delivers the
-  // exact batches the synchronous loop would, so aggregates are
-  // unchanged bit for bit.
+  // Double-buffered: the source's reader thread decodes the next batch
+  // while the shards execute this one. The batches are the ones a plain
+  // read_batch loop yields, so aggregates are unchanged bit for bit.
   LogReplaySource source(reader, options.batch_events, /*async_ingest=*/true);
   return serve(source, options);
 }

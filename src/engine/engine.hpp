@@ -176,8 +176,9 @@ struct EngineStats {
   /// the calling thread vs. parallel shard execution.
   double route_seconds = 0.0;
   double execute_seconds = 0.0;
-  /// serve() time spent waiting on the source for the next batch — file
-  /// decode (what the prefetcher hides) or network admission.
+  /// serve() time spent waiting on the source for the next batch — the
+  /// file decode that replay's reader thread did not finish during the
+  /// previous batch, or network admission.
   double source_wait_seconds = 0.0;
   /// Periodic checkpoints written by serve() and their cumulative cost.
   std::size_t checkpoints_written = 0;

@@ -24,13 +24,15 @@
 // has a no-op default, so serve() runs one loop for every producer.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <optional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "engine/prefetch.hpp"
 #include "obs/trace.hpp"
 #include "trace/event_log.hpp"
 
@@ -80,32 +82,60 @@ class EventSource {
   virtual std::string status() const { return {}; }
 };
 
-/// File replay: serves a finished event log, optionally double-buffered
-/// through BatchPrefetcher (decode batch N+1 while the shards execute
-/// batch N). attach() performs the log binding and the hash-verified
-/// resume seek, then starts the reader thread — the prefetcher must not
-/// exist while the resume seek still owns the reader's position.
+/// File replay: serves a finished event log, double-buffered by default.
+/// A reader thread decodes batch N+1 into the one spare buffer while the
+/// engine executes batch N, and next_batch() swaps that buffer with the
+/// caller's, so two batch buffers rotate and nothing else is allocated.
+/// With `async_ingest` false the same produce step runs inline, on the
+/// caller's thread, with identical batches, byte marks and errors.
+/// attach() performs the log binding and the hash-verified resume seek,
+/// then starts the reader thread, so the seek owns the reader's position
+/// before the thread exists.
 class LogReplaySource final : public EventSource {
  public:
   /// `reader` must outlive the source and must not be touched by the
   /// caller until the source is destroyed.
   LogReplaySource(EventLogReader& reader, std::size_t batch_events,
                   bool async_ingest);
+  /// Stops and joins the reader thread; a decode in flight finishes its
+  /// batch first.
+  ~LogReplaySource() override;
+
+  LogReplaySource(const LogReplaySource&) = delete;
+  LogReplaySource& operator=(const LogReplaySource&) = delete;
 
   void attach(StreamingEngine& engine) override;
   bool next_batch(std::vector<LogEvent>& out) override;
-  std::uint64_t bytes_consumed() const override;
+  std::uint64_t bytes_consumed() const override { return bytes_delivered_; }
 
  private:
+  /// Reads the next batch into the spare slot; returns whether the
+  /// stream ends with it (a clean end or a failure).
+  bool produce();
+  void run();
+
   EventLogReader& reader_;
   const std::size_t batch_events_;
   const bool async_;
-  std::optional<BatchPrefetcher> prefetch_;
-  /// Sync path twin of the prefetcher's partial-batch handling: a
-  /// read_batch that throws mid-batch already decoded a prefix into the
-  /// caller's buffer; deliver it, park the error here, rethrow on every
-  /// later call.
+
+  /// The spare slot, owned by produce() while `ready_` is false and by
+  /// next_batch() while it is true: a batch buffer, the reader's
+  /// bytes_read() after it, and the failure that cut it short.
+  /// next_batch() never hands back a slot that is empty or failed, so
+  /// the end of the stream and the error are both stable.
+  std::vector<LogEvent> spare_;
+  std::uint64_t spare_bytes_ = 0;
   std::exception_ptr error_;
+
+  /// bytes_read() as of the last delivered batch (or the resume seek);
+  /// touched only by the consumer.
+  std::uint64_t bytes_delivered_ = 0;
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool ready_ = false;
+  bool stop_ = false;
+  std::thread thread_;
 };
 
 }  // namespace repl
