@@ -602,7 +602,7 @@ void register_builtin_predictors(ComponentRegistry& registry) {
         "penalty", ParamType::kDouble, "0.5",
         "multiplicative down-weight of wrong experts", 0.0, true, 1.0)};
     info.min_children = 1;
-    info.max_children = 16;
+    info.max_children = EnsemblePredictor::kMaxExperts;
     info.example = "ensemble(last_gap,history(ewma=0.3))";
     registry.register_predictor(
         std::move(info),

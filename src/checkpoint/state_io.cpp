@@ -28,14 +28,12 @@ void StateReader::fail(const std::string& what) const {
   throw std::runtime_error("checkpoint: " + context_ + ": " + what);
 }
 
-const unsigned char* StateReader::take(std::size_t n) {
+const unsigned char* StateReader::peek(std::size_t n) const {
   if (size_ - pos_ < n) {
     fail("payload underflow (need " + std::to_string(n) + " bytes at offset " +
          std::to_string(pos_) + " of " + std::to_string(size_) + ")");
   }
-  const unsigned char* p = data_ + pos_;
-  pos_ += n;
-  return p;
+  return data_ + pos_;
 }
 
 std::uint8_t StateReader::u8() { return *take(1); }

@@ -62,6 +62,11 @@ class StateReader {
   bool boolean();
   std::string str();
 
+  /// The next `n` bytes, not consumed; fails like a read if fewer remain.
+  const unsigned char* peek(std::size_t n) const;
+  /// Consumes `n` bytes unread.
+  void skip(std::size_t n) { take(n); }
+
   std::size_t remaining() const { return size_ - pos_; }
   const std::string& context() const { return context_; }
 
@@ -73,7 +78,11 @@ class StateReader {
   [[noreturn]] void fail(const std::string& what) const;
 
  private:
-  const unsigned char* take(std::size_t n);
+  const unsigned char* take(std::size_t n) {
+    const unsigned char* p = peek(n);
+    pos_ += n;
+    return p;
+  }
 
   const unsigned char* data_;
   std::size_t size_;

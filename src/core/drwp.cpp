@@ -24,16 +24,17 @@ DrwpPolicy::DrwpPolicy(double alpha) : alpha_(alpha) {
 void DrwpPolicy::reset(const SystemConfig& config, const Prediction& pred0,
                        EventSink& sink) {
   config.validate();
-  config_ = config;
-  servers_.assign(static_cast<std::size_t>(config.num_servers),
-                  ServerState{});
+  config_ = &config;
+  num_servers_ = config.num_servers;
+  servers_.clear();
   copy_count_ = 0;
   now_ = 0.0;
-  expiries_ = {};
+  next_expiry_ = kInf;
+  next_server_ = -1;
 
   // Line 2: the initial copy at s1, with an intended duration chosen by
   // the prediction for the dummy request r0.
-  ServerState& s0 = servers_[static_cast<std::size_t>(config.initial_server)];
+  ServerState& s0 = servers_.touch(config.initial_server, num_servers_);
   s0.has_copy = true;
   s0.last_request_time = 0.0;
   copy_count_ = 1;
@@ -54,36 +55,40 @@ double DrwpPolicy::choose_duration(const Prediction& pred,
 void DrwpPolicy::set_intended(int server, double time, double duration,
                               EventSink& sink) {
   REPL_REQUIRE(duration > 0.0);
-  ServerState& st = servers_[static_cast<std::size_t>(server)];
+  ServerState& st = *servers_.find(server);
   REPL_CHECK(st.has_copy);
   st.special = false;
   st.special_since = kInf;
   st.expiry = time + duration;
   st.last_intended = duration;
   ++st.generation;
-  expiries_.push(HeapEntry{st.expiry, server, st.generation});
+  if (server == next_server_) {
+    find_next_expiry();  // the earliest copy was renewed
+  } else if (st.expiry < next_expiry_ ||
+             (st.expiry == next_expiry_ && server < next_server_)) {
+    next_expiry_ = st.expiry;
+    next_server_ = server;
+  }
   sink.on_set_duration(server, time, duration);
 }
 
-void DrwpPolicy::purge_stale_heap() const {
-  while (!expiries_.empty()) {
-    const HeapEntry& top = expiries_.top();
-    const ServerState& st = servers_[static_cast<std::size_t>(top.server)];
-    const bool valid =
-        st.has_copy && !st.special && st.generation == top.generation;
-    if (valid) return;
-    expiries_.pop();
-  }
+void DrwpPolicy::find_next_expiry() {
+  next_expiry_ = kInf;
+  next_server_ = -1;
+  // Ascending server order: the first of equal expiries is the lowest.
+  servers_.for_each([this](int s, const ServerState& st) {
+    if (st.has_copy && !st.special && st.expiry < next_expiry_) {
+      next_expiry_ = st.expiry;
+      next_server_ = s;
+    }
+  });
 }
 
-double DrwpPolicy::next_transition_time() const {
-  purge_stale_heap();
-  return expiries_.empty() ? kInf : expiries_.top().time;
-}
+double DrwpPolicy::next_transition_time() const { return next_expiry_; }
 
 void DrwpPolicy::process_expiry(int server, double time, EventSink& sink) {
   // Algorithm 1 lines 20–25.
-  ServerState& st = servers_[static_cast<std::size_t>(server)];
+  ServerState& st = *servers_.find(server);
   REPL_CHECK(st.has_copy && !st.special);
   if (copy_count_ == 1) {
     st.special = true;
@@ -99,14 +104,12 @@ void DrwpPolicy::process_expiry(int server, double time, EventSink& sink) {
 
 void DrwpPolicy::advance_to(double time, EventSink& sink) {
   REPL_CHECK_MSG(time >= now_, "advance_to moved backwards");
-  for (;;) {
-    purge_stale_heap();
-    if (expiries_.empty()) break;
-    const HeapEntry top = expiries_.top();
-    if (!(top.time < time)) break;  // expiry at exactly `time` fires later
-    expiries_.pop();
-    process_expiry(top.server, top.time, sink);
-    now_ = top.time;
+  // An expiry at exactly `time` fires later.
+  while (next_server_ >= 0 && next_expiry_ < time) {
+    const double expiry = next_expiry_;
+    process_expiry(next_server_, expiry, sink);
+    now_ = expiry;
+    find_next_expiry();
   }
   if (std::isfinite(time)) now_ = time;
 }
@@ -116,28 +119,30 @@ int DrwpPolicy::pick_transfer_source(int requester) const {
   // lowest-indexed holder is chosen — cost is source-independent under
   // the uniform transfer cost λ, so this only pins determinism.
   int first_holder = -1;
-  for (int s = 0; s < config_.num_servers; ++s) {
-    const ServerState& st = servers_[static_cast<std::size_t>(s)];
-    if (!st.has_copy || s == requester) continue;
+  int special_holder = -1;
+  servers_.for_each([&](int s, const ServerState& st) {
+    if (!st.has_copy || s == requester || special_holder >= 0) return;
     if (st.special) {
       REPL_CHECK_MSG(copy_count_ == 1,
                      "special copy must be the only copy (Proposition 1)");
-      return s;
+      special_holder = s;
+    } else if (first_holder < 0) {
+      first_holder = s;
     }
-    if (first_holder < 0) first_holder = s;
-  }
+  });
+  if (special_holder >= 0) return special_holder;
   REPL_CHECK_MSG(first_holder >= 0, "no transfer source available");
   return first_holder;
 }
 
 ServeAction DrwpPolicy::on_request(int server, double time,
                                    const Prediction& pred, EventSink& sink) {
-  REPL_REQUIRE(server >= 0 && server < config_.num_servers);
+  REPL_REQUIRE(server >= 0 && server < num_servers_);
   REPL_CHECK_MSG(time >= now_, "requests must arrive in time order");
   REPL_CHECK_MSG(next_transition_time() >= time,
                  "advance_to(t) must run before on_request(t)");
 
-  ServerState& st = servers_[static_cast<std::size_t>(server)];
+  ServerState& st = servers_.touch(server, num_servers_);
   ServeAction action;
   ServeContext ctx;
   ctx.server = server;
@@ -155,7 +160,7 @@ ServeAction DrwpPolicy::on_request(int server, double time,
   } else {
     // Lines 6–9: transfer from another holder, create a copy here.
     const int source = pick_transfer_source(server);
-    ServerState& src = servers_[static_cast<std::size_t>(source)];
+    ServerState& src = *servers_.find(source);
     action.local = false;
     action.source = source;
     action.source_special = src.special;
@@ -190,76 +195,71 @@ ServeAction DrwpPolicy::on_request(int server, double time,
 }
 
 bool DrwpPolicy::holds(int server) const {
-  REPL_REQUIRE(server >= 0 && server < config_.num_servers);
-  return servers_[static_cast<std::size_t>(server)].has_copy;
+  REPL_REQUIRE(server >= 0 && server < num_servers_);
+  const ServerState* st = servers_.find(server);
+  return st != nullptr && st->has_copy;
 }
 
 double DrwpPolicy::intended_expiry(int server) const {
-  REPL_REQUIRE(server >= 0 && server < config_.num_servers);
-  const ServerState& st = servers_[static_cast<std::size_t>(server)];
+  REPL_REQUIRE(server >= 0 && server < num_servers_);
+  const ServerState st = servers_.get(server);
   if (!st.has_copy) return -kInf;
   return st.special ? kInf : st.expiry;
 }
 
 bool DrwpPolicy::is_special(int server) const {
-  REPL_REQUIRE(server >= 0 && server < config_.num_servers);
-  return servers_[static_cast<std::size_t>(server)].special;
+  REPL_REQUIRE(server >= 0 && server < num_servers_);
+  return servers_.get(server).special;
+}
+
+void DrwpPolicy::ServerState::save(StateWriter& out) const {
+  out.boolean(has_copy);
+  out.boolean(special);
+  out.f64(expiry);
+  out.f64(special_since);
+  out.f64(last_intended);
+  out.f64(last_request_time);
+  out.u64(generation);
+}
+
+void DrwpPolicy::ServerState::load(StateReader& in) {
+  has_copy = in.boolean();
+  special = in.boolean();
+  expiry = in.f64();
+  special_since = in.f64();
+  last_intended = in.f64();
+  last_request_time = in.f64();
+  generation = in.u64();
 }
 
 void DrwpPolicy::save_state(StateWriter& out) const {
   out.f64(alpha_);
-  out.i32(config_.num_servers);
+  out.i32(num_servers_);
   out.i32(copy_count_);
   out.f64(now_);
-  for (const ServerState& st : servers_) {
-    out.boolean(st.has_copy);
-    out.boolean(st.special);
-    out.f64(st.expiry);
-    out.f64(st.special_since);
-    out.f64(st.last_intended);
-    out.f64(st.last_request_time);
-    out.u64(st.generation);
-  }
+  servers_.save(out, num_servers_);
 }
 
 void DrwpPolicy::load_state(StateReader& in) {
   const double alpha = in.f64();
   if (alpha != alpha_) in.fail("drwp alpha mismatch");
   const std::int32_t num_servers = in.i32();
-  if (num_servers != config_.num_servers ||
-      servers_.size() != static_cast<std::size_t>(num_servers)) {
+  if (config_ == nullptr || num_servers != num_servers_) {
     in.fail("drwp server count mismatch (load_state before reset?)");
   }
   copy_count_ = in.i32();
   now_ = in.f64();
-  expiries_ = {};
-  for (ServerState& st : servers_) {
-    st.has_copy = in.boolean();
-    st.special = in.boolean();
-    st.expiry = in.f64();
-    st.special_since = in.f64();
-    st.last_intended = in.f64();
-    st.last_request_time = in.f64();
-    st.generation = in.u64();
-  }
+  servers_.load(in, num_servers);
   if (copy_count_ < 1 || copy_count_ > num_servers) {
     in.fail("drwp copy count " + std::to_string(copy_count_) +
             " out of range");
   }
-  // Rebuild the expiry heap from the per-server truth. Pop order is a
-  // total order on (time, server), so the rebuilt heap dequeues in the
-  // exact sequence the original would have — stale entries simply never
-  // existed here.
   int copies = 0;
-  for (int s = 0; s < num_servers; ++s) {
-    const ServerState& st = servers_[static_cast<std::size_t>(s)];
-    if (!st.has_copy) continue;
-    ++copies;
-    if (!st.special) {
-      expiries_.push(HeapEntry{st.expiry, s, st.generation});
-    }
-  }
+  servers_.for_each([&copies](int, const ServerState& st) {
+    if (st.has_copy) ++copies;
+  });
   if (copies != copy_count_) in.fail("drwp copy count inconsistent");
+  find_next_expiry();
 }
 
 std::string DrwpPolicy::name() const {

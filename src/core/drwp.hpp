@@ -20,10 +20,9 @@
 
 #include <cstdint>
 #include <limits>
-#include <queue>
-#include <vector>
 
 #include "core/policy.hpp"
+#include "core/server_table.hpp"
 
 namespace repl {
 
@@ -36,6 +35,9 @@ class DrwpPolicy : public ReplicationPolicy {
   /// them.
   explicit DrwpPolicy(double alpha);
 
+  /// The policy keeps a pointer to `config`, not a copy: it must outlive
+  /// the driving calls (reset, advance_to, on_request, save/load_state),
+  /// as it must outlive an OnlineSimulation.
   void reset(const SystemConfig& config, const Prediction& pred0,
              EventSink& sink) override;
   void advance_to(double time, EventSink& sink) override;
@@ -48,14 +50,15 @@ class DrwpPolicy : public ReplicationPolicy {
   std::unique_ptr<ReplicationPolicy> clone() const override;
 
   /// Serializes the per-server automaton state (E_j, K_j, bookkeeping)
-  /// and the clock; the expiry heap is rebuilt from it on load, which
-  /// drops stale entries for free. alpha and the server count are
-  /// written as cross-checks only.
+  /// of every server, untouched ones included, and the clock; the next
+  /// expiry is recomputed from it on load. alpha and the server count
+  /// are written as cross-checks only.
   void save_state(StateWriter& out) const override;
   void load_state(StateReader& in) override;
 
   double alpha() const { return alpha_; }
-  double lambda() const { return config_.transfer_cost; }
+  /// λ of the config passed to reset(); valid while that config lives.
+  double lambda() const { return config_->transfer_cost; }
 
   /// Intended expiry of `server`'s regular copy (+inf for a special copy,
   /// -inf when no copy is held). Exposed for tests and the adversary.
@@ -84,19 +87,10 @@ class DrwpPolicy : public ReplicationPolicy {
   virtual double choose_duration(const Prediction& pred,
                                  const ServeContext& ctx);
 
-  const SystemConfig& config() const { return config_; }
+  const SystemConfig& config() const { return *config_; }
 
  private:
-  struct HeapEntry {
-    double time;
-    int server;
-    std::uint64_t generation;
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      if (a.time != b.time) return a.time > b.time;
-      return a.server > b.server;  // ties: lower server index first
-    }
-  };
-
+  /// One server's automaton state; the defaults are an untouched server.
   struct ServerState {
     bool has_copy = false;
     bool special = false;  // K_j
@@ -104,23 +98,32 @@ class DrwpPolicy : public ReplicationPolicy {
     double special_since = std::numeric_limits<double>::infinity();
     double last_intended = std::numeric_limits<double>::quiet_NaN();
     double last_request_time = std::numeric_limits<double>::quiet_NaN();
+    /// Intended durations set so far; kept for the snapshot record.
     std::uint64_t generation = 0;
+
+    void save(StateWriter& out) const;
+    void load(StateReader& in);
   };
 
   void set_intended(int server, double time, double duration,
                     EventSink& sink);
   void process_expiry(int server, double time, EventSink& sink);
-  void purge_stale_heap() const;
+  /// Rescans the regular copies for the earliest (expiry, server).
+  void find_next_expiry();
   int pick_transfer_source(int requester) const;
 
   double alpha_;
-  SystemConfig config_;
-  std::vector<ServerState> servers_;
+  /// The config passed to reset(); its owner keeps it alive.
+  const SystemConfig* config_ = nullptr;
+  int num_servers_ = 0;
   int copy_count_ = 0;
+  ServerTable<ServerState> servers_;
   double now_ = 0.0;
-  mutable std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                              std::greater<HeapEntry>>
-      expiries_;
+  /// The earliest expiry among regular copies, ties to the lower server
+  /// (+inf and -1 when none). Only an expiry of that copy or a renewal
+  /// of it can make a later one the earliest, so only those rescan.
+  double next_expiry_ = std::numeric_limits<double>::infinity();
+  int next_server_ = -1;
 };
 
 /// The prediction-less 2-competitive baseline: Algorithm 1 with α = 1

@@ -5,12 +5,12 @@
 namespace repl {
 
 OnlineCostEstimator::OnlineCostEstimator(const SystemConfig& config)
-    : lambda_(config.transfer_cost),
-      server_seen_(static_cast<std::size_t>(config.num_servers), false) {
+    : lambda_(config.transfer_cost), num_servers_(config.num_servers) {
+  config.validate();
   // The dummy request r0 makes the initial server "seen" from the start:
   // its copy carries a pending prediction whose worst-case future cost the
   // 2λ-per-server term covers.
-  server_seen_[static_cast<std::size_t>(config.initial_server)] = true;
+  server_seen_.touch(config.initial_server, num_servers_).seen = true;
   servers_seen_count_ = 1;
 }
 
@@ -18,8 +18,7 @@ void OnlineCostEstimator::record(int server, double time, bool local,
                                  bool source_special, double special_since,
                                  double prev_intended,
                                  double prev_request_time) {
-  REPL_REQUIRE(server >= 0 &&
-               server < static_cast<int>(server_seen_.size()));
+  REPL_REQUIRE(server >= 0 && server < num_servers_);
   REPL_CHECK_MSG(time >= last_global_time_,
                  "estimator fed out-of-order requests");
   ++requests_seen_;
@@ -52,9 +51,9 @@ void OnlineCostEstimator::record(int server, double time, bool local,
   }
 
   // --- n' update -------------------------------------------------------
-  auto seen = server_seen_[static_cast<std::size_t>(server)];
+  bool& seen = server_seen_.touch(server, num_servers_).seen;
   if (!seen) {
-    server_seen_[static_cast<std::size_t>(server)] = true;
+    seen = true;
     ++servers_seen_count_;
   }
 }
@@ -66,8 +65,8 @@ void OnlineCostEstimator::save_state(StateWriter& out) const {
   out.f64(last_global_time_);
   out.u64(static_cast<std::uint64_t>(servers_seen_count_));
   out.u64(static_cast<std::uint64_t>(requests_seen_));
-  out.u64(static_cast<std::uint64_t>(server_seen_.size()));
-  for (const bool seen : server_seen_) out.boolean(seen);
+  out.u64(static_cast<std::uint64_t>(num_servers_));
+  server_seen_.save(out, num_servers_);
 }
 
 void OnlineCostEstimator::load_state(StateReader& in) {
@@ -77,11 +76,19 @@ void OnlineCostEstimator::load_state(StateReader& in) {
   last_global_time_ = in.f64();
   servers_seen_count_ = static_cast<std::size_t>(in.u64());
   requests_seen_ = static_cast<std::size_t>(in.u64());
-  if (in.u64() != server_seen_.size()) {
+  if (in.u64() != static_cast<std::uint64_t>(num_servers_)) {
     in.fail("estimator server count mismatch");
   }
-  for (std::size_t s = 0; s < server_seen_.size(); ++s) {
-    server_seen_[s] = in.boolean();
+  server_seen_.load(in, num_servers_);
+  // OnlineU charges 2λ per seen server from the count, so a count that
+  // disagrees with the set would bend every later fallback decision.
+  std::size_t seen = 0;
+  server_seen_.for_each([&seen](int, const Seen& entry) {
+    if (entry.seen) ++seen;
+  });
+  if (seen != servers_seen_count_) {
+    in.fail("estimator seen count " + std::to_string(servers_seen_count_) +
+            " disagrees with its " + std::to_string(seen) + " seen servers");
   }
 }
 

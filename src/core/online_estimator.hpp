@@ -21,9 +21,9 @@
 
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "checkpoint/state_io.hpp"
+#include "core/server_table.hpp"
 #include "core/types.hpp"
 
 namespace repl {
@@ -55,16 +55,25 @@ class OnlineCostEstimator {
   std::size_t requests_seen() const { return requests_seen_; }
 
   /// Checkpoint protocol: the accumulators and the seen-server set; λ is
-  /// construction state and only cross-checked.
+  /// construction state and only cross-checked. A record whose seen
+  /// count disagrees with its seen set fails to load.
   void save_state(StateWriter& out) const;
   void load_state(StateReader& in);
 
  private:
+  struct Seen {
+    bool seen = false;
+
+    void save(StateWriter& out) const { out.boolean(seen); }
+    void load(StateReader& in) { seen = in.boolean(); }
+  };
+
   double lambda_;
+  int num_servers_;
   double opt_l_ = 0.0;
   double allocated_ = 0.0;
   double last_global_time_ = 0.0;  // the dummy r0 arises at time 0
-  std::vector<bool> server_seen_;
+  ServerTable<Seen> server_seen_;
   std::size_t servers_seen_count_ = 0;
   std::size_t requests_seen_ = 0;
 };

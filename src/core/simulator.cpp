@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "core/server_table.hpp"
 #include "util/check.hpp"
 
 namespace repl {
@@ -39,59 +40,52 @@ struct EventLog {
 /// (the engine, checkpoints) needs only this scalar, and the segment
 /// list itself is kept only when there is a log to keep it in.
 ///
-/// Per-server state (open-segment begin, special-from time, holding bit)
-/// lives in one allocation: 2n doubles, then the holding bits.
+/// Per-server state (holding bit, open-segment begin, special-from time)
+/// lives in a ServerTable keyed by the servers that ever held a copy.
 class Recorder final : public EventSink {
  public:
   /// `log` (null: record nothing) must outlive the recorder.
   Recorder(const SystemConfig& config, EventLog* log, double billing_horizon)
-      : config_(config),
-        log_(log),
-        billing_horizon_(billing_horizon),
-        servers_(new double[2 * num_servers() + (num_servers() + 63) / 64]) {
-    for (std::size_t s = 0; s < num_servers(); ++s) {
-      open_begin(s) = 0.0;
-      open_special(s) = kInf;
-    }
-    std::fill_n(holding_bytes(), (num_servers() + 7) / 8, 0);
-  }
+      : config_(config), log_(log), billing_horizon_(billing_horizon) {}
 
   void set_billing_horizon(double horizon) { billing_horizon_ = horizon; }
 
   void on_create(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(!holding(server),
-                   "create at server already holding a copy");
-    set_holding(server, true);
+    Segment& seg = servers_.touch(server, config_.num_servers);
+    REPL_CHECK_MSG(!seg.holding, "create at server already holding a copy");
+    seg.holding = true;
     ++count_;
-    open_begin(static_cast<std::size_t>(server)) = time;
-    open_special(static_cast<std::size_t>(server)) = kInf;
+    seg.begin = time;
+    seg.special_from = kInf;
   }
 
   void on_drop(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(holding(server), "drop at server without a copy");
-    set_holding(server, false);
+    Segment* seg = held(server);
+    REPL_CHECK_MSG(seg != nullptr, "drop at server without a copy");
+    seg->holding = false;
     --count_;
     REPL_CHECK_MSG(count_ >= 1,
                    "at-least-one-copy requirement violated at t=" << time);
-    close_segment(server, time);
+    close_segment(server, *seg, time);
   }
 
   void on_mark_special(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(holding(server), "mark_special without a copy");
+    Segment* seg = held(server);
+    REPL_CHECK_MSG(seg != nullptr, "mark_special without a copy");
     REPL_CHECK_MSG(count_ == 1,
                    "special copy must be the only copy (Proposition 1)");
-    double& sf = open_special(static_cast<std::size_t>(server));
-    REPL_CHECK_MSG(sf == kInf, "copy marked special twice");
-    sf = time;
+    REPL_CHECK_MSG(seg->special_from == kInf, "copy marked special twice");
+    seg->special_from = time;
   }
 
   void on_transfer(int src, int dst, double time) override {
     check_time(time);
     REPL_CHECK_MSG(src != dst, "self-transfer");
-    REPL_CHECK_MSG(holding(src), "transfer from a server without a copy");
+    REPL_CHECK_MSG(held(src) != nullptr,
+                   "transfer from a server without a copy");
     ++transfer_count_;
     // Transfers after the cost horizon (e.g. post-trace home migrations
     // during the flush) are recorded but not billed.
@@ -103,22 +97,24 @@ class Recorder final : public EventSink {
 
   void on_set_duration(int server, double time, double duration) override {
     check_time(time);
-    REPL_CHECK(holding(server));
+    Segment* seg = held(server);
+    REPL_CHECK(seg != nullptr);
     REPL_CHECK(duration > 0.0);
     if (std::isnan(initial_intended_)) initial_intended_ = duration;
     // A renewed intended duration un-marks a special copy.
-    open_special(static_cast<std::size_t>(server)) = kInf;
+    seg->special_from = kInf;
   }
 
-  /// Closes all still-open segments with end = +inf. No further events
-  /// may follow.
+  /// Closes all still-open segments with end = +inf, in ascending server
+  /// order (the storage cost's summation order). No further events may
+  /// follow.
   void finish() {
-    for (int s = 0; s < config_.num_servers; ++s) {
-      if (holding(s)) {
-        close_segment(s, kInf);
-        set_holding(s, false);
+    servers_.for_each([this](int s, Segment& seg) {
+      if (seg.holding) {
+        close_segment(s, seg, kInf);
+        seg.holding = false;
       }
-    }
+    });
   }
 
   int count() const { return count_; }
@@ -141,12 +137,8 @@ class Recorder final : public EventSink {
     out.f64(last_time_);
     out.f64(initial_intended_);
     out.f64(storage_cost_);
-    out.u64(static_cast<std::uint64_t>(num_servers()));
-    for (std::size_t s = 0; s < num_servers(); ++s) {
-      out.boolean(holding(static_cast<int>(s)));
-      out.f64(open_begin(s));
-      out.f64(open_special(s));
-    }
+    out.u64(static_cast<std::uint64_t>(config_.num_servers));
+    servers_.save(out, config_.num_servers);
   }
 
   void load_state(StateReader& in) {
@@ -156,12 +148,10 @@ class Recorder final : public EventSink {
     last_time_ = in.f64();
     initial_intended_ = in.f64();
     storage_cost_ = in.f64();
-    if (in.u64() != num_servers()) in.fail("recorder server count mismatch");
-    for (std::size_t s = 0; s < num_servers(); ++s) {
-      set_holding(static_cast<int>(s), in.boolean());
-      open_begin(s) = in.f64();
-      open_special(s) = in.f64();
+    if (in.u64() != static_cast<std::uint64_t>(config_.num_servers)) {
+      in.fail("recorder server count mismatch");
     }
+    servers_.load(in, config_.num_servers);
     if (count_ < 1 || count_ > config_.num_servers) {
       in.fail("recorder copy count " + std::to_string(count_) +
               " out of range");
@@ -169,33 +159,30 @@ class Recorder final : public EventSink {
   }
 
  private:
-  std::size_t num_servers() const {
-    return static_cast<std::size_t>(config_.num_servers);
-  }
-  double& open_begin(std::size_t s) { return servers_[s]; }
-  double open_begin(std::size_t s) const { return servers_[s]; }
-  double& open_special(std::size_t s) { return servers_[num_servers() + s]; }
-  double open_special(std::size_t s) const {
-    return servers_[num_servers() + s];
-  }
-  /// The holding bits, one per server, after the 2n doubles.
-  unsigned char* holding_bytes() const {
-    return reinterpret_cast<unsigned char*>(servers_.get() +
-                                            2 * num_servers());
-  }
-  bool holding(int server) const {
+  /// One server's open copy segment; the defaults are an untouched
+  /// server. `begin` outlives the copy: the record keeps the last one.
+  struct Segment {
+    bool holding = false;
+    double begin = 0.0;
+    double special_from = kInf;
+
+    void save(StateWriter& out) const {
+      out.boolean(holding);
+      out.f64(begin);
+      out.f64(special_from);
+    }
+    void load(StateReader& in) {
+      holding = in.boolean();
+      begin = in.f64();
+      special_from = in.f64();
+    }
+  };
+
+  /// The segment of `server` if it holds a copy, else null.
+  Segment* held(int server) {
     REPL_CHECK(server >= 0 && server < config_.num_servers);
-    const auto s = static_cast<unsigned>(server);
-    const unsigned byte = holding_bytes()[s / 8];
-    return ((byte >> (s % 8)) & 1u) != 0;
-  }
-  void set_holding(int server, bool value) {
-    REPL_CHECK(server >= 0 && server < config_.num_servers);
-    const auto s = static_cast<unsigned>(server);
-    const auto bit = static_cast<unsigned char>(1u << (s % 8));
-    unsigned char& byte = holding_bytes()[s / 8];
-    byte = value ? static_cast<unsigned char>(byte | bit)
-                 : static_cast<unsigned char>(byte & ~bit);
+    Segment* seg = servers_.find(server);
+    return seg != nullptr && seg->holding ? seg : nullptr;
   }
 
   void check_time(double time) {
@@ -205,28 +192,27 @@ class Recorder final : public EventSink {
     last_time_ = time;
   }
 
-  void close_segment(int server, double end) {
-    const auto s = static_cast<std::size_t>(server);
+  void close_segment(int server, Segment& seg, double end) {
     // Bill the segment's storage as it closes. `billing_horizon_` is +inf
     // until finish() pins it, and every in-run close happens at or before
     // the final request time, so capping here computes the same value the
     // final horizon would — in the same operation order as a post-hoc
     // sweep, keeping costs bit-identical to the pre-streaming code path.
     const double capped = std::min(end, billing_horizon_);
-    if (capped > open_begin(s)) {
-      storage_cost_ += config_.storage_rate(server) * (capped - open_begin(s));
+    if (capped > seg.begin) {
+      storage_cost_ += config_.storage_rate(server) * (capped - seg.begin);
     }
     if (log_ != nullptr) {
       log_->segments.push_back(
-          CopySegment{server, open_begin(s), open_special(s), end});
+          CopySegment{server, seg.begin, seg.special_from, end});
     }
-    open_special(s) = kInf;
+    seg.special_from = kInf;
   }
 
   const SystemConfig& config_;
   EventLog* log_;
   double billing_horizon_;
-  std::unique_ptr<double[]> servers_;
+  ServerTable<Segment> servers_;
   int count_ = 0;
   std::size_t transfer_count_ = 0;
   std::size_t billed_transfer_count_ = 0;
@@ -419,9 +405,9 @@ SimulationResult OnlineSimulation::finish() {
   // The flush window is bounded because some policies (e.g. Wang et al.'s
   // home renewal) re-arm expiries forever; two maximum TTLs past the end
   // is enough to expose every copy's fate under all implemented policies.
-  double min_rate = 1.0;
-  for (int s = 0; s < im.config.num_servers; ++s) {
-    min_rate = std::min(min_rate, im.config.storage_rate(s));
+  double min_rate = 1.0;  // every server's rate when none are listed
+  for (const double rate : im.config.storage_rates) {
+    min_rate = std::min(min_rate, rate);
   }
   const double flush_time = std::max(horizon, im.last_request_time) +
                             4.0 * lambda / min_rate + 1.0;

@@ -15,7 +15,9 @@
 //     record positions (linear probing, load at most 3/4, hashed with a
 //     mix independent of the shard's). A shard allocates nothing until
 //     its first object; an object costs one record plus its policy,
-//     predictor and simulation state (~1.5 KB in all at 10 servers);
+//     predictor and simulation state, whose per-server entries cover
+//     only the servers it touched (core/server_table.hpp; ~0.8 KB in
+//     all on perfbench's replay-1m, where an object touches 2.5 of 10);
 //   * an event batcher: ingest() routes a time-ordered batch to per-shard
 //     inboxes and executes the non-empty shards in parallel on the
 //     work-stealing ThreadPool. Within a shard events stay in stream

@@ -28,56 +28,43 @@ double opt_lower_bound(const SystemConfig& config, const Trace& trace) {
   return bound;
 }
 
-namespace {
-
-/// Validates before the initializer list sizes the per-server vector
-/// from config.num_servers.
-const SystemConfig& validated(const SystemConfig& config) {
-  config.validate();
-  return config;
-}
-
-}  // namespace
-
 StreamingLowerBound::StreamingLowerBound(const SystemConfig& config)
-    : lambda_(validated(config).transfer_cost),
-      last_at_server_(static_cast<std::size_t>(config.num_servers),
-                      -std::numeric_limits<double>::infinity()) {
+    : lambda_(config.transfer_cost), num_servers_(config.num_servers) {
+  config.validate();
   for (double r : config.storage_rates) {
     REPL_REQUIRE_MSG(r == 1.0,
                      "OPTL is derived for uniform unit storage rates");
   }
-  last_at_server_[static_cast<std::size_t>(config.initial_server)] = 0.0;
+  last_at_server_.touch(config.initial_server, num_servers_).time = 0.0;
 }
 
 void StreamingLowerBound::save_state(StateWriter& out) const {
   out.f64(lambda_);
   out.f64(prev_global_);
   out.f64(bound_);
-  out.u64(static_cast<std::uint64_t>(last_at_server_.size()));
-  for (const double t : last_at_server_) out.f64(t);
+  out.u64(static_cast<std::uint64_t>(num_servers_));
+  last_at_server_.save(out, num_servers_);
 }
 
 void StreamingLowerBound::load_state(StateReader& in) {
   if (in.f64() != lambda_) in.fail("lower bound lambda mismatch");
   prev_global_ = in.f64();
   bound_ = in.f64();
-  if (in.u64() != last_at_server_.size()) {
+  if (in.u64() != static_cast<std::uint64_t>(num_servers_)) {
     in.fail("lower bound server count mismatch");
   }
-  for (double& t : last_at_server_) t = in.f64();
+  last_at_server_.load(in, num_servers_);
 }
 
 void StreamingLowerBound::step(int server, double time) {
-  REPL_REQUIRE(server >= 0 &&
-               static_cast<std::size_t>(server) < last_at_server_.size());
-  const auto s = static_cast<std::size_t>(server);
-  const double gap_same = time - last_at_server_[s];
+  REPL_REQUIRE(server >= 0 && server < num_servers_);
+  double& last = last_at_server_.touch(server, num_servers_).time;
+  const double gap_same = time - last;
   bound_ += (gap_same > lambda_) ? lambda_ : gap_same;
   const double gap_global = time - prev_global_;
   if (gap_global > lambda_) bound_ += gap_global - lambda_;
   prev_global_ = time;
-  last_at_server_[s] = time;
+  last = time;
 }
 
 }  // namespace repl

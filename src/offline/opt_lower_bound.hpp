@@ -16,9 +16,10 @@
 // does not already count. Valid for uniform storage rates (rate 1).
 #pragma once
 
-#include <vector>
+#include <limits>
 
 #include "checkpoint/state_io.hpp"
+#include "core/server_table.hpp"
 #include "core/types.hpp"
 #include "trace/trace.hpp"
 
@@ -39,17 +40,26 @@ class StreamingLowerBound {
 
   double value() const { return bound_; }
 
-  /// Checkpoint protocol: the accumulator and per-server clocks; λ is
-  /// construction state and only cross-checked.
+  /// Checkpoint protocol: the accumulator and the last request time of
+  /// every server, untouched ones included; λ is construction state and
+  /// only cross-checked.
   void save_state(StateWriter& out) const;
   void load_state(StateReader& in);
 
  private:
+  /// Last request time at a server; -inf until its first request (so a
+  /// first request contributes λ via an infinite same-server gap).
+  struct LastRequest {
+    double time = -std::numeric_limits<double>::infinity();
+
+    void save(StateWriter& out) const { out.f64(time); }
+    void load(StateReader& in) { time = in.f64(); }
+  };
+
   double lambda_;
-  /// Last request time per server; the dummy r0 at time 0 seeds the
-  /// initial server, -inf elsewhere (so a first request contributes λ
-  /// via an infinite same-server gap).
-  std::vector<double> last_at_server_;
+  int num_servers_;
+  /// The dummy r0 at time 0 seeds the initial server.
+  ServerTable<LastRequest> last_at_server_;
   double prev_global_ = 0.0;
   double bound_ = 0.0;
 };

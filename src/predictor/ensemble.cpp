@@ -1,5 +1,8 @@
 #include "predictor/ensemble.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/check.hpp"
 #include "util/format.hpp"
 
@@ -9,6 +12,9 @@ EnsemblePredictor::EnsemblePredictor(
     std::vector<std::shared_ptr<Predictor>> experts, Config config)
     : experts_(std::move(experts)), config_(config) {
   REPL_REQUIRE_MSG(!experts_.empty(), "ensemble needs at least one expert");
+  REPL_REQUIRE_MSG(experts_.size() <= kMaxExperts,
+                   "ensemble takes at most " << kMaxExperts << " experts, got "
+                                             << experts_.size());
   for (const auto& expert : experts_) REPL_REQUIRE(expert != nullptr);
   REPL_REQUIRE(config.penalty > 0.0 && config.penalty <= 1.0);
   weights_.assign(experts_.size(), 1.0);
@@ -18,26 +24,25 @@ void EnsemblePredictor::reset() {
   for (auto& expert : experts_) expert->reset();
   weights_.assign(experts_.size(), 1.0);
   pending_.clear();
+  pending_extent_ = 0;
 }
 
 Prediction EnsemblePredictor::predict(const PredictionQuery& query) {
-  if (pending_.empty()) {
-    // Sized lazily: server ids are discovered from queries.
-    pending_.resize(16);
-  }
-  if (static_cast<std::size_t>(query.server) >= pending_.size()) {
-    pending_.resize(static_cast<std::size_t>(query.server) + 1);
-  }
+  REPL_REQUIRE(query.server >= 0);
+  // Server ids are discovered from queries.
+  if (pending_extent_ == 0) pending_extent_ = 16;
+  const auto server = static_cast<std::uint32_t>(query.server);
+  if (server >= pending_extent_) pending_extent_ = server + 1;
 
   // Score the pending votes for this server: the gap since the previous
   // prediction is now known.
-  PendingVote& pending = pending_[static_cast<std::size_t>(query.server)];
+  PendingVote& pending =
+      pending_.touch(query.server, static_cast<int>(pending_extent_));
   if (config_.penalty < 1.0 && pending.time >= 0.0) {
     const bool truth_within = (query.time - pending.time) <= query.lambda;
     for (std::size_t e = 0; e < experts_.size(); ++e) {
-      if (pending.votes[e] != truth_within) {
-        weights_[e] *= config_.penalty;
-      }
+      const bool voted_within = ((unsigned{pending.votes} >> e) & 1u) != 0;
+      if (voted_within != truth_within) weights_[e] *= config_.penalty;
     }
     // Keep weights away from total collapse (renormalize to max 1).
     double max_weight = 0.0;
@@ -47,27 +52,34 @@ Prediction EnsemblePredictor::predict(const PredictionQuery& query) {
   }
 
   // Collect fresh votes and take the weighted majority.
-  std::vector<bool> votes(experts_.size());
+  unsigned votes = 0;
   double within_weight = 0.0, beyond_weight = 0.0;
   for (std::size_t e = 0; e < experts_.size(); ++e) {
     const bool vote = experts_[e]->predict(query).within_lambda;
-    votes[e] = vote;
+    if (vote) votes |= 1u << e;
     (vote ? within_weight : beyond_weight) += weights_[e];
   }
   pending.time = query.time;
-  pending.votes = std::move(votes);
+  pending.votes = static_cast<std::uint16_t>(votes);
+  pending.has_votes = true;
   return Prediction{within_weight > beyond_weight};
 }
 
 void EnsemblePredictor::save_state(StateWriter& out) const {
-  out.u64(static_cast<std::uint64_t>(experts_.size()));
+  const std::size_t experts = experts_.size();
+  out.u64(static_cast<std::uint64_t>(experts));
   for (const double w : weights_) out.f64(w);
-  out.u64(static_cast<std::uint64_t>(pending_.size()));
-  for (const PendingVote& pending : pending_) {
-    out.f64(pending.time);
-    out.u64(static_cast<std::uint64_t>(pending.votes.size()));
-    for (const bool vote : pending.votes) out.boolean(vote);
-  }
+  out.u64(pending_extent_);
+  pending_.for_each_server(
+      static_cast<int>(pending_extent_),
+      [&out, experts](int, const PendingVote& pending) {
+        out.f64(pending.time);
+        out.u64(pending.has_votes ? experts : 0);
+        if (!pending.has_votes) return;
+        for (std::size_t e = 0; e < experts; ++e) {
+          out.boolean(((unsigned{pending.votes} >> e) & 1u) != 0);
+        }
+      });
   for (const auto& expert : experts_) expert->save_state(out);
 }
 
@@ -76,11 +88,20 @@ void EnsemblePredictor::load_state(StateReader& in) {
     in.fail("ensemble expert count mismatch");
   }
   for (double& w : weights_) w = in.f64();
-  pending_.assign(static_cast<std::size_t>(in.u64()), PendingVote{});
-  for (PendingVote& pending : pending_) {
+  // Every listed server takes at least 16 bytes of the record.
+  const std::uint64_t extent = in.u64();
+  if (extent > in.remaining() / 16) {
+    in.fail("ensemble pending extent " + std::to_string(extent) +
+            " exceeds the record");
+  }
+  pending_.clear();
+  pending_extent_ = static_cast<std::uint32_t>(extent);
+  const PendingVote untouched;
+  for (std::uint32_t s = 0; s < pending_extent_; ++s) {
+    PendingVote pending;
     pending.time = in.f64();
     // A scored entry always carries one vote per expert; anything else is
-    // corruption, and predict() would index votes out of bounds.
+    // corruption, and predict() would score votes that were never cast.
     const std::uint64_t num_votes = in.u64();
     if (num_votes != 0 && num_votes != experts_.size()) {
       in.fail("ensemble pending vote count " + std::to_string(num_votes) +
@@ -89,9 +110,14 @@ void EnsemblePredictor::load_state(StateReader& in) {
     if (pending.time >= 0.0 && num_votes != experts_.size()) {
       in.fail("ensemble pending entry has a timestamp but no votes");
     }
-    pending.votes.resize(static_cast<std::size_t>(num_votes));
-    for (std::size_t v = 0; v < pending.votes.size(); ++v) {
-      pending.votes[v] = in.boolean();
+    pending.has_votes = num_votes != 0;
+    for (std::uint64_t e = 0; e < num_votes; ++e) {
+      if (in.boolean()) pending.votes |= static_cast<std::uint16_t>(1u << e);
+    }
+    if (pending.has_votes ||
+        std::bit_cast<std::uint64_t>(pending.time) !=
+            std::bit_cast<std::uint64_t>(untouched.time)) {
+      pending_.touch(static_cast<int>(s), static_cast<int>(extent)) = pending;
     }
   }
   for (const auto& expert : experts_) expert->load_state(in);

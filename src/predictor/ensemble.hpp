@@ -9,9 +9,11 @@
 // when the *next* request at the same server reveals the gap.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "core/server_table.hpp"
 #include "predictor/predictor.hpp"
 
 namespace repl {
@@ -24,7 +26,12 @@ class EnsemblePredictor final : public Predictor {
     double penalty = 0.5;
   };
 
-  /// Takes shared ownership of the experts; initial weights default to 1.
+  /// Votes are kept as a bitmask, one bit per expert; the registry
+  /// takes its limit on an ensemble's children from here.
+  static constexpr std::size_t kMaxExperts = 16;
+
+  /// Takes shared ownership of 1..kMaxExperts experts; initial weights
+  /// default to 1.
   EnsemblePredictor(std::vector<std::shared_ptr<Predictor>> experts,
                     Config config);
   explicit EnsemblePredictor(
@@ -42,16 +49,22 @@ class EnsemblePredictor final : public Predictor {
   const std::vector<double>& weights() const { return weights_; }
 
  private:
+  /// A server's last issued votes; the defaults are an untouched server.
   struct PendingVote {
     double time = -1.0;  // when the scored prediction was issued
-    std::vector<bool> votes;
+    std::uint16_t votes = 0;  // bit e: expert e forecast "within"
+    bool has_votes = false;
   };
 
   std::vector<std::shared_ptr<Predictor>> experts_;
   Config config_;
   std::vector<double> weights_;
-  /// Last issued per-expert votes per server, awaiting ground truth.
-  std::vector<PendingVote> pending_;
+  /// Last issued per-expert votes per queried server, awaiting ground
+  /// truth.
+  ServerTable<PendingVote> pending_;
+  /// Servers the checkpoint record lists: 0 before the first query, then
+  /// at least 16 and past the highest queried server.
+  std::uint32_t pending_extent_ = 0;
 };
 
 }  // namespace repl

@@ -12,13 +12,11 @@ HistoryPredictor::HistoryPredictor(int num_servers, Config config)
   reset();
 }
 
-void HistoryPredictor::reset() {
-  state_.assign(static_cast<std::size_t>(num_servers_), ServerState{});
-}
+void HistoryPredictor::reset() { state_.clear(); }
 
 Prediction HistoryPredictor::predict(const PredictionQuery& query) {
   REPL_REQUIRE(query.server >= 0 && query.server < num_servers_);
-  ServerState& st = state_[static_cast<std::size_t>(query.server)];
+  ServerState& st = state_.touch(query.server, num_servers_);
   if (st.last_time >= 0.0) {
     const double gap = query.time - st.last_time;
     REPL_CHECK_MSG(gap >= 0.0, "history predictor fed out-of-order times");
@@ -34,25 +32,19 @@ Prediction HistoryPredictor::predict(const PredictionQuery& query) {
 
 void HistoryPredictor::save_state(StateWriter& out) const {
   out.u32(static_cast<std::uint32_t>(num_servers_));
-  for (const ServerState& st : state_) {
-    out.f64(st.last_time);
-    out.f64(st.ewma);
-  }
+  state_.save(out, num_servers_);
 }
 
 void HistoryPredictor::load_state(StateReader& in) {
   if (in.u32() != static_cast<std::uint32_t>(num_servers_)) {
     in.fail("history predictor server count mismatch");
   }
-  for (ServerState& st : state_) {
-    st.last_time = in.f64();
-    st.ewma = in.f64();
-  }
+  state_.load(in, num_servers_);
 }
 
 double HistoryPredictor::ewma(int server) const {
   REPL_REQUIRE(server >= 0 && server < num_servers_);
-  return state_[static_cast<std::size_t>(server)].ewma;
+  return state_.get(server).ewma;
 }
 
 }  // namespace repl

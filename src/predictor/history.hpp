@@ -11,8 +11,7 @@
 // (see the cdn_workload example).
 #pragma once
 
-#include <vector>
-
+#include "core/server_table.hpp"
 #include "predictor/predictor.hpp"
 
 namespace repl {
@@ -39,14 +38,24 @@ class HistoryPredictor final : public Predictor {
   double ewma(int server) const;
 
  private:
+  /// One server's history; the defaults are an untouched server.
   struct ServerState {
     double last_time = -1.0;  // time of previous request; <0 if none
     double ewma = -1.0;       // <0 until the first gap is observed
+
+    void save(StateWriter& out) const {
+      out.f64(last_time);
+      out.f64(ewma);
+    }
+    void load(StateReader& in) {
+      last_time = in.f64();
+      ewma = in.f64();
+    }
   };
 
   int num_servers_;
   Config config_;
-  std::vector<ServerState> state_;
+  ServerTable<ServerState> state_;
 };
 
 }  // namespace repl

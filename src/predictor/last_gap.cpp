@@ -10,34 +10,36 @@ LastGapPredictor::LastGapPredictor(int num_servers, bool default_within)
   reset();
 }
 
-void LastGapPredictor::reset() {
-  state_.assign(static_cast<std::size_t>(num_servers_), ServerState{});
+void LastGapPredictor::reset() { state_.clear(); }
+
+void LastGapPredictor::ServerState::save(StateWriter& out) const {
+  out.f64(last_time);
+  out.i32(last_class);
+}
+
+void LastGapPredictor::ServerState::load(StateReader& in) {
+  last_time = in.f64();
+  last_class = in.i32();
+  if (last_class < -1 || last_class > 1) {
+    in.fail("last-gap class out of range");
+  }
 }
 
 void LastGapPredictor::save_state(StateWriter& out) const {
   out.u32(static_cast<std::uint32_t>(num_servers_));
-  for (const ServerState& st : state_) {
-    out.f64(st.last_time);
-    out.i32(st.last_class);
-  }
+  state_.save(out, num_servers_);
 }
 
 void LastGapPredictor::load_state(StateReader& in) {
   if (in.u32() != static_cast<std::uint32_t>(num_servers_)) {
     in.fail("last-gap predictor server count mismatch");
   }
-  for (ServerState& st : state_) {
-    st.last_time = in.f64();
-    st.last_class = in.i32();
-    if (st.last_class < -1 || st.last_class > 1) {
-      in.fail("last-gap class out of range");
-    }
-  }
+  state_.load(in, num_servers_);
 }
 
 Prediction LastGapPredictor::predict(const PredictionQuery& query) {
   REPL_REQUIRE(query.server >= 0 && query.server < num_servers_);
-  ServerState& st = state_[static_cast<std::size_t>(query.server)];
+  ServerState& st = state_.touch(query.server, num_servers_);
   if (st.last_time >= 0.0) {
     const double gap = query.time - st.last_time;
     REPL_CHECK_MSG(gap >= 0.0, "last-gap predictor fed out-of-order times");

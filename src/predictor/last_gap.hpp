@@ -5,8 +5,7 @@
 // a useful contrast to the EWMA predictor in the benches.
 #pragma once
 
-#include <vector>
-
+#include "core/server_table.hpp"
 #include "predictor/predictor.hpp"
 
 namespace repl {
@@ -22,14 +21,18 @@ class LastGapPredictor final : public Predictor {
   void load_state(StateReader& in) override;
 
  private:
+  /// One server's history; the defaults are an untouched server.
   struct ServerState {
     double last_time = -1.0;
     int last_class = -1;  // -1 unknown, 0 beyond, 1 within
+
+    void save(StateWriter& out) const;
+    void load(StateReader& in);
   };
 
   int num_servers_;
   bool default_within_;
-  std::vector<ServerState> state_;
+  ServerTable<ServerState> state_;
 };
 
 }  // namespace repl

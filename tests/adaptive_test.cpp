@@ -1,6 +1,9 @@
 // Tests for the Section-8 machinery: the OnlineCostEstimator and the
 // adapted Algorithm 1 with bounded robustness 2 + beta.
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +198,45 @@ TEST(AdaptiveDrwp, CloneCarriesMonitorState) {
   auto* cloned = dynamic_cast<AdaptiveDrwpPolicy*>(clone.get());
   ASSERT_NE(cloned, nullptr);
   EXPECT_DOUBLE_EQ(cloned->monitored_ratio(), policy.monitored_ratio());
+}
+
+/// The monitor's OnlineU charges 2λ per seen server from the stored
+/// count, so a record whose count disagrees with its seen set must not
+/// restore: the resumed policy's fallback decisions would diverge.
+TEST(AdaptiveDrwp, RestoreRejectsASeenCountThatDisagreesWithItsSet) {
+  const SystemConfig config = make_config(4, 10.0);
+  AdaptiveDrwpPolicy::Options options;
+  options.warmup_requests = 0;
+  NullEventSink sink;
+  AdaptiveDrwpPolicy policy(0.5, options);
+  policy.reset(config, Prediction{false}, sink);
+  policy.advance_to(3.0, sink);
+  policy.on_request(1, 3.0, Prediction{false}, sink);
+  policy.advance_to(5.0, sink);
+  policy.on_request(2, 5.0, Prediction{true}, sink);  // seen: 0, 1, 2
+  StateWriter out;
+  policy.save_state(out);
+  std::vector<unsigned char> bytes = out.release();
+
+  const auto restore = [&](const std::vector<unsigned char>& record) {
+    AdaptiveDrwpPolicy restored(0.5, options);
+    restored.reset(config, Prediction{false}, sink);
+    StateReader in(record.data(), record.size(), "adaptive");
+    restored.load_state(in);
+    in.expect_end();
+    return restored.monitored_ratio();
+  };
+  EXPECT_EQ(restore(bytes), policy.monitored_ratio());
+
+  // The estimator's record ends with the seen count, the request count,
+  // the server count and one seen flag per server.
+  const std::size_t count_at = bytes.size() - (4 + 3 * 8);
+  ASSERT_EQ(bytes[count_at], 3);
+  bytes[count_at] = 2;
+  EXPECT_THROW(restore(bytes), std::runtime_error);
+  bytes[count_at] = 3;
+  bytes[bytes.size() - 1] = 1;  // server 3 seen, count still 3
+  EXPECT_THROW(restore(bytes), std::runtime_error);
 }
 
 TEST(AdaptiveDrwp, NameReflectsParameters) {

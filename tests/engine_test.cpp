@@ -3,8 +3,12 @@
 // batch Simulator serially in object-id order — for 1, 4, and
 // hardware-concurrency threads, across shard counts, including randomized
 // per-object components seeded from the object id.
+#include <malloc.h>
+
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -14,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/experiment.hpp"
 #include "core/drwp.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
@@ -163,6 +168,19 @@ std::vector<LogEvent> read_all(const std::string& path) {
   LogEvent event;
   while (reader.next(event)) events.push_back(event);
   return events;
+}
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Allocator bytes in use: mallinfo2 uordblks + hblkhd, the measure
+/// bench_engine and the repository benchmark take per object.
+std::uint64_t heap_in_use() {
+  const struct mallinfo2 info = ::mallinfo2();
+  return static_cast<std::uint64_t>(info.uordblks) +
+         static_cast<std::uint64_t>(info.hblkhd);
 }
 
 /// Serves the log at `log_path` on a fresh engine (stats optionally
@@ -588,6 +606,148 @@ TEST_F(EngineTest, ObjectTableGrowsUnderCollidingIds) {
     expect_metrics(resumed->finish(&resumed_finals));
     expect_finals_equal(resumed_finals, ref);
   }
+}
+
+/// Aggregates pinned as hexfloats from the dense per-server layout that
+/// preceded the touched-server tables. Every parity test above compares
+/// the engine with Simulator, which shares the per-object classes, so a
+/// bit those classes change would move both sides; these goldens do not
+/// move. Each DRWP-family policy and each causal predictor runs at least
+/// once, at 10 and at 100 servers (objects touch few servers at 100, so
+/// the sparse tables and their switch to direct indexing both run), over
+/// the whole log and resumed from a mid-log checkpoint.
+TEST_F(EngineTest, GoldenAggregatesMatchTheDenseLayout) {
+  struct Golden {
+    const char* policy;
+    const char* predictor;
+    int servers;
+    bool weighted_rates;
+    std::size_t objects;
+    std::size_t events;
+    std::size_t num_local;
+    std::size_t num_transfers;
+    double online_cost;
+    double lower_bound;
+  };
+  const Golden goldens[] = {
+      {"drwp(alpha=0.3)", "last_gap", 10, false, 300, 20000, 4914, 15086,
+       0x1.8611b163515b3p+20, 0x1.682a082e7c281p+20},
+      {"drwp(alpha=0.3)", "last_gap", 100, false, 300, 20000, 1776, 18224,
+       0x1.8d340e32e46e1p+20, 0x1.6b5d2c3613b87p+20},
+      {"conventional", "history(ewma=0.3)", 10, false, 300, 20000, 5652,
+       14348, 0x1.8b269201b8865p+20, 0x1.682a082e7c281p+20},
+      {"conventional", "history(ewma=0.3)", 100, false, 300, 20000, 2224,
+       17776, 0x1.96b6559be213p+20, 0x1.6b5d2c3613b87p+20},
+      {"adaptive(alpha=1.5)", "ensemble(last_gap,history(ewma=0.3))", 10,
+       false, 300, 20000, 6209, 13791, 0x1.906dba5e64e46p+20,
+       0x1.682a082e7c281p+20},
+      {"adaptive(alpha=1.5)", "ensemble(last_gap,history(ewma=0.3))", 100,
+       false, 300, 20000, 2346, 17654, 0x1.9bbd6c0daa639p+20,
+       0x1.6b5d2c3613b87p+20},
+      {"randomized(alpha=0.1)", "fixed(within=false)", 10, false, 300, 20000,
+       3731, 16269, 0x1.852b73f374269p+20, 0x1.682a082e7c281p+20},
+      {"randomized(alpha=0.1)", "fixed(within=false)", 100, false, 300,
+       20000, 1273, 18727, 0x1.8b2ffbf0e2f4p+20, 0x1.6b5d2c3613b87p+20},
+      {"weighted(alpha=0.3)", "last_gap", 10, true, 300, 20000, 4782, 15218,
+       0x1.066cfcf3e7082p+21, 0.0},
+      {"weighted(alpha=0.3)", "last_gap", 100, true, 300, 20000, 1741, 18259,
+       0x1.24380d9f3de46p+21, 0.0},
+  };
+  for (const int servers : {10, 100}) {
+    StreamWorkloadConfig workload;
+    workload.num_objects = 300;
+    workload.num_servers = servers;
+    workload.rate = 4.0;
+    workload.max_events = 20000;
+    const std::string log = temp_path("golden_" + std::to_string(servers));
+    ASSERT_EQ(generate_event_log(workload, 20, log), 20000u);
+    const std::vector<LogEvent> events = read_all(log);
+    const std::size_t cut = events.size() / 2;
+
+    for (const Golden& golden : goldens) {
+      if (golden.servers != servers) continue;
+      SCOPED_TRACE(std::string(golden.policy) + " + " + golden.predictor +
+                   " at " + std::to_string(servers) + " servers");
+      SystemConfig config = engine_config(servers);
+      EngineOptions options;
+      options.num_shards = 7;
+      options.num_threads = 2;
+      if (golden.weighted_rates) {
+        for (int s = 0; s < servers; ++s) {
+          config.storage_rates.push_back(1.0 + 0.25 * (s % 7));
+        }
+        options.compute_lower_bound = false;
+      }
+      EngineBuilder builder;
+      builder.config(config).options(options);
+      builder.policy(golden.policy).predictor(golden.predictor);
+      const auto expect_golden = [&](const EngineMetrics& metrics) {
+        EXPECT_EQ(metrics.objects, golden.objects);
+        EXPECT_EQ(metrics.events, golden.events);
+        EXPECT_EQ(metrics.num_local, golden.num_local);
+        EXPECT_EQ(metrics.num_transfers, golden.num_transfers);
+        EXPECT_EQ(metrics.online_cost, golden.online_cost);
+        EXPECT_EQ(metrics.lower_bound, golden.lower_bound);
+      };
+
+      auto whole = builder.build();
+      whole->ingest(events);
+      expect_golden(whole->finish());
+
+      const std::string ckpt = temp_path("golden.ckpt");
+      {
+        auto first = builder.build();
+        first->ingest(events.data(), cut);
+        first->checkpoint(ckpt);
+      }
+      auto resumed = builder.restore(ckpt);
+      // The restored tables re-checkpoint the dense record byte for byte.
+      const std::string again = temp_path("golden_again.ckpt");
+      resumed->checkpoint(again);
+      EXPECT_EQ(read_bytes(again), read_bytes(ckpt));
+      resumed->ingest(events.data() + cut, events.size() - cut);
+      expect_golden(resumed->finish());
+    }
+  }
+}
+
+
+/// An object's state follows the servers it touches, not the fleet: 64
+/// objects that each touch 3 servers (the initial one and two others)
+/// hold at most twice the heap bytes per object at 10,000 servers as at
+/// 10.
+TEST_F(EngineTest, PerObjectMemoryDoesNotFollowTheFleet) {
+  std::vector<LogEvent> events;
+  double t = 0.0;
+  for (int round = 0; round < 4; ++round) {
+    for (std::uint64_t id = 0; id < 64; ++id) {
+      const auto first = static_cast<std::uint32_t>(1 + id % 4);
+      events.push_back(LogEvent{t += 1.0, id, round % 2 == 0 ? first
+                                                             : first + 4});
+    }
+  }
+  const auto bytes_per_object = [&events](int num_servers) {
+    EngineOptions options;
+    options.num_shards = 1;
+    options.num_threads = 1;
+    const std::uint64_t before = heap_in_use();
+    StreamingEngine engine(engine_config(num_servers), options,
+                           drwp_factory(), last_gap_factory(num_servers));
+    engine.ingest(events);
+    EXPECT_EQ(engine.object_count(), 64u);
+    return (static_cast<double>(heap_in_use()) -
+            static_cast<double>(before)) /
+           64.0;
+  };
+  const double at_10 = bytes_per_object(10);
+  const double at_10000 = bytes_per_object(10000);
+  if (at_10 <= 0.0 || at_10000 <= 0.0) {
+    GTEST_SKIP() << "the allocator reports no heap growth (" << at_10
+                 << " and " << at_10000
+                 << " B/object); a sanitizer's allocator hides it";
+  }
+  EXPECT_LE(at_10000, 2.0 * at_10)
+      << at_10 << " B/object at 10 servers, " << at_10000 << " at 10,000";
 }
 
 }  // namespace

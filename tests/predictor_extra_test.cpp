@@ -93,6 +93,11 @@ TEST(Ensemble, RejectsBadConfig) {
   bad.penalty = 0.0;
   EXPECT_THROW(EnsemblePredictor(std::move(one), bad),
                std::invalid_argument);
+  // Votes are one bit per expert.
+  std::vector<std::shared_ptr<Predictor>> many(
+      EnsemblePredictor::kMaxExperts + 1,
+      std::make_shared<OraclePredictor>(trace));
+  EXPECT_THROW(EnsemblePredictor{std::move(many)}, std::invalid_argument);
 }
 
 TEST(LastGap, PredictsPreviousClass) {
