@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                "existing --log is read in whatever format it is)");
   cli.add_bool_flag("compress",
                     "write snapshots with compressed object records "
-                    "(format v3, word codec)");
+                    "(word codec, codec 1)");
   cli.add_bool_flag("keep-log", "keep the generated log on disk");
   cli.add_flag("checkpoint-every", "0",
                "snapshot the engine every N events (0 = never)");

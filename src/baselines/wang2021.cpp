@@ -22,13 +22,12 @@ void Wang2021Policy::reset(const SystemConfig& config, const Prediction&,
                    "Wang et al. assume the object starts at the "
                    "minimum-storage-rate server (server "
                        << home_ << ")");
-  servers_.assign(static_cast<std::size_t>(config.num_servers),
-                  ServerState{});
+  servers_.clear();
   copy_count_ = 0;
   now_ = 0.0;
   expiries_ = {};
 
-  ServerState& s0 = servers_[static_cast<std::size_t>(home_)];
+  ServerState& s0 = servers_.touch(home_, config.num_servers);
   s0.has_copy = true;
   copy_count_ = 1;
   sink.on_create(home_, 0.0);
@@ -36,7 +35,7 @@ void Wang2021Policy::reset(const SystemConfig& config, const Prediction&,
 }
 
 void Wang2021Policy::arm_expiry(int server, double time, EventSink& sink) {
-  ServerState& st = servers_[static_cast<std::size_t>(server)];
+  ServerState& st = *servers_.find(server);
   REPL_CHECK(st.has_copy);
   st.expiry = time + ttl(server);
   ++st.generation;
@@ -47,7 +46,7 @@ void Wang2021Policy::arm_expiry(int server, double time, EventSink& sink) {
 void Wang2021Policy::purge_stale_heap() const {
   while (!expiries_.empty()) {
     const HeapEntry& top = expiries_.top();
-    const ServerState& st = servers_[static_cast<std::size_t>(top.server)];
+    const ServerState& st = *servers_.find(top.server);
     if (st.has_copy && st.generation == top.generation) return;
     expiries_.pop();
   }
@@ -60,7 +59,7 @@ double Wang2021Policy::next_transition_time() const {
 
 void Wang2021Policy::process_expiry(int server, double time,
                                     EventSink& sink) {
-  ServerState& st = servers_[static_cast<std::size_t>(server)];
+  ServerState& st = *servers_.find(server);
   REPL_CHECK(st.has_copy);
   if (copy_count_ > 1) {
     st.has_copy = false;
@@ -81,7 +80,7 @@ void Wang2021Policy::process_expiry(int server, double time,
   }
   // Held 2λ/µ(s) without a local request: migrate the object home.
   sink.on_transfer(server, home_, time);
-  ServerState& h = servers_[static_cast<std::size_t>(home_)];
+  ServerState& h = *servers_.find(home_);
   REPL_CHECK(!h.has_copy);
   h.has_copy = true;
   ++copy_count_;
@@ -115,19 +114,17 @@ ServeAction Wang2021Policy::on_request(int server, double time,
   REPL_CHECK_MSG(next_transition_time() >= time,
                  "advance_to(t) must run before on_request(t)");
 
-  ServerState& st = servers_[static_cast<std::size_t>(server)];
+  ServerState& st = servers_.touch(server, config_.num_servers);
   ServeAction action;
   if (st.has_copy) {
     action.local = true;
     action.source = server;
   } else {
+    // The lowest-indexed holder: entries are visited in ascending id.
     int source = -1;
-    for (int s = 0; s < config_.num_servers; ++s) {
-      if (s != server && servers_[static_cast<std::size_t>(s)].has_copy) {
-        source = s;
-        break;
-      }
-    }
+    servers_.for_each([&](int s, const ServerState& entry) {
+      if (source < 0 && s != server && entry.has_copy) source = s;
+    });
     REPL_CHECK_MSG(source >= 0, "no transfer source available");
     action.local = false;
     action.source = source;
@@ -145,7 +142,8 @@ ServeAction Wang2021Policy::on_request(int server, double time,
 
 bool Wang2021Policy::holds(int server) const {
   REPL_REQUIRE(server >= 0 && server < config_.num_servers);
-  return servers_[static_cast<std::size_t>(server)].has_copy;
+  const ServerState* st = servers_.find(server);
+  return st != nullptr && st->has_copy;
 }
 
 std::unique_ptr<ReplicationPolicy> Wang2021Policy::clone() const {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/policy.hpp"
+#include "core/server_table.hpp"
 
 namespace repl {
 
@@ -74,7 +75,8 @@ class Wang2021Policy final : public ReplicationPolicy {
 
   SystemConfig config_;
   int home_ = 0;
-  std::vector<ServerState> servers_;
+  /// Entries of the servers the object touched (home and requesters).
+  ServerTable<ServerState> servers_;
   int copy_count_ = 0;
   double now_ = 0.0;
   mutable std::priority_queue<HeapEntry, std::vector<HeapEntry>,

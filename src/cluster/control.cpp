@@ -1,7 +1,6 @@
 #include "cluster/control.hpp"
 
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -21,15 +20,6 @@ constexpr std::size_t kMetricsPrefixBytes = 16;  // trace_id + span_id
 
 std::uint32_t pack_aux(ControlType type, std::uint32_t count) {
   return (static_cast<std::uint32_t>(type) << 24) | count;
-}
-
-void append_frame(ControlType type, std::uint32_t count,
-                  const std::vector<unsigned char>& body,
-                  std::vector<unsigned char>& out) {
-  unsigned char frame[kBlockFrameBytes];
-  encode_block_frame(frame, pack_aux(type, count), body.data(), body.size());
-  out.insert(out.end(), frame, frame + kBlockFrameBytes);
-  out.insert(out.end(), body.begin(), body.end());
 }
 
 void store_f64(unsigned char* p, double v) {
@@ -77,7 +67,8 @@ void encode_control_hello(const ControlHello& hello,
   store_le32(body.data() + 12, hello.num_servers);
   store_le64(body.data() + 16, hello.resume_events);
   store_le64(body.data() + 24, hello.base_seed);
-  append_frame(ControlType::kHello, 0, body, out);
+  append_block_frame(out, pack_aux(ControlType::kHello, 0), body.data(),
+                     body.size());
 }
 
 void encode_control_progress(const ControlProgress& progress,
@@ -85,14 +76,16 @@ void encode_control_progress(const ControlProgress& progress,
   std::vector<unsigned char> body(kProgressBytes);
   store_le64(body.data() + 0, progress.events_ingested);
   store_le64(body.data() + 8, progress.batches);
-  append_frame(ControlType::kProgress, 0, body, out);
+  append_block_frame(out, pack_aux(ControlType::kProgress, 0), body.data(),
+                     body.size());
 }
 
 void encode_control_checkpoint(const ControlCheckpoint& checkpoint,
                                std::vector<unsigned char>& out) {
   std::vector<unsigned char> body(kCheckpointBytes);
   store_le64(body.data(), checkpoint.events_ingested);
-  append_frame(ControlType::kCheckpoint, 0, body, out);
+  append_block_frame(out, pack_aux(ControlType::kCheckpoint, 0), body.data(),
+                     body.size());
 }
 
 void encode_control_finals(const EngineObjectFinal* finals, std::size_t count,
@@ -110,8 +103,10 @@ void encode_control_finals(const EngineObjectFinal* finals, std::size_t count,
     store_f64(p + 32, finals[i].online_cost);
     store_f64(p + 40, finals[i].lower_bound);
   }
-  append_frame(ControlType::kFinals, static_cast<std::uint32_t>(count), body,
-               out);
+  append_block_frame(out,
+                     pack_aux(ControlType::kFinals,
+                              static_cast<std::uint32_t>(count)),
+                     body.data(), body.size());
 }
 
 void encode_control_summary(const ControlSummary& summary,
@@ -123,7 +118,8 @@ void encode_control_summary(const ControlSummary& summary,
   store_le64(body.data() + 24, summary.num_transfers);
   store_f64(body.data() + 32, summary.online_cost);
   store_f64(body.data() + 40, summary.lower_bound);
-  append_frame(ControlType::kSummary, 0, body, out);
+  append_block_frame(out, pack_aux(ControlType::kSummary, 0), body.data(),
+                     body.size());
 }
 
 void encode_control_metrics(const ControlMetrics& metrics,
@@ -136,146 +132,87 @@ void encode_control_metrics(const ControlMetrics& metrics,
                    "encoded metrics snapshot is "
                        << body.size() << " bytes, the control frame cap is "
                        << kMaxControlBodyBytes);
-  append_frame(ControlType::kMetrics,
-               static_cast<std::uint32_t>(metrics.samples.size()), body, out);
+  append_block_frame(
+      out,
+      pack_aux(ControlType::kMetrics,
+               static_cast<std::uint32_t>(metrics.samples.size())),
+      body.data(), body.size());
 }
 
 ClusterControlAssembler::ClusterControlAssembler(std::string name,
                                                  std::size_t max_body_bytes)
-    : name_(std::move(name)), max_body_bytes_(max_body_bytes) {
-  buffer_.resize(kControlHeaderBytes);
-}
-
-void ClusterControlAssembler::fail(const std::string& what) {
-  dead_ = true;
-  throw std::runtime_error(name_ + ": " + what + " (frame " +
-                           std::to_string(frames_) + ", byte offset " +
-                           std::to_string(offset_) + ")");
-}
+    : stream_(std::move(name), kControlHeaderBytes, max_body_bytes,
+              "control stream already failed",
+              "control payload CRC mismatch") {}
 
 void ClusterControlAssembler::feed(const unsigned char* data, std::size_t size,
                                    std::vector<ControlMessage>& out) {
-  if (dead_) {
-    throw std::runtime_error(name_ + ": control stream already failed");
-  }
-  try {
-    while (size > 0) {
-      const std::size_t take = std::min(target_ - pending_, size);
-      std::memcpy(buffer_.data() + pending_, data, take);
-      pending_ += take;
-      data += take;
-      size -= take;
-      offset_ += take;
-      if (pending_ < target_) return;
-      switch (state_) {
-        case State::kHeader:
-          finish_header();
-          break;
-        case State::kFrame:
-          finish_frame();
-          // A zero-length body completes instantly (the v2 wire's empty-
-          // trailing-frame case); the type check inside rejects it, but
-          // it must reject *now*, not hang at_boundary() forever.
-          if (state_ == State::kBody && target_ == 0) finish_body(out);
-          break;
-        case State::kBody:
-          finish_body(out);
-          break;
-      }
-    }
-  } catch (...) {
-    dead_ = true;
-    throw;
-  }
+  stream_.feed(
+      data, size, [this](const unsigned char* raw) { read_header(raw); },
+      [this, &out](const BlockFrameHeader& frame, const unsigned char* body,
+                   std::size_t body_size) {
+        decode_message(frame, body, body_size, out);
+      });
 }
 
-void ClusterControlAssembler::finish_header() {
-  if (load_le64(buffer_.data()) != kControlMagic) {
-    fail("bad control stream magic");
+void ClusterControlAssembler::read_header(const unsigned char* raw) {
+  if (load_le64(raw) != kControlMagic) {
+    stream_.fail("bad control stream magic");
   }
-  const std::uint32_t version = load_le32(buffer_.data() + 8);
+  const std::uint32_t version = load_le32(raw + 8);
   if (version != kControlVersion) {
-    fail("unsupported control stream version " + std::to_string(version));
+    stream_.fail("unsupported control stream version " +
+                 std::to_string(version));
   }
-  if (load_le32(buffer_.data() + 12) != 0) {
-    fail("control stream header reserved field is not zero");
+  if (load_le32(raw + 12) != 0) {
+    stream_.fail("control stream header reserved field is not zero");
   }
-  state_ = State::kFrame;
-  pending_ = 0;
-  target_ = kBlockFrameBytes;
-  if (buffer_.size() < kBlockFrameBytes) buffer_.resize(kBlockFrameBytes);
 }
 
-void ClusterControlAssembler::finish_frame() {
-  switch (parse_block_frame(buffer_.data(), frame_, max_body_bytes_)) {
-    case BlockFrameStatus::kOk:
-      break;
-    case BlockFrameStatus::kBadFrameCrc:
-      fail("frame CRC mismatch (corrupt frame header)");
-    case BlockFrameStatus::kImplausibleLength:
-      fail("implausible frame length " + std::to_string(frame_.body_len));
-  }
-  state_ = State::kBody;
-  pending_ = 0;
-  target_ = frame_.body_len;
-  if (buffer_.size() < target_) buffer_.resize(target_);
-}
-
-void ClusterControlAssembler::finish_body(std::vector<ControlMessage>& out) {
-  if (!verify_block_payload(frame_, buffer_.data(), pending_)) {
-    fail("control payload CRC mismatch");
-  }
-  const std::uint32_t raw_type = frame_.aux >> 24;
-  const std::uint32_t count = frame_.aux & 0x00ffffffu;
+void ClusterControlAssembler::decode_message(const BlockFrameHeader& frame,
+                                             const unsigned char* body,
+                                             std::size_t size,
+                                             std::vector<ControlMessage>& out) {
+  const std::uint32_t raw_type = frame.aux >> 24;
+  const std::uint32_t count = frame.aux & 0x00ffffffu;
   if (raw_type < 1 ||
       raw_type > static_cast<std::uint32_t>(ControlType::kMetrics)) {
-    fail("unknown control message type " + std::to_string(raw_type));
+    stream_.fail("unknown control message type " + std::to_string(raw_type));
   }
-  decode_message(static_cast<ControlType>(raw_type), count, out);
-  ++frames_;
-  state_ = State::kFrame;
-  pending_ = 0;
-  target_ = kBlockFrameBytes;
-}
-
-void ClusterControlAssembler::decode_message(ControlType type,
-                                             std::uint32_t count,
-                                             std::vector<ControlMessage>& out) {
-  const unsigned char* body = buffer_.data();
-  const std::size_t size = pending_;
+  const auto type = static_cast<ControlType>(raw_type);
   const auto require_size = [&](std::size_t expected) {
     if (size != expected) {
-      fail(std::string(control_type_name(type)) + " body is " +
-           std::to_string(size) + " bytes, expected " +
-           std::to_string(expected));
+      stream_.fail(std::string(control_type_name(type)) + " body is " +
+                   std::to_string(size) + " bytes, expected " +
+                   std::to_string(expected));
     }
   };
   const auto require_zero_count = [&] {
     if (count != 0) {
-      fail(std::string(control_type_name(type)) +
-           " frame declares item count " + std::to_string(count) +
-           " (only finals frames carry items)");
+      stream_.fail(std::string(control_type_name(type)) +
+                   " frame declares item count " + std::to_string(count) +
+                   " (only finals frames carry items)");
     }
   };
   if (summary_seen_) {
-    fail(std::string(control_type_name(type)) +
-         " after summary (summary is terminal)");
+    stream_.fail(std::string(control_type_name(type)) +
+                 " after summary (summary is terminal)");
   }
   if (!hello_seen_ && type != ControlType::kHello) {
-    fail(std::string(control_type_name(type)) +
-         " before hello (hello must open the stream)");
+    stream_.fail(std::string(control_type_name(type)) +
+                 " before hello (hello must open the stream)");
   }
   if (finals_seen_ && type != ControlType::kFinals &&
       type != ControlType::kSummary) {
-    fail(std::string(control_type_name(type)) +
-         " after finals began (only finals/summary may follow)");
+    stream_.fail(std::string(control_type_name(type)) +
+                 " after finals began (only finals/summary may follow)");
   }
 
   ControlMessage message;
   message.type = type;
   switch (type) {
     case ControlType::kHello: {
-      if (hello_seen_) fail("duplicate hello");
+      if (hello_seen_) stream_.fail("duplicate hello");
       require_zero_count();
       require_size(kHelloBytes);
       ControlHello hello;
@@ -285,13 +222,15 @@ void ClusterControlAssembler::decode_message(ControlType type,
       hello.num_servers = load_le32(body + 12);
       hello.resume_events = load_le64(body + 16);
       hello.base_seed = load_le64(body + 24);
-      if (hello.num_partitions < 1) fail("hello declares 0 partitions");
-      if (hello.partition_id >= hello.num_partitions) {
-        fail("hello partition id " + std::to_string(hello.partition_id) +
-             " out of range [0, " + std::to_string(hello.num_partitions) +
-             ")");
+      if (hello.num_partitions < 1) {
+        stream_.fail("hello declares 0 partitions");
       }
-      if (hello.num_servers < 1) fail("hello declares 0 servers");
+      if (hello.partition_id >= hello.num_partitions) {
+        stream_.fail("hello partition id " +
+                     std::to_string(hello.partition_id) + " out of range [0, " +
+                     std::to_string(hello.num_partitions) + ")");
+      }
+      if (hello.num_servers < 1) stream_.fail("hello declares 0 servers");
       hello_ = hello;
       hello_seen_ = true;
       progress_events_ = hello.resume_events;
@@ -306,14 +245,14 @@ void ClusterControlAssembler::decode_message(ControlType type,
       progress.events_ingested = load_le64(body + 0);
       progress.batches = load_le64(body + 8);
       if (progress.events_ingested < progress_events_) {
-        fail("progress regressed: " +
-             std::to_string(progress.events_ingested) + " events after " +
-             std::to_string(progress_events_));
+        stream_.fail("progress regressed: " +
+                     std::to_string(progress.events_ingested) +
+                     " events after " + std::to_string(progress_events_));
       }
       if (progress.batches < progress_batches_) {
-        fail("progress batch count regressed: " +
-             std::to_string(progress.batches) + " after " +
-             std::to_string(progress_batches_));
+        stream_.fail("progress batch count regressed: " +
+                     std::to_string(progress.batches) + " after " +
+                     std::to_string(progress_batches_));
       }
       progress_events_ = progress.events_ingested;
       progress_batches_ = progress.batches;
@@ -326,16 +265,16 @@ void ClusterControlAssembler::decode_message(ControlType type,
       ControlCheckpoint checkpoint;
       checkpoint.events_ingested = load_le64(body);
       if (checkpoint.events_ingested < checkpoint_events_) {
-        fail("checkpoint position regressed: " +
-             std::to_string(checkpoint.events_ingested) + " events after " +
-             std::to_string(checkpoint_events_));
+        stream_.fail("checkpoint position regressed: " +
+                     std::to_string(checkpoint.events_ingested) +
+                     " events after " + std::to_string(checkpoint_events_));
       }
       checkpoint_events_ = checkpoint.events_ingested;
       message.checkpoint = checkpoint;
       break;
     }
     case ControlType::kFinals: {
-      if (count < 1) fail("finals frame holds no records");
+      if (count < 1) stream_.fail("finals frame holds no records");
       require_size(static_cast<std::size_t>(count) *
                    kControlFinalsRecordBytes);
       message.finals.reserve(count);
@@ -349,9 +288,10 @@ void ClusterControlAssembler::decode_message(ControlType type,
         final.online_cost = load_f64(p + 32);
         final.lower_bound = load_f64(p + 40);
         if (finals_records_ > 0 && final.id <= last_final_id_) {
-          fail("finals id " + std::to_string(final.id) +
-               " does not increase past " + std::to_string(last_final_id_) +
-               " (finals must be id-sorted)");
+          stream_.fail("finals id " + std::to_string(final.id) +
+                       " does not increase past " +
+                       std::to_string(last_final_id_) +
+                       " (finals must be id-sorted)");
         }
         last_final_id_ = final.id;
         ++finals_records_;
@@ -371,9 +311,9 @@ void ClusterControlAssembler::decode_message(ControlType type,
       summary.online_cost = load_f64(body + 32);
       summary.lower_bound = load_f64(body + 40);
       if (summary.objects != finals_records_) {
-        fail("summary claims " + std::to_string(summary.objects) +
-             " objects but " + std::to_string(finals_records_) +
-             " finals records were streamed");
+        stream_.fail("summary claims " + std::to_string(summary.objects) +
+                     " objects but " + std::to_string(finals_records_) +
+                     " finals records were streamed");
       }
       summary_seen_ = true;
       message.summary = summary;
@@ -381,16 +321,17 @@ void ClusterControlAssembler::decode_message(ControlType type,
     }
     case ControlType::kMetrics: {
       if (size < kMetricsPrefixBytes) {
-        fail("metrics body is " + std::to_string(size) +
-             " bytes, the trace prefix alone is " +
-             std::to_string(kMetricsPrefixBytes));
+        stream_.fail("metrics body is " + std::to_string(size) +
+                     " bytes, the trace prefix alone is " +
+                     std::to_string(kMetricsPrefixBytes));
       }
       ControlMetrics metrics;
       metrics.trace_id = load_le64(body + 0);
       metrics.span_id = load_le64(body + 8);
       metrics.samples =
           obs::decode_samples(body + kMetricsPrefixBytes,
-                              size - kMetricsPrefixBytes, count, name_);
+                              size - kMetricsPrefixBytes, count,
+                              stream_.name());
       message.metrics = std::move(metrics);
       break;
     }

@@ -46,8 +46,8 @@
 // kSummary exactly once, terminal, and its object count must equal the
 // finals records delivered. Any violation — framing, CRC, body size,
 // or semantics — throws a positioned std::runtime_error and kills the
-// assembler, exactly the FrameAssembler discipline. This is the fourth
-// fuzzed decoder (replay/fuzz.hpp target "cluster").
+// assembler. This is the fourth fuzzed decoder (replay/fuzz.hpp target
+// "cluster").
 #pragma once
 
 #include <cstddef>
@@ -157,7 +157,8 @@ void encode_control_metrics(const ControlMetrics& metrics,
 /// socket bytes in whatever chunks arrive. Complete valid messages are
 /// appended to `out`; any defect throws a positioned std::runtime_error
 /// naming the stream, the frame index, and the byte offset, after which
-/// the assembler is dead (mirrors net/wire.hpp's FrameAssembler).
+/// the assembler is dead. Framing is codec/block.hpp's
+/// BlockStreamDecoder, which the event wire shares.
 class ClusterControlAssembler {
  public:
   explicit ClusterControlAssembler(std::string name,
@@ -169,41 +170,26 @@ class ClusterControlAssembler {
 
   /// True between messages (header consumed, no partial frame pending) —
   /// where a clean connection close is permitted mid-stream.
-  bool at_boundary() const {
-    return state_ == State::kFrame && pending_ == 0;
-  }
+  bool at_boundary() const { return stream_.at_boundary(); }
   /// True once the terminal kSummary arrived: the stream is whole.
   bool complete() const { return summary_seen_; }
 
-  bool header_done() const { return state_ != State::kHeader; }
+  bool header_done() const { return stream_.header_done(); }
   const ControlHello& hello() const { return hello_; }
   bool hello_seen() const { return hello_seen_; }
 
-  std::uint64_t bytes_consumed() const { return offset_; }
-  std::uint64_t frames_completed() const { return frames_; }
-  std::uint64_t messages_decoded() const { return frames_; }
+  std::uint64_t bytes_consumed() const { return stream_.bytes_consumed(); }
+  std::uint64_t frames_completed() const { return stream_.frames_completed(); }
+  std::uint64_t messages_decoded() const { return stream_.frames_completed(); }
   std::uint64_t finals_records() const { return finals_records_; }
 
  private:
-  enum class State { kHeader, kFrame, kBody };
-
-  [[noreturn]] void fail(const std::string& what);
-  void finish_header();
-  void finish_frame();
-  void finish_body(std::vector<ControlMessage>& out);
-  void decode_message(ControlType type, std::uint32_t count,
+  void read_header(const unsigned char* raw);
+  void decode_message(const BlockFrameHeader& frame,
+                      const unsigned char* body, std::size_t size,
                       std::vector<ControlMessage>& out);
 
-  std::string name_;
-  std::size_t max_body_bytes_;
-  State state_ = State::kHeader;
-  std::vector<unsigned char> buffer_;
-  std::size_t pending_ = 0;
-  std::size_t target_ = kControlHeaderBytes;
-  BlockFrameHeader frame_;
-  std::uint64_t offset_ = 0;
-  std::uint64_t frames_ = 0;
-  bool dead_ = false;
+  BlockStreamDecoder stream_;
 
   // Protocol state.
   bool hello_seen_ = false;

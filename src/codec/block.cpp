@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "codec/crc32.hpp"
 #include "codec/endian.hpp"
@@ -35,6 +36,52 @@ BlockFrameStatus parse_block_frame(const unsigned char* raw,
 bool verify_block_payload(const BlockFrameHeader& frame,
                           const unsigned char* payload, std::size_t size) {
   return size == frame.body_len && crc32c(payload, size) == frame.body_crc;
+}
+
+void append_block_frame(std::vector<unsigned char>& out, std::uint32_t aux,
+                        const unsigned char* payload, std::size_t size) {
+  const std::size_t at = out.size();
+  out.resize(at + kBlockFrameBytes);
+  encode_block_frame(out.data() + at, aux, payload, size);
+  out.insert(out.end(), payload, payload + size);
+}
+
+BlockStreamDecoder::BlockStreamDecoder(std::string name,
+                                       std::size_t header_bytes,
+                                       std::size_t max_body_bytes,
+                                       const char* failed_what,
+                                       const char* payload_crc_what)
+    : name_(std::move(name)),
+      max_body_bytes_(max_body_bytes),
+      failed_what_(failed_what),
+      payload_crc_what_(payload_crc_what),
+      buffer_(std::max(header_bytes, kBlockFrameBytes)),
+      target_(header_bytes) {}
+
+void BlockStreamDecoder::fail(const std::string& what) {
+  dead_ = true;
+  throw std::runtime_error(name_ + ": " + what + " (frame " +
+                           std::to_string(frames_) + ", byte offset " +
+                           std::to_string(offset_) + ")");
+}
+
+void BlockStreamDecoder::finish_frame() {
+  switch (parse_block_frame(buffer_.data(), frame_, max_body_bytes_)) {
+    case BlockFrameStatus::kOk:
+      break;
+    case BlockFrameStatus::kBadFrameCrc:
+      fail("frame CRC mismatch (corrupt frame header)");
+    case BlockFrameStatus::kImplausibleLength:
+      fail("implausible frame length " + std::to_string(frame_.body_len));
+  }
+  await(State::kBody, frame_.body_len);
+  if (buffer_.size() < target_) buffer_.resize(target_);
+}
+
+void BlockStreamDecoder::await(State state, std::size_t bytes) {
+  state_ = state;
+  pending_ = 0;
+  target_ = bytes;
 }
 
 BlockWriter::BlockWriter(std::ostream& out, std::string name)

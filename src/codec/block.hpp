@@ -32,9 +32,12 @@
 // compressed logs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,8 +62,8 @@ struct BlockFrameHeader {
 enum class BlockFrameStatus { kOk, kBadFrameCrc, kImplausibleLength };
 
 /// Encodes the 16-byte frame (including both CRCs) for `payload` into
-/// `out`. The shared producer half of the wire format: BlockWriter and
-/// the network client emit identical bytes.
+/// `out`. The shared producer half of the format: BlockWriter and
+/// append_block_frame emit identical bytes.
 void encode_block_frame(unsigned char* out, std::uint32_t aux,
                         const unsigned char* payload, std::size_t size);
 
@@ -79,6 +82,106 @@ BlockFrameStatus parse_block_frame(const unsigned char* raw,
 /// Verifies a fully assembled payload against its frame's body CRC.
 bool verify_block_payload(const BlockFrameHeader& frame,
                           const unsigned char* payload, std::size_t size);
+
+/// Appends one framed block (frame, then payload) to `out`: the bytes
+/// BlockWriter writes, for producers that build a stream in memory.
+void append_block_frame(std::vector<unsigned char>& out, std::uint32_t aux,
+                        const unsigned char* payload, std::size_t size);
+
+/// Incremental decoder of one socket stream — a fixed-size header, then
+/// block frames — fed in whatever chunks recv returns. The event wire
+/// (net/wire.hpp) and the cluster control stream (cluster/control.hpp)
+/// supply only their header check and what a verified frame means. Each
+/// frame is verified before a payload byte is trusted, and each payload
+/// before it is handed on. Any violation, here or in a callback's
+/// fail(), throws "<name>: <what> (frame F, byte offset O)"; after any
+/// exception the decoder is dead and every feed throws.
+class BlockStreamDecoder {
+ public:
+  /// `name` labels the peer in diagnostics. `failed_what` and
+  /// `payload_crc_what` (string literals) are the protocol's wording of
+  /// a feed after a failure and of a body CRC mismatch.
+  BlockStreamDecoder(std::string name, std::size_t header_bytes,
+                     std::size_t max_body_bytes, const char* failed_what,
+                     const char* payload_crc_what);
+
+  /// Consumes `size` bytes: on_header(raw) once the header is whole, and
+  /// on_frame(frame, body, body_size) for every frame completed, which
+  /// counts once on_frame returns.
+  template <class OnHeader, class OnFrame>
+  void feed(const unsigned char* data, std::size_t size,
+            OnHeader&& on_header, OnFrame&& on_frame);
+
+  [[noreturn]] void fail(const std::string& what);
+
+  const std::string& name() const { return name_; }
+  bool header_done() const { return state_ != State::kHeader; }
+  /// True exactly between frames — the only place a peer may close
+  /// cleanly; mid-header, mid-frame or mid-payload it is false.
+  bool at_boundary() const {
+    return state_ == State::kFrame && pending_ == 0;
+  }
+  std::uint64_t bytes_consumed() const { return offset_; }
+  std::uint64_t frames_completed() const { return frames_; }
+
+ private:
+  enum class State { kHeader, kFrame, kBody };
+
+  /// Verifies the assembled frame and awaits its payload.
+  void finish_frame();
+  void await(State state, std::size_t bytes);
+
+  std::string name_;
+  std::size_t max_body_bytes_;
+  const char* failed_what_;
+  const char* payload_crc_what_;
+  State state_ = State::kHeader;
+  /// Bytes accumulated toward the current header/frame/payload.
+  std::vector<unsigned char> buffer_;
+  std::size_t pending_ = 0;  // bytes in buffer_
+  std::size_t target_;       // bytes needed to advance
+  BlockFrameHeader frame_;
+  std::uint64_t offset_ = 0;
+  std::uint64_t frames_ = 0;
+  bool dead_ = false;
+};
+
+template <class OnHeader, class OnFrame>
+void BlockStreamDecoder::feed(const unsigned char* data, std::size_t size,
+                              OnHeader&& on_header, OnFrame&& on_frame) {
+  if (dead_) throw std::runtime_error(name_ + ": " + failed_what_);
+  try {
+    while (size > 0) {
+      const std::size_t take = std::min(target_ - pending_, size);
+      std::memcpy(buffer_.data() + pending_, data, take);
+      pending_ += take;
+      data += take;
+      size -= take;
+      offset_ += take;
+      if (pending_ < target_) return;
+      if (state_ == State::kHeader) {
+        on_header(buffer_.data());
+        await(State::kFrame, kBlockFrameBytes);
+        continue;
+      }
+      if (state_ == State::kFrame) {
+        finish_frame();
+        // A zero-length body completes with its frame: waiting for it
+        // would leave at_boundary() false until bytes that never come.
+        if (target_ > 0) continue;
+      }
+      if (!verify_block_payload(frame_, buffer_.data(), pending_)) {
+        fail(payload_crc_what_);
+      }
+      on_frame(frame_, buffer_.data(), pending_);
+      ++frames_;
+      await(State::kFrame, kBlockFrameBytes);
+    }
+  } catch (...) {
+    dead_ = true;
+    throw;
+  }
+}
 
 /// Appends framed blocks to `out`. The writer does not own the stream
 /// and never seeks it; callers interleave their own header writes.

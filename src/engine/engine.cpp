@@ -536,14 +536,13 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
                 return a.id < b.id;
               });
     // Shard-local reduction in ascending object id.
-    for (const EngineObjectFinal& final : shard.finals) {
-      ++shard.metrics.objects;
-      shard.metrics.events += final.events;
-      shard.metrics.num_local += final.num_local;
-      shard.metrics.num_transfers += final.num_transfers;
-      shard.metrics.online_cost += final.online_cost;
-      shard.metrics.lower_bound += final.lower_bound;
-    }
+    const EngineMetrics sums = reduce_object_finals(shard.finals);
+    shard.metrics.objects = sums.objects;
+    shard.metrics.events = sums.events;
+    shard.metrics.num_local = sums.num_local;
+    shard.metrics.num_transfers = sums.num_transfers;
+    shard.metrics.online_cost = sums.online_cost;
+    shard.metrics.lower_bound = sums.lower_bound;
   });
 
   // Global reduction: id-sorted across every shard, on the calling

@@ -92,7 +92,7 @@ struct EngineOptions {
   /// Root of the per-object seed streams.
   std::uint64_t base_seed = 0x5eed5eed5eed5eedULL;
   /// Write snapshots with word-codec-compressed object records
-  /// (checkpoint/snapshot.hpp format v3, codec 1). Purely an on-disk
+  /// (checkpoint/snapshot.hpp record codec 1). Purely an on-disk
   /// choice: restore() reads either transparently and the engine state
   /// is bit-identical.
   bool compress_checkpoints = false;

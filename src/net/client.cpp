@@ -56,11 +56,9 @@ bool EventStreamClient::flush() {
   if (aborted_ || pending_.empty()) return !aborted_;
   body_.clear();
   encode_event_block(pending_.data(), pending_.size(), body_);
-  frame_.resize(kBlockFrameBytes + body_.size());
-  encode_block_frame(frame_.data(),
-                     static_cast<std::uint32_t>(pending_.size()), body_.data(),
-                     body_.size());
-  std::copy(body_.begin(), body_.end(), frame_.begin() + kBlockFrameBytes);
+  frame_.clear();
+  append_block_frame(frame_, static_cast<std::uint32_t>(pending_.size()),
+                     body_.data(), body_.size());
   pending_.clear();
   return write_paced(frame_.data(), frame_.size());
 }

@@ -1,7 +1,6 @@
 #include "net/wire.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -40,145 +39,87 @@ void encode_trace_frame(std::vector<unsigned char>& out,
   store_le64(body + 0, trace_id);
   store_le64(body + 8, span_id);
   store_le64(body + 16, 0);  // reserved
-  unsigned char frame[kBlockFrameBytes];
-  encode_block_frame(frame, kTraceFrameAuxFlag, body, sizeof(body));
-  out.insert(out.end(), frame, frame + kBlockFrameBytes);
-  out.insert(out.end(), body, body + sizeof(body));
+  append_block_frame(out, kTraceFrameAuxFlag, body, sizeof(body));
 }
 
 FrameAssembler::FrameAssembler(std::string name, std::size_t max_body_bytes)
-    : name_(std::move(name)), max_body_bytes_(max_body_bytes) {
-  buffer_.resize(EventLogHeader::kSize);
-}
-
-void FrameAssembler::fail(const std::string& what) {
-  dead_ = true;
-  throw std::runtime_error(name_ + ": " + what + " (frame " +
-                           std::to_string(frames_) + ", byte offset " +
-                           std::to_string(offset_) + ")");
-}
+    : stream_(std::move(name), EventLogHeader::kSize, max_body_bytes,
+              "stream already failed", "block payload CRC mismatch") {}
 
 void FrameAssembler::feed(const unsigned char* data, std::size_t size,
                           std::vector<LogEvent>& out) {
-  if (dead_) {
-    throw std::runtime_error(name_ + ": stream already failed");
-  }
-  try {
-    while (size > 0) {
-      const std::size_t take = std::min(target_ - pending_, size);
-      std::memcpy(buffer_.data() + pending_, data, take);
-      pending_ += take;
-      data += take;
-      size -= take;
-      offset_ += take;
-      if (pending_ < target_) return;
-      switch (state_) {
-        case State::kHeader:
-          finish_header();
-          break;
-        case State::kFrame:
-          finish_frame();
-          // A zero-length body completes instantly — without this, an
-          // empty trailing frame would leave at_boundary() false until
-          // bytes that never come.
-          if (state_ == State::kBody && target_ == 0) finish_body(out);
-          break;
-        case State::kBody:
-          finish_body(out);
-          break;
-      }
-    }
-  } catch (...) {
-    dead_ = true;
-    throw;
-  }
+  stream_.feed(
+      data, size, [this](const unsigned char* raw) { read_header(raw); },
+      [this, &out](const BlockFrameHeader& frame, const unsigned char* body,
+                   std::size_t body_size) {
+        decode_frame(frame, body, body_size, out);
+      });
 }
 
-void FrameAssembler::finish_header() {
-  if (load_le64(buffer_.data()) != EventLogHeader::kMagic) {
-    fail("bad stream header magic");
+void FrameAssembler::read_header(const unsigned char* raw) {
+  if (load_le64(raw) != EventLogHeader::kMagic) {
+    stream_.fail("bad stream header magic");
   }
-  header_.version = load_le32(buffer_.data() + 8);
+  header_.version = load_le32(raw + 8);
   if (header_.version != EventLogHeader::kVersionCompressed) {
-    fail("unsupported stream version " + std::to_string(header_.version) +
-         " (live ingest speaks the compressed v2 format only)");
+    stream_.fail("unsupported stream version " +
+                 std::to_string(header_.version) +
+                 " (live ingest speaks the compressed v2 format only)");
   }
-  header_.num_servers = load_le32(buffer_.data() + 12);
-  if (header_.num_servers == 0) fail("stream header declares 0 servers");
-  header_.num_objects = load_le64(buffer_.data() + 16);
-  header_.num_events = load_le64(buffer_.data() + 24);
-  state_ = State::kFrame;
-  pending_ = 0;
-  target_ = kBlockFrameBytes;
+  header_.num_servers = load_le32(raw + 12);
+  if (header_.num_servers == 0) {
+    stream_.fail("stream header declares 0 servers");
+  }
+  header_.num_objects = load_le64(raw + 16);
+  header_.num_events = load_le64(raw + 24);
 }
 
-void FrameAssembler::finish_frame() {
-  switch (parse_block_frame(buffer_.data(), frame_, max_body_bytes_)) {
-    case BlockFrameStatus::kOk:
-      break;
-    case BlockFrameStatus::kBadFrameCrc:
-      fail("frame CRC mismatch (corrupt frame header)");
-    case BlockFrameStatus::kImplausibleLength:
-      fail("implausible frame length " + std::to_string(frame_.body_len));
-  }
-  state_ = State::kBody;
-  pending_ = 0;
-  target_ = frame_.body_len;
-  if (buffer_.size() < target_) buffer_.resize(target_);
-}
-
-void FrameAssembler::finish_body(std::vector<LogEvent>& out) {
-  if (!verify_block_payload(frame_, buffer_.data(), pending_)) {
-    fail("block payload CRC mismatch");
-  }
-  if (frame_.aux & kTraceFrameAuxFlag) {
-    if (frame_.aux != kTraceFrameAuxFlag) {
-      fail("trace frame aux carries unexpected bits " +
-           std::to_string(frame_.aux & ~kTraceFrameAuxFlag));
+void FrameAssembler::decode_frame(const BlockFrameHeader& frame,
+                                  const unsigned char* body, std::size_t size,
+                                  std::vector<LogEvent>& out) {
+  if (frame.aux & kTraceFrameAuxFlag) {
+    if (frame.aux != kTraceFrameAuxFlag) {
+      stream_.fail("trace frame aux carries unexpected bits " +
+                   std::to_string(frame.aux & ~kTraceFrameAuxFlag));
     }
-    if (pending_ != kTraceFrameBodyBytes) {
-      fail("trace frame body is " + std::to_string(pending_) +
-           " bytes, expected " + std::to_string(kTraceFrameBodyBytes));
+    if (size != kTraceFrameBodyBytes) {
+      stream_.fail("trace frame body is " + std::to_string(size) +
+                   " bytes, expected " +
+                   std::to_string(kTraceFrameBodyBytes));
     }
-    const std::uint64_t trace_id = load_le64(buffer_.data());
-    const std::uint64_t span_id = load_le64(buffer_.data() + 8);
-    if (load_le64(buffer_.data() + 16) != 0) {
-      fail("trace frame reserved field is not zero");
+    const std::uint64_t trace_id = load_le64(body);
+    const std::uint64_t span_id = load_le64(body + 8);
+    if (load_le64(body + 16) != 0) {
+      stream_.fail("trace frame reserved field is not zero");
     }
-    if (trace_id == 0) fail("trace frame carries a zero trace id");
+    if (trace_id == 0) stream_.fail("trace frame carries a zero trace id");
     latest_trace_ = obs::TraceContext{trace_id, span_id};
     ++trace_frames_;
-    ++frames_;
-    state_ = State::kFrame;
-    pending_ = 0;
-    target_ = kBlockFrameBytes;
     return;
   }
   // Decode into scratch and validate the whole frame before publishing:
   // a frame that fails any check must contribute nothing to `out`, so
   // the caller's delivered prefix is exactly the complete valid frames.
   scratch_.clear();
-  decode_event_block(frame_.aux, buffer_.data(), pending_, scratch_,
-                     name_ + " frame " + std::to_string(frames_));
+  decode_event_block(frame.aux, body, size, scratch_,
+                     stream_.name() + " frame " +
+                         std::to_string(stream_.frames_completed()));
   for (const LogEvent& event : scratch_) {
     const double t = event.time;
     // The engine rejects non-positive times; catching them here turns an
     // engine-poisoning batch into a single killed connection.
     if (!std::isfinite(t) || t <= 0.0) {
-      fail("non-positive or non-finite event time in frame payload");
+      stream_.fail("non-positive or non-finite event time in frame payload");
     }
     if (t < last_time_) {
-      fail("event time " + std::to_string(t) +
-           " regresses below stream time " + std::to_string(last_time_));
+      stream_.fail("event time " + std::to_string(t) +
+                   " regresses below stream time " +
+                   std::to_string(last_time_));
     }
     last_time_ = t;
   }
   out.insert(out.end(), scratch_.begin(), scratch_.end());
-  events_ += frame_.aux;
-  ++frames_;
-  state_ = State::kFrame;
-  pending_ = 0;
-  target_ = kBlockFrameBytes;
+  events_ += frame.aux;
 }
 
 }  // namespace repl

@@ -19,9 +19,9 @@
 //
 // FrameAssembler is the server-side decoder: it accepts arbitrary byte
 // chunks (whatever recv returned) and emits fully validated events.
-// Validation is incremental and positioned — each 16-byte frame is CRC-
-// verified the moment it is assembled (before a single payload byte is
-// trusted), payloads are CRC-verified before decode, and event times
+// Framing and both CRC checks run in codec/block.hpp's
+// BlockStreamDecoder, which the cluster control stream shares. The
+// wire's own checks: the v2 header, trace frames, and event times that
 // must be positive, finite, and non-decreasing within the stream (the
 // engine's own precondition, enforced per connection). Any violation
 // throws with the frame index and stream byte offset; the server kills
@@ -86,19 +86,15 @@ class FrameAssembler {
             std::vector<LogEvent>& out);
 
   /// True once the 32-byte stream header has been consumed+validated.
-  bool header_done() const { return state_ != State::kHeader; }
+  bool header_done() const { return stream_.header_done(); }
   /// Valid once header_done(): version/num_servers of this stream.
   const EventLogHeader& header() const { return header_; }
 
-  /// True when the stream position is exactly between frames — the only
-  /// place a peer may close cleanly. False mid-header, mid-frame, or
-  /// mid-payload: a close there is a mid-frame disconnect.
-  bool at_boundary() const {
-    return state_ == State::kFrame && pending_ == 0;
-  }
+  /// True exactly between frames, where a peer may close cleanly.
+  bool at_boundary() const { return stream_.at_boundary(); }
 
-  std::uint64_t bytes_consumed() const { return offset_; }
-  std::uint64_t frames_completed() const { return frames_; }
+  std::uint64_t bytes_consumed() const { return stream_.bytes_consumed(); }
+  std::uint64_t frames_completed() const { return stream_.frames_completed(); }
   std::uint64_t events_decoded() const { return events_; }
   std::uint64_t trace_frames() const { return trace_frames_; }
   /// Newest decoded event time (0 before the first event).
@@ -108,33 +104,20 @@ class FrameAssembler {
   obs::TraceContext latest_trace() const { return latest_trace_; }
 
  private:
-  enum class State { kHeader, kFrame, kBody };
+  void read_header(const unsigned char* raw);
+  void decode_frame(const BlockFrameHeader& frame, const unsigned char* body,
+                    std::size_t size, std::vector<LogEvent>& out);
 
-  [[noreturn]] void fail(const std::string& what);
-  void finish_header();
-  void finish_frame();
-  void finish_body(std::vector<LogEvent>& out);
-
-  std::string name_;
-  std::size_t max_body_bytes_;
-  State state_ = State::kHeader;
-  /// Bytes accumulated toward the current header/frame/payload.
-  std::vector<unsigned char> buffer_;
+  BlockStreamDecoder stream_;
   /// Decode staging: a frame's events are validated here in full before
   /// they are published to the caller, so a failing frame delivers
   /// nothing.
   std::vector<LogEvent> scratch_;
-  std::size_t pending_ = 0;  // bytes in buffer_
-  std::size_t target_ = EventLogHeader::kSize;  // bytes needed to advance
-  BlockFrameHeader frame_;
   EventLogHeader header_;
-  std::uint64_t offset_ = 0;
-  std::uint64_t frames_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t trace_frames_ = 0;
   double last_time_ = 0.0;
   obs::TraceContext latest_trace_{};
-  bool dead_ = false;
 };
 
 }  // namespace repl

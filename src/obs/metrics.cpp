@@ -265,9 +265,4 @@ std::vector<Sample> MetricsRegistry::collect() {
   return samples;
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 }  // namespace repl::obs

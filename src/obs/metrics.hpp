@@ -1,4 +1,4 @@
-// Low-overhead metrics primitives + a process-wide registry.
+// Low-overhead metrics primitives + the registry that owns them.
 //
 // Hot-path contract: Counter::inc / Gauge::set / Histogram::observe are
 // lock-free and never contend across threads — every instrument is built
@@ -164,9 +164,6 @@ class MetricsRegistry {
 
   /// Snapshot every series, sorted by (name, labels). Runs collect hooks.
   std::vector<Sample> collect();
-
-  /// Process-wide default registry.
-  static MetricsRegistry& global();
 
  private:
   struct Entry {

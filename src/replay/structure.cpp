@@ -1,7 +1,6 @@
 #include "replay/structure.hpp"
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -215,11 +214,8 @@ void patch_snapshot_object_count(std::vector<unsigned char>& bytes,
 
 std::vector<unsigned char> frame_block(
     std::uint32_t aux, const std::vector<unsigned char>& body) {
-  std::vector<unsigned char> block(kBlockFrameBytes + body.size());
-  encode_block_frame(block.data(), aux, body.data(), body.size());
-  if (!body.empty()) {
-    std::memcpy(block.data() + kBlockFrameBytes, body.data(), body.size());
-  }
+  std::vector<unsigned char> block;
+  append_block_frame(block, aux, body.data(), body.size());
   return block;
 }
 

@@ -1,11 +1,13 @@
 // Codec subsystem tests: varint/zigzag and CRC-32C primitives, the
-// word codec for state payloads, the block-framed container, the
-// compressed event-log format (round trips, O(blocks) skip, corruption:
-// truncation at every byte offset and bit flips → CRC rejection with a
-// positioned diagnostic), cross-version reads (v1 logs and v1/v2
-// snapshots through the current readers), and end-to-end engine parity:
-// compressed-log serves — including a checkpoint/resume cut on the
-// compressed path — are bit-identical to raw-log serves.
+// word codec for state payloads, the block-framed container and its
+// socket stream decoder, the compressed event-log format (round trips,
+// O(blocks) skip, corruption: truncation at every byte offset and bit
+// flips → CRC rejection with a positioned diagnostic), cross-version
+// reads (v1 logs and v1/v2 snapshots through the current readers), and
+// end-to-end engine parity: compressed-log serves — including a
+// checkpoint/resume cut on the compressed path — are bit-identical to
+// raw-log serves.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -429,6 +431,72 @@ TEST(BlockContainerTest, ZeroLengthPayloadReadsSkipsAndEndsCleanly) {
   EXPECT_EQ(aux, 0u);
   EXPECT_FALSE(skip_reader.skip_block(aux));
   EXPECT_EQ(skip_reader.blocks_read(), 3u);
+}
+
+TEST(BlockContainerTest, StreamDecoderReadsWriterBytesInAnyChunking) {
+  // A socket stream is a fixed header, then the frames BlockWriter
+  // writes; append_block_frame builds the same bytes in memory.
+  const std::vector<unsigned char> header = random_bytes(8, 3);
+  const std::vector<std::vector<unsigned char>> payloads = {
+      random_bytes(10, 5), {}, random_bytes(300, 6), {}};
+  std::stringstream written(std::ios::in | std::ios::out | std::ios::binary);
+  written.write(reinterpret_cast<const char*>(header.data()), 8);
+  BlockWriter writer(written, "mem");
+  std::vector<unsigned char> stream = header;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    writer.write_block(static_cast<std::uint32_t>(i), payloads[i]);
+    append_block_frame(stream, static_cast<std::uint32_t>(i),
+                       payloads[i].data(), payloads[i].size());
+  }
+  const std::string bytes = written.str();
+  ASSERT_EQ(std::vector<unsigned char>(bytes.begin(), bytes.end()), stream);
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  stream.size()}) {
+    BlockStreamDecoder decoder("peer", 8, kMaxBlockBytes, "stream failed",
+                               "payload CRC mismatch");
+    std::vector<unsigned char> seen_header;
+    std::vector<std::vector<unsigned char>> seen;
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      decoder.feed(
+          stream.data() + at, std::min(chunk, stream.size() - at),
+          [&](const unsigned char* raw) { seen_header.assign(raw, raw + 8); },
+          [&](const BlockFrameHeader& frame, const unsigned char* body,
+              std::size_t size) {
+            EXPECT_EQ(frame.aux, seen.size());
+            seen.emplace_back(body, body + size);
+          });
+    }
+    // The empty last frame completed with its 16 bytes.
+    EXPECT_TRUE(decoder.at_boundary()) << chunk;
+    EXPECT_EQ(seen_header, header);
+    EXPECT_EQ(seen, payloads);
+    EXPECT_EQ(decoder.frames_completed(), payloads.size());
+    EXPECT_EQ(decoder.bytes_consumed(), stream.size());
+  }
+
+  // A flipped frame byte fails positioned, and the decoder stays dead.
+  std::vector<unsigned char> corrupt = stream;
+  corrupt[8 + kBlockFrameBytes + 10 + 4] ^= 0x01;  // frame 1's aux
+  BlockStreamDecoder decoder("peer", 8, kMaxBlockBytes, "stream failed",
+                             "payload CRC mismatch");
+  const auto ignore_header = [](const unsigned char*) {};
+  const auto ignore_frame = [](const BlockFrameHeader&, const unsigned char*,
+                               std::size_t) {};
+  try {
+    decoder.feed(corrupt.data(), corrupt.size(), ignore_header, ignore_frame);
+    FAIL() << "corrupt frame accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "peer: frame CRC mismatch (corrupt frame header) (frame 1, "
+              "byte offset 50)");
+  }
+  try {
+    decoder.feed(stream.data(), 1, ignore_header, ignore_frame);
+    FAIL() << "a dead decoder accepted bytes";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "peer: stream failed");
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "api/experiment.hpp"
+#include "baselines/wang2021.hpp"
 #include "core/drwp.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
@@ -726,28 +727,38 @@ TEST_F(EngineTest, PerObjectMemoryDoesNotFollowTheFleet) {
                                                              : first + 4});
     }
   }
-  const auto bytes_per_object = [&events](int num_servers) {
+  const auto bytes_per_object = [&events](const EnginePolicyFactory& policy,
+                                          int num_servers) {
     EngineOptions options;
     options.num_shards = 1;
     options.num_threads = 1;
     const std::uint64_t before = heap_in_use();
-    StreamingEngine engine(engine_config(num_servers), options,
-                           drwp_factory(), last_gap_factory(num_servers));
+    StreamingEngine engine(engine_config(num_servers), options, policy,
+                           last_gap_factory(num_servers));
     engine.ingest(events);
     EXPECT_EQ(engine.object_count(), 64u);
     return (static_cast<double>(heap_in_use()) -
             static_cast<double>(before)) /
            64.0;
   };
-  const double at_10 = bytes_per_object(10);
-  const double at_10000 = bytes_per_object(10000);
-  if (at_10 <= 0.0 || at_10000 <= 0.0) {
-    GTEST_SKIP() << "the allocator reports no heap growth (" << at_10
-                 << " and " << at_10000
-                 << " B/object); a sanitizer's allocator hides it";
+  const EnginePolicyFactory wang2021_factory =
+      [](const EngineObjectContext&) -> PolicyPtr {
+    return std::make_unique<Wang2021Policy>();
+  };
+  const std::pair<const char*, EnginePolicyFactory> policies[] = {
+      {"drwp", drwp_factory()}, {"wang2021", wang2021_factory}};
+  for (const auto& [name, make_policy] : policies) {
+    const double at_10 = bytes_per_object(make_policy, 10);
+    const double at_10000 = bytes_per_object(make_policy, 10000);
+    if (at_10 <= 0.0 || at_10000 <= 0.0) {
+      GTEST_SKIP() << "the allocator reports no heap growth (" << at_10
+                   << " and " << at_10000
+                   << " B/object); a sanitizer's allocator hides it";
+    }
+    EXPECT_LE(at_10000, 2.0 * at_10)
+        << name << ": " << at_10 << " B/object at 10 servers, " << at_10000
+        << " at 10,000";
   }
-  EXPECT_LE(at_10000, 2.0 * at_10)
-      << at_10 << " B/object at 10 servers, " << at_10000 << " at 10,000";
 }
 
 }  // namespace

@@ -414,7 +414,8 @@ TEST_F(ReplayTest, CaptureReplayParityAcrossFormatsAndCheckpoints) {
 
 TEST_F(ReplayTest, FuzzerIsDeterministicPerSeed) {
   for (const FuzzTarget target :
-       {FuzzTarget::kLog, FuzzTarget::kSnapshot, FuzzTarget::kWire}) {
+       {FuzzTarget::kLog, FuzzTarget::kSnapshot, FuzzTarget::kWire,
+        FuzzTarget::kCluster}) {
     FuzzOptions options;
     options.seed = 5;
     options.cases = 40;
@@ -435,7 +436,8 @@ TEST_F(ReplayTest, FuzzSmokeFindsNoEscapes) {
   // decodes to the expected result or is rejected with a positioned
   // diagnostic. (CI runs the same check with bigger budgets.)
   for (const FuzzTarget target :
-       {FuzzTarget::kLog, FuzzTarget::kSnapshot, FuzzTarget::kWire}) {
+       {FuzzTarget::kLog, FuzzTarget::kSnapshot, FuzzTarget::kWire,
+        FuzzTarget::kCluster}) {
     FuzzOptions options;
     options.seed = 11;
     options.cases = 80;
