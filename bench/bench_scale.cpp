@@ -1,6 +1,6 @@
 // Scaling benchmark for the parallel multi-object engine: sweeps the
 // object count over 10^2..10^5 (geometric), runs each workload once on
-// the serial reference path (1 thread) and once on the work-stealing pool,
+// the serial reference path (1 thread) and once on the fork-join pool,
 // verifies the aggregates are bit-identical, and reports the speedup.
 //
 //   ./build/bench/bench_scale [--threads=8] [--min-objects=100]
@@ -45,7 +45,7 @@ MultiObjectResult run_once(const MultiObjectWorkload& workload,
       },
       [](const ObjectContext& context) -> PredictorPtr {
         // Deterministic per-object prediction stream: exercises the
-        // object_seed() contract under stealing.
+        // object_seed() contract under any task placement.
         return std::make_unique<AccuracyPredictor>(*context.trace, 0.9,
                                                    context.seed);
       });

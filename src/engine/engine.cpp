@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <limits>
 #include <optional>
 #include <string>
@@ -48,6 +47,9 @@ std::uint64_t table_hash(std::uint64_t id) {
   id ^= id >> 33;
   return id;
 }
+
+/// One object's snapshot record: its id and encoded state.
+using ObjectRecord = std::pair<std::uint64_t, std::vector<unsigned char>>;
 
 /// One timed interval of the serve pipeline, measured once: a single
 /// start/stop clock pair feeds every sink that exists — the EngineStats
@@ -318,19 +320,6 @@ struct StreamingEngine::Shard {
   std::vector<std::uint32_t> index;
   /// Events routed to this shard for the batch in flight, in stream order.
   std::vector<LogEvent> inbox;
-  /// Object records routed to this shard by restore(), decoded by the
-  /// shard task in parallel.
-  std::vector<std::pair<std::uint64_t, std::vector<unsigned char>>>
-      restore_inbox;
-  /// (id, payload) snapshots produced by checkpoint()'s shard tasks,
-  /// merged into canonical id order on the calling thread.
-  std::vector<std::pair<std::uint64_t, std::vector<unsigned char>>>
-      snapshots;
-  /// Set by the shard task on failure; the lowest shard index wins.
-  std::exception_ptr error;
-  /// Filled by finish(), sorted by object id.
-  std::vector<EngineObjectFinal> finals;
-  EngineShardMetrics metrics;
 
  private:
   /// The slot holding `id`, or the empty slot where it belongs. The
@@ -370,16 +359,14 @@ StreamingEngine::StreamingEngine(SystemConfig config, EngineOptions options,
   for (std::size_t i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
+  pool_ = std::make_unique<ThreadPool>(
+      static_cast<std::size_t>(options_.num_threads));
   if (options_.metrics != nullptr) {
     telemetry_ = std::make_unique<Telemetry>(*options_.metrics);
   }
 }
 
 StreamingEngine::~StreamingEngine() = default;
-
-StreamingEngine::Shard& StreamingEngine::shard_for(std::uint64_t object_id) {
-  return *shards_[shard_index(object_id, options_.num_shards)];
-}
 
 StreamingEngine::ObjectState StreamingEngine::make_object_state(
     std::uint64_t object_id) {
@@ -395,45 +382,24 @@ StreamingEngine::ObjectState StreamingEngine::make_object_state(
 }
 
 void StreamingEngine::run_shard_tasks(
-    const std::vector<std::size_t>& shard_ids,
-    const std::function<void(Shard&)>& work) {
-  const auto guarded = [&](Shard& shard) {
-    try {
-      work(shard);
-    } catch (...) {
-      shard.error = std::current_exception();
-    }
-  };
-
-  if (options_.num_threads == 1 || shard_ids.size() <= 1) {
-    for (std::size_t id : shard_ids) guarded(*shards_[id]);
-  } else {
-    if (!pool_) {
-      pool_ = std::make_unique<ThreadPool>(
-          options_.num_threads == 0
-              ? 0
-              : static_cast<std::size_t>(options_.num_threads));
-      stats_.threads_used = static_cast<int>(pool_->num_threads());
-    }
-    const std::uint64_t steals_before = pool_->steal_count();
-    for (std::size_t id : shard_ids) {
-      Shard* shard = shards_[id].get();
-      pool_->submit([&guarded, shard] { guarded(*shard); });
-    }
-    pool_->wait_idle();
-    stats_.steals += pool_->steal_count() - steals_before;
+    std::size_t count, const std::function<void(std::size_t)>& task) {
+  const std::uint64_t steals_before = pool_->steal_count();
+  try {
+    // When several tasks fail, the lowest task index wins: in ingest()
+    // the shard whose first event came earliest in the batch, in
+    // finish() and checkpoint(), which order tasks by shard id, the
+    // lowest shard index — whatever the thread count.
+    pool_->run(count, task);
+  } catch (...) {
+    // A shard that failed mid-inbox has partially advanced object
+    // state, so the engine as a whole is poisoned — later calls fail
+    // fast instead of silently dropping the stuck inbox.
+    failed_ = true;
+    throw;
   }
-
-  // Deterministic error propagation: the lowest shard index wins. A
-  // shard that failed mid-inbox has partially advanced object state, so
-  // the engine as a whole is poisoned — later calls fail fast instead of
-  // silently dropping the stuck inbox.
-  for (const auto& shard : shards_) {
-    if (shard->error) {
-      failed_ = true;
-      std::rethrow_exception(shard->error);
-    }
-  }
+  stats_.steals += pool_->steal_count() - steals_before;
+  stats_.threads_used = std::max(
+      stats_.threads_used, static_cast<int>(pool_->threads_for(count)));
 }
 
 void StreamingEngine::ingest(const LogEvent* events, std::size_t count) {
@@ -478,15 +444,17 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
     hash = event_stream_hash(hash, events[i]);
   }
 
-  // Route to shard inboxes in stream order.
+  // Route to shard inboxes in stream order. A shard's task index is the
+  // order of its first event in the batch, which puts a hot shard's
+  // long task first and decides which error wins when several shards
+  // fail.
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < count; ++i) {
     const LogEvent& event = events[i];
-    Shard& shard = shard_for(event.object);
-    if (shard.inbox.empty()) {
-      active.push_back(shard_index(event.object, options_.num_shards));
-    }
-    shard.inbox.push_back(event);
+    const std::size_t id = shard_index(event.object, options_.num_shards);
+    std::vector<LogEvent>& inbox = shards_[id]->inbox;
+    if (inbox.empty()) active.push_back(id);
+    inbox.push_back(event);
   }
   last_batch_time_ = prev;
   any_event_ = true;
@@ -494,7 +462,8 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
 
   Stage execute(&stats_.execute_seconds, tel ? &tel->execute : nullptr,
                 nullptr, {}, route.stop());
-  run_shard_tasks(active, [&](Shard& shard) {
+  run_shard_tasks(active.size(), [&](std::size_t task) {
+    Shard& shard = *shards_[active[task]];
     for (const LogEvent& event : shard.inbox) {
       ObjectState* state = shard.find(event.object);
       if (state == nullptr) {
@@ -522,27 +491,28 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
   Stage reduce(&stats_.finish_seconds,
                telemetry_ ? &telemetry_->reduce : nullptr);
 
-  std::vector<std::size_t> all_shards(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) all_shards[i] = i;
-
-  run_shard_tasks(all_shards, [](Shard& shard) {
-    shard.finals.reserve(shard.objects.size());
-    for (ObjectState& state : shard.objects) {
-      shard.finals.push_back(state.finish());
-    }
+  // Shard tasks in ascending shard id: each finalizes its objects into
+  // its own id-sorted run and reduces it in ascending object id.
+  std::vector<std::vector<EngineObjectFinal>> shard_finals(shards_.size());
+  std::vector<EngineShardMetrics> shard_metrics(shards_.size());
+  run_shard_tasks(shards_.size(), [&](std::size_t task) {
+    Shard& shard = *shards_[task];
+    std::vector<EngineObjectFinal>& run = shard_finals[task];
+    run.reserve(shard.objects.size());
+    for (ObjectState& state : shard.objects) run.push_back(state.finish());
     shard.release();
-    std::sort(shard.finals.begin(), shard.finals.end(),
+    std::sort(run.begin(), run.end(),
               [](const EngineObjectFinal& a, const EngineObjectFinal& b) {
                 return a.id < b.id;
               });
-    // Shard-local reduction in ascending object id.
-    const EngineMetrics sums = reduce_object_finals(shard.finals);
-    shard.metrics.objects = sums.objects;
-    shard.metrics.events = sums.events;
-    shard.metrics.num_local = sums.num_local;
-    shard.metrics.num_transfers = sums.num_transfers;
-    shard.metrics.online_cost = sums.online_cost;
-    shard.metrics.lower_bound = sums.lower_bound;
+    const EngineMetrics sums = reduce_object_finals(run);
+    EngineShardMetrics& metrics = shard_metrics[task];
+    metrics.objects = sums.objects;
+    metrics.events = sums.events;
+    metrics.num_local = sums.num_local;
+    metrics.num_transfers = sums.num_transfers;
+    metrics.online_cost = sums.online_cost;
+    metrics.lower_bound = sums.lower_bound;
   });
 
   // Global reduction: id-sorted across every shard, on the calling
@@ -550,12 +520,11 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
   // makes the totals bit-identical for any shard/thread configuration.
   std::vector<EngineObjectFinal> all;
   std::size_t total_objects = 0;
-  for (const auto& shard : shards_) total_objects += shard->finals.size();
+  for (const auto& run : shard_finals) total_objects += run.size();
   all.reserve(total_objects);
-  for (auto& shard : shards_) {
-    all.insert(all.end(), shard->finals.begin(), shard->finals.end());
-    shard->finals.clear();
-    shard->finals.shrink_to_fit();
+  for (auto& run : shard_finals) {
+    all.insert(all.end(), run.begin(), run.end());
+    std::vector<EngineObjectFinal>().swap(run);
   }
   std::sort(all.begin(), all.end(),
             [](const EngineObjectFinal& a, const EngineObjectFinal& b) {
@@ -563,8 +532,7 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
             });
 
   EngineMetrics metrics = reduce_object_finals(all);
-  metrics.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) metrics.shards.push_back(shard->metrics);
+  metrics.shards = std::move(shard_metrics);
 
   reduce.stop();
   if (telemetry_) telemetry_->objects_active.set(0.0);  // table released
@@ -814,32 +782,33 @@ void StreamingEngine::checkpoint(const std::string& path) {
   REPL_CHECK_MSG(!finished_, "checkpoint after finish()");
   REPL_CHECK_MSG(!failed_, "engine unusable after a prior failure");
 
-  // Serialize shard-parallel: each task snapshots its own objects into
-  // id-sorted (id, payload) pairs.
+  // Serialize shard-parallel, in ascending shard id: each task
+  // snapshots its shard's objects into id-sorted (id, payload) pairs.
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (!shards_[i]->objects.empty()) active.push_back(i);
   }
-  run_shard_tasks(active, [](Shard& shard) {
-    shard.snapshots.clear();
-    shard.snapshots.reserve(shard.objects.size());
+  std::vector<std::vector<ObjectRecord>> snapshots(active.size());
+  run_shard_tasks(active.size(), [&](std::size_t task) {
+    const Shard& shard = *shards_[active[task]];
+    std::vector<ObjectRecord>& out = snapshots[task];
+    out.reserve(shard.objects.size());
     for (const ObjectState& state : shard.objects) {
       StateWriter writer;
       state.save_state(writer);
-      shard.snapshots.emplace_back(state.id, writer.release());
+      out.emplace_back(state.id, writer.release());
     }
-    std::sort(shard.snapshots.begin(), shard.snapshots.end(),
+    std::sort(out.begin(), out.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
   });
 
   // Merge to canonical order: shards partition the id space, so a global
   // id sort over the shard-sorted runs yields the snapshot's record
   // order regardless of shard layout.
-  std::vector<const std::pair<std::uint64_t, std::vector<unsigned char>>*>
-      records;
+  std::vector<const ObjectRecord*> records;
   records.reserve(object_count());
-  for (const std::size_t i : active) {
-    for (const auto& entry : shards_[i]->snapshots) records.push_back(&entry);
+  for (const std::vector<ObjectRecord>& run : snapshots) {
+    for (const ObjectRecord& entry : run) records.push_back(&entry);
   }
   std::sort(records.begin(), records.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
@@ -880,10 +849,6 @@ void StreamingEngine::checkpoint(const std::string& path) {
   if (telemetry_) {
     telemetry_->checkpoint_writes.inc();
     telemetry_->checkpoint_bytes.inc(writer.bytes_written());
-  }
-  for (const std::size_t i : active) {
-    shards_[i]->snapshots.clear();
-    shards_[i]->snapshots.shrink_to_fit();
   }
 }
 
@@ -960,10 +925,14 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
   }
 
   // Rebuild the object table in bounded-memory chunks: route records to
-  // shard inboxes, then decode shard-parallel (object construction runs
-  // the factories + a fresh simulation reset before load_state overwrites
-  // the evolved fields — the expensive part, worth the fan-out).
+  // per-shard inboxes (reused across chunks), then decode shard-parallel
+  // with one task per shard in the order of its first record (object
+  // construction runs the factories + a fresh simulation reset before
+  // load_state overwrites the evolved fields — the expensive part, worth
+  // the fan-out).
   constexpr std::size_t kChunkObjects = std::size_t{1} << 16;
+  const std::size_t num_shards = engine->options_.num_shards;
+  std::vector<std::vector<ObjectRecord>> inboxes(num_shards);
   bool more = true;
   while (more) {
     std::vector<std::size_t> active;
@@ -971,23 +940,23 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
     std::uint64_t id = 0;
     std::vector<unsigned char> payload;
     while (routed < kChunkObjects && (more = reader.next_object(id, payload))) {
-      Shard& shard = engine->shard_for(id);
-      if (shard.restore_inbox.empty()) {
-        active.push_back(shard_index(id, engine->options_.num_shards));
-      }
-      shard.restore_inbox.emplace_back(id, std::move(payload));
+      const std::size_t shard = shard_index(id, num_shards);
+      if (inboxes[shard].empty()) active.push_back(shard);
+      inboxes[shard].emplace_back(id, std::move(payload));
       ++routed;
     }
     if (routed == 0) break;
-    engine->run_shard_tasks(active, [&engine](Shard& shard) {
-      for (auto& [object_id, bytes] : shard.restore_inbox) {
+    engine->run_shard_tasks(active.size(), [&](std::size_t task) {
+      Shard& shard = *engine->shards_[active[task]];
+      auto& inbox = inboxes[active[task]];
+      for (auto& [object_id, bytes] : inbox) {
         ObjectState state = engine->make_object_state(object_id);
         StateReader in(bytes.data(), bytes.size(),
                        "object " + std::to_string(object_id));
         state.load_state(in);
         shard.insert(std::move(state));
       }
-      shard.restore_inbox.clear();
+      inbox.clear();
     });
   }
   REPL_CHECK(engine->object_count() ==

@@ -19,11 +19,11 @@
 //     only the servers it touched (core/server_table.hpp; ~0.8 KB in
 //     all on perfbench's replay-1m, where an object touches 2.5 of 10);
 //   * an event batcher: ingest() routes a time-ordered batch to per-shard
-//     inboxes and executes the non-empty shards in parallel on the
-//     work-stealing ThreadPool. Within a shard events stay in stream
-//     order, so per-object order is preserved; across shards objects are
-//     independent (the paper's footnote 1 — the same argument that makes
-//     ParallelRunner correct);
+//     inboxes and executes the non-empty shards in parallel, one task
+//     per shard in a round of the fork-join ThreadPool. Within a shard
+//     events stay in stream order, so per-object order is preserved;
+//     across shards objects are independent (the paper's footnote 1 —
+//     the same argument that makes ParallelRunner correct);
 //   * a metrics reducer: finish() finalizes every object, reduces each
 //     shard in ascending object id, then reduces globally in ascending
 //     object id across shards.
@@ -81,7 +81,7 @@ struct EngineOptions {
   /// than threads keeps the pool busy when object popularity is skewed.
   std::size_t num_shards = 64;
   /// 0 => all hardware threads; 1 => run shards inline on the calling
-  /// thread (the serial reference path — no pool is created).
+  /// thread (the serial reference path — no worker thread is started).
   int num_threads = 0;
   /// Per-object cost horizon, as SimulationOptions::horizon: negative
   /// means "that object's final request time".
@@ -170,6 +170,9 @@ struct EngineStats {
   int threads_used = 1;
   std::size_t batches = 0;
   std::uint64_t events_ingested = 0;
+  /// Shard tasks a worker ran beyond an even share of their pass
+  /// (ThreadPool::steal_count), summed over passes: the work that moved
+  /// off a loaded worker. 0 when every pass ran inline.
   std::uint64_t steals = 0;
   /// route + execute per batch (repl_batch_seconds).
   double ingest_seconds = 0.0;
@@ -256,7 +259,9 @@ class StreamingEngine {
   /// retry with corrected input. A failure *inside* shard execution
   /// (a per-object time tie, a policy invariant violation) has already
   /// advanced some object state: it poisons the engine and every later
-  /// call fails fast. Lowest shard index wins when several shards fail.
+  /// call fails fast. When several shards fail, the error of the one
+  /// whose first event came earliest in the batch wins, whatever the
+  /// thread count.
   void ingest(const LogEvent* events, std::size_t count);
   void ingest(const std::vector<LogEvent>& events) {
     ingest(events.data(), events.size());
@@ -356,9 +361,10 @@ class StreamingEngine {
   /// ingest() with the trace context the batch's span joins.
   void ingest(const LogEvent* events, std::size_t count,
               obs::TraceContext parent);
-  Shard& shard_for(std::uint64_t object_id);
-  void run_shard_tasks(const std::vector<std::size_t>& shard_ids,
-                       const std::function<void(Shard&)>& work);
+  /// One pass over `count` shard tasks on the pool (ThreadPool::run);
+  /// a failed task poisons the engine.
+  void run_shard_tasks(std::size_t count,
+                       const std::function<void(std::size_t)>& task);
   ObjectState make_object_state(std::uint64_t object_id);
 
   SystemConfig config_;
@@ -366,8 +372,9 @@ class StreamingEngine {
   EnginePolicyFactory make_policy_;
   EnginePredictorFactory make_predictor_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Lazily created on the first multi-threaded batch; reused across
-  /// batches so ingestion does not pay spawn/join churn.
+  /// Starts its workers on the first multi-shard pass and reuses them
+  /// across passes, so building an engine spawns no thread and
+  /// ingestion does not pay spawn/join churn.
   std::unique_ptr<ThreadPool> pool_;
   /// Registry-backed instruments, created iff options_.metrics is set.
   std::unique_ptr<Telemetry> telemetry_;

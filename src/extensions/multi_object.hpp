@@ -61,7 +61,7 @@ MultiObjectResult run_multi_object(const MultiObjectWorkload& workload,
                                    const PolicyFactory& make_policy,
                                    const PredictorFactory& make_predictor);
 
-/// As run_multi_object(), but sharded across a work-stealing pool
+/// As run_multi_object(), but fanned out on a fork-join thread pool
 /// (`num_threads` = 0 uses every hardware thread). The aggregate is
 /// bit-identical to the serial path; see run/parallel_runner.hpp.
 /// Unlike the serial contract, the factories are invoked concurrently

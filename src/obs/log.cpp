@@ -11,6 +11,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace repl::obs {
 
 namespace {
@@ -83,24 +85,7 @@ std::string timestamp() {
 
 void append_json_string(std::string& out, const std::string& text) {
   out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  out += json_escape(text);
   out += '"';
 }
 

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace repl::obs {
 
 namespace {
@@ -19,25 +21,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -111,7 +94,7 @@ void Tracer::start(const std::string& path, const std::string& process_name) {
   std::string meta = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
   meta += std::to_string(::getpid());
   meta += ",\"tid\":0,\"args\":{\"name\":\"";
-  append_json_escaped(meta, process_name);
+  meta += json_escape(process_name);
   meta += "\"}}\n";
   std::fwrite(meta.data(), 1, meta.size(), f);
   std::fflush(f);

@@ -1,9 +1,7 @@
 #include "run/parallel_runner.hpp"
 
 #include <chrono>
-#include <exception>
 #include <utility>
-#include <vector>
 
 #include "offline/opt_dp.hpp"
 #include "run/thread_pool.hpp"
@@ -11,18 +9,6 @@
 #include "util/rng.hpp"
 
 namespace repl {
-
-namespace {
-
-/// Output slot for one object; tasks touch only their own slot.
-struct ObjectSlot {
-  double online_cost = 0.0;
-  double opt_cost = 0.0;
-  std::size_t requests = 0;
-  std::exception_ptr error;
-};
-
-}  // namespace
 
 ParallelRunner::ParallelRunner(RunnerOptions options)
     : options_(std::move(options)) {
@@ -53,80 +39,51 @@ MultiObjectResult ParallelRunner::run(
   REPL_REQUIRE(make_predictor != nullptr);
 
   const std::size_t num_objects = workload.objects.size();
-  std::vector<ObjectSlot> slots(num_objects);
+  MultiObjectResult result;
+  result.per_object_online.assign(num_objects, 0.0);
+  result.per_object_opt.assign(num_objects, 0.0);
 
-  const auto started = std::chrono::steady_clock::now();
-
-  // The per-object job. Everything it reads is const-shared; everything
-  // it writes lives in its own slot.
-  const auto simulate_object = [&](std::size_t i) {
-    ObjectSlot& slot = slots[i];
-    try {
-      const Trace& trace = workload.objects[i];
-      slot.requests = trace.size();
-      if (trace.empty()) return;
-      ObjectContext context;
-      context.index = i;
-      context.seed = object_seed(options_.base_seed, i);
-      context.trace = &trace;
-      PolicyPtr policy = make_policy(context);
-      PredictorPtr predictor = make_predictor(context);
-      const Simulator simulator(base_config, options_.simulation);
-      slot.online_cost =
-          simulator.run(*policy, trace, *predictor).total_cost();
-      if (options_.compute_opt) {
-        slot.opt_cost = OptimalDpSolver(base_config).solve(trace);
-      }
-    } catch (...) {
-      slot.error = std::current_exception();
-    }
-  };
-
-  int threads_used = 1;
-  if (options_.num_threads == 1 || num_objects <= 1) {
-    for (std::size_t i = 0; i < num_objects; ++i) simulate_object(i);
-    stats_.steals = 0;
-  } else {
-    if (!pool_) {
-      pool_ = std::make_unique<ThreadPool>(
-          options_.num_threads == 0
-              ? 0
-              : static_cast<std::size_t>(options_.num_threads));
-    }
-    threads_used = static_cast<int>(pool_->num_threads());
-    const std::uint64_t steals_before = pool_->steal_count();
-    for (std::size_t i = 0; i < num_objects; ++i) {
-      pool_->submit([&simulate_object, i] { simulate_object(i); });
-    }
-    pool_->wait_idle();
-    stats_.steals = pool_->steal_count() - steals_before;
+  if (!pool_) {
+    pool_ = std::make_unique<ThreadPool>(
+        static_cast<std::size_t>(options_.num_threads));
   }
-
+  const auto started = std::chrono::steady_clock::now();
+  const std::uint64_t steals_before = pool_->steal_count();
+  // The per-object job. Everything it reads is const-shared; everything
+  // it writes is the object's own two result slots.
+  pool_->run(num_objects, [&](std::size_t i) {
+    const Trace& trace = workload.objects[i];
+    if (trace.empty()) return;
+    ObjectContext context;
+    context.index = i;
+    context.seed = object_seed(options_.base_seed, i);
+    context.trace = &trace;
+    PolicyPtr policy = make_policy(context);
+    PredictorPtr predictor = make_predictor(context);
+    const Simulator simulator(base_config, options_.simulation);
+    result.per_object_online[i] =
+        simulator.run(*policy, trace, *predictor).total_cost();
+    if (options_.compute_opt) {
+      result.per_object_opt[i] = OptimalDpSolver(base_config).solve(trace);
+    }
+  });
   const auto finished = std::chrono::steady_clock::now();
-  stats_.threads_used = threads_used;
+
+  stats_.threads_used = static_cast<int>(pool_->threads_for(num_objects));
   stats_.objects_simulated = num_objects;
+  stats_.steals = pool_->steal_count() - steals_before;
   stats_.wall_seconds =
       std::chrono::duration<double>(finished - started).count();
   stats_.requests_simulated = 0;
-  for (const ObjectSlot& slot : slots) {
-    stats_.requests_simulated += slot.requests;
-  }
-
-  // Deterministic error propagation: the lowest failing index wins.
-  for (const ObjectSlot& slot : slots) {
-    if (slot.error) std::rethrow_exception(slot.error);
+  for (const Trace& trace : workload.objects) {
+    stats_.requests_simulated += trace.size();
   }
 
   // Serial reduction in object order — this is what makes the aggregate
   // bit-identical across thread counts (FP addition is not associative).
-  MultiObjectResult result;
-  result.per_object_online.reserve(num_objects);
-  result.per_object_opt.reserve(num_objects);
-  for (const ObjectSlot& slot : slots) {
-    result.per_object_online.push_back(slot.online_cost);
-    result.per_object_opt.push_back(slot.opt_cost);
-    result.online_cost += slot.online_cost;
-    result.opt_cost += slot.opt_cost;
+  for (std::size_t i = 0; i < num_objects; ++i) {
+    result.online_cost += result.per_object_online[i];
+    result.opt_cost += result.per_object_opt[i];
   }
   return result;
 }

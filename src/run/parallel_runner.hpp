@@ -2,15 +2,16 @@
 //
 // The paper studies one object and notes (footnote 1) that objects do not
 // interact, so a multi-object workload is embarrassingly parallel: the
-// runner shards the objects of a MultiObjectWorkload across a
-// work-stealing thread pool, runs each object's Simulator (and optionally
-// the offline-optimum DP) independently, and reduces the per-object
-// results into a MultiObjectResult.
+// runner fans the objects of a MultiObjectWorkload out as one round of a
+// fork-join ThreadPool (one task per object, claimed in index order),
+// runs each object's Simulator (and optionally the offline-optimum DP)
+// independently, and reduces the per-object results into a
+// MultiObjectResult.
 //
 // Determinism contract: the aggregate is *bit-identical* to the serial
 // path regardless of thread count or scheduling. Three mechanisms ensure
 // this:
-//   * every task writes only to its own pre-assigned per-object slot;
+//   * every task writes only to its own per-object result slots;
 //   * the floating-point reduction runs on the calling thread in object
 //     order after all tasks finish;
 //   * randomized components (policies, predictors) draw from per-object
@@ -50,7 +51,7 @@ using ObjectPredictorFactory =
 
 struct RunnerOptions {
   /// 0 => all hardware threads; 1 => run inline on the calling thread
-  /// (the serial reference path — no pool is created).
+  /// (the serial reference path — no worker thread is started).
   int num_threads = 0;
   /// Also solve the per-object offline optimum (the DP dominates runtime;
   /// disable for policy-only throughput runs, leaving opt_cost = 0).
@@ -66,6 +67,8 @@ struct RunnerStats {
   int threads_used = 0;
   std::size_t objects_simulated = 0;
   std::size_t requests_simulated = 0;
+  /// Objects a worker simulated beyond an even share of the run
+  /// (ThreadPool::steal_count): the work that moved off a loaded worker.
   std::uint64_t steals = 0;
   double wall_seconds = 0.0;
 };
@@ -78,9 +81,10 @@ class ParallelRunner {
   ParallelRunner& operator=(ParallelRunner&&) noexcept;
 
   /// Simulates every object of `workload` under a fresh policy/predictor
-  /// pair from the factories and returns the aggregate result. Exceptions
-  /// thrown by per-object work are re-thrown on the calling thread; when
-  /// several objects fail, the lowest object index wins (deterministic).
+  /// pair from the factories and returns the aggregate result. An
+  /// exception thrown by per-object work is re-thrown on the calling
+  /// thread once every object has run; when several objects fail, the
+  /// lowest object index wins (ThreadPool::run's rule, deterministic).
   MultiObjectResult run(const MultiObjectWorkload& workload,
                         const SystemConfig& base_config,
                         const ObjectPolicyFactory& make_policy,
@@ -88,10 +92,11 @@ class ParallelRunner {
 
   const RunnerOptions& options() const { return options_; }
 
-  /// Stats of the most recent run() (overwritten by each call). run()
-  /// parallelizes internally but is not itself safe to call concurrently
-  /// on one instance — the stats cache is unsynchronized; give each
-  /// driving thread its own ParallelRunner (construction is trivial).
+  /// Stats of the most recent run() that returned (overwritten by each
+  /// such call). run() parallelizes internally but is not itself safe
+  /// to call concurrently on one instance — the stats cache is
+  /// unsynchronized; give each driving thread its own ParallelRunner
+  /// (construction is trivial).
   const RunnerStats& last_stats() const { return stats_; }
 
   /// The per-object seed stream: a pure function of (base_seed, index),
@@ -102,9 +107,10 @@ class ParallelRunner {
  private:
   RunnerOptions options_;
   mutable RunnerStats stats_;
-  /// Lazily created on the first multi-threaded run() and reused after,
-  /// so repeated runs do not pay thread spawn/join churn. Shares the
-  /// single-driving-thread caveat documented on last_stats().
+  /// Created by the first run(), which also starts its workers if it
+  /// fans out; reused after, so repeated runs do not pay thread
+  /// spawn/join churn. Shares the single-driving-thread caveat
+  /// documented on last_stats().
   mutable std::unique_ptr<ThreadPool> pool_;
 };
 

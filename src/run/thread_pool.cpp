@@ -1,107 +1,103 @@
 #include "run/thread_pool.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <utility>
 
 namespace repl {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  queues_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+namespace {
+
+/// The host's hardware threads, read once per process: constructing a
+/// pool costs no system call.
+std::size_t hardware_threads() {
+  static const std::size_t count =
+      std::max(1u, std::thread::hardware_concurrency());
+  return count;
 }
 
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : num_threads_(num_threads != 0 ? num_threads : hardware_threads()) {}
+
 ThreadPool::~ThreadPool() {
-  wait_idle();
-  stopping_.store(true, std::memory_order_release);
   {
-    // Take the lock so no worker is between its predicate check and its
-    // wait when the stop notification fires.
-    std::lock_guard<std::mutex> lock(idle_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
   }
-  work_available_.notify_all();
+  wake_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::submit(Task task) {
-  const std::size_t slot =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  WorkerQueue& queue = *queues_[slot];
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> queue_lock(queue.mutex);
-    queue.tasks.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
-    queued_.fetch_add(1, std::memory_order_release);
-  }
-  work_available_.notify_one();
+void ThreadPool::Failure::keep(std::size_t i, std::exception_ptr e) {
+  if (error && index < i) return;
+  index = i;
+  error = std::move(e);
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(idle_mutex_);
-  all_done_.wait(lock, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-bool ThreadPool::try_pop_local(std::size_t id, Task& task) {
-  WorkerQueue& queue = *queues_[id];
-  std::lock_guard<std::mutex> lock(queue.mutex);
-  if (queue.tasks.empty()) return false;
-  task = std::move(queue.tasks.front());
-  queue.tasks.pop_front();
-  queued_.fetch_sub(1, std::memory_order_release);
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t thief, Task& task) {
-  const std::size_t n = queues_.size();
-  // Scan victims starting just after the thief so steal pressure spreads
-  // instead of piling onto worker 0.
-  for (std::size_t offset = 1; offset < n; ++offset) {
-    WorkerQueue& victim = *queues_[(thief + offset) % n];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (victim.tasks.empty()) continue;
-    task = std::move(victim.tasks.back());
-    victim.tasks.pop_back();
-    queued_.fetch_sub(1, std::memory_order_release);
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t id) {
-  for (;;) {
-    Task task;
-    if (try_pop_local(id, task) || try_steal(id, task)) {
-      task();
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(idle_mutex_);
-        all_done_.notify_all();
-      }
-      continue;
+std::size_t ThreadPool::drain(std::size_t n, const Task& task,
+                              Failure& failure) {
+  for (std::size_t ran = 0;; ++ran) {
+    const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) return ran;
+    try {
+      task(i);
+    } catch (...) {
+      failure.keep(i, std::current_exception());
     }
-    std::unique_lock<std::mutex> lock(idle_mutex_);
-    if (stopping_.load(std::memory_order_acquire)) return;
-    // submit() bumps queued_ under idle_mutex_ before notifying, so a
-    // worker here either sees queued_ > 0 or receives the notify; the
-    // timeout is belt-and-braces against lost wakeups.
-    work_available_.wait_for(lock, std::chrono::milliseconds(50), [this] {
-      return stopping_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0;
-    });
+  }
+}
+
+void ThreadPool::run(std::size_t n, const Task& task) {
+  Failure failure;
+  cursor_.store(0, std::memory_order_relaxed);
+  if (threads_for(n) == 1) {
+    drain(n, task, failure);
+  } else {
+    if (workers_.empty()) {
+      workers_.reserve(num_threads_);
+      for (std::size_t i = 0; i < num_threads_; ++i) {
+        workers_.emplace_back([this, seen = round_] { worker_loop(seen); });
+      }
+    }
+    // The caller only waits. Claiming tasks too made replay restores
+    // slower on the perfbench replay-1m workload, perhaps because the
+    // objects it built landed in the main malloc arena (ROADMAP,
+    // direction 2).
+    std::unique_lock<std::mutex> lock(mutex_);
+    task_ = &task;
+    count_ = n;
+    even_share_ = (n + num_threads_ - 1) / num_threads_;
+    finished_ = 0;
+    failure_ = &failure;
+    ++round_;
+    wake_.notify_all();
+    done_.wait(lock, [this] { return finished_ == count_ && inside_ == 0; });
+    task_ = nullptr;
+    failure_ = nullptr;
+  }
+  if (failure.error) std::rethrow_exception(failure.error);
+}
+
+void ThreadPool::worker_loop(std::uint64_t seen_round) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    wake_.wait(lock, [&] { return stopping_ || round_ != seen_round; });
+    if (stopping_) return;
+    seen_round = round_;
+    if (finished_ == count_) continue;  // woke after the round ended
+    ++inside_;
+    const Task& task = *task_;
+    const std::size_t n = count_;
+    lock.unlock();
+    Failure failure;
+    const std::size_t ran = drain(n, task, failure);
+    lock.lock();
+    --inside_;
+    finished_ += ran;
+    if (failure.error) failure_->keep(failure.index, std::move(failure.error));
+    if (ran > even_share_) steals_ += ran - even_share_;
+    if (finished_ == count_ && inside_ == 0) done_.notify_one();
   }
 }
 

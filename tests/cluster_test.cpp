@@ -5,13 +5,16 @@
 // bit-identical to single-process serve, including after SIGKILLing
 // workers at every point of the kill matrix and respawning them from
 // their per-partition checkpoints.
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -1060,6 +1063,63 @@ TEST_F(ClusterTest, FederationAndTracingCoverTheWholeServe) {
   EXPECT_NE(trace_doc.find("engine.ingest"), std::string::npos);
   EXPECT_NE(trace_doc.find("worker-p0"), std::string::npos);
   EXPECT_NE(trace_doc.find("worker-p1"), std::string::npos);
+}
+
+/// Points this process's fd 2 at a file for its lifetime, and with it
+/// the stderr every worker spawned meanwhile inherits.
+class StderrToFile {
+ public:
+  explicit StderrToFile(const std::string& path) {
+    std::fflush(stderr);
+    saved_ = ::dup(2);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+    if (fd >= 0) {
+      ::dup2(fd, 2);
+      ::close(fd);
+    }
+  }
+  ~StderrToFile() {
+    std::fflush(stderr);
+    ::dup2(saved_, 2);
+    ::close(saved_);
+  }
+  StderrToFile(const StderrToFile&) = delete;
+  StderrToFile& operator=(const StderrToFile&) = delete;
+
+ private:
+  int saved_ = -1;
+};
+
+TEST_F(ClusterTest, WorkerServeLinesEndWithTheNetStatus) {
+  // A worker's periodic [serve] lines end with its event source's
+  // status, as a repl_server's do: queued events and connections. The
+  // coordinator logs no [serve] line, so every one in the file is a
+  // worker's; its one event connection never fails.
+  const std::string log = write_log(make_events(4000, 97));
+  ClusterCoordinatorOptions options = cluster_options(run_dir("stats"), 1);
+  options.batch_events = 256;
+  options.stats_every = 1e-6;
+  const std::string err = (dir_ / "stderr.txt").string();
+  {
+    StderrToFile redirect(err);
+    ClusterCoordinator coordinator(options);
+    (void)coordinator.serve_log(log);
+  }
+  std::ifstream in(err);
+  std::size_t serve_lines = 0;
+  bool saw_status = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("[serve]") == std::string::npos) continue;
+    ++serve_lines;
+    const std::string tail = "conns=1/0f";
+    if (line.size() >= tail.size() &&
+        line.compare(line.size() - tail.size(), tail.size(), tail) == 0) {
+      saw_status = true;
+    }
+  }
+  EXPECT_GT(serve_lines, 0u);
+  EXPECT_TRUE(saw_status) << "no worker [serve] line ends in conns=1/0f";
 }
 
 TEST_F(ClusterTest, KillRespawnMatrixStaysBitIdentical) {

@@ -1,6 +1,6 @@
 // Determinism tests: identical seeds must produce identical results
 // across repeated runs, across thread counts, and between the serial
-// reference path and the work-stealing pool — the ParallelRunner's
+// reference path and the fork-join pool — the ParallelRunner's
 // scheduling must never leak into SimulationResults or aggregates.
 #include <memory>
 #include <vector>

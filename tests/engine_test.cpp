@@ -364,6 +364,65 @@ TEST_F(EngineTest, RejectsOutOfOrderStreams) {
   EXPECT_THROW(engine2.finish(), CheckFailure);
 }
 
+TEST_F(EngineTest, ShardFailureRuleIsFirstInBatchAtAnyThreadCount) {
+  // Two objects in different shards each hit a per-object time tie in
+  // one batch, at different times, so their diagnostics differ. The
+  // documented rule names the failing shard whose first event came
+  // earliest in the batch: object `first`, although its shard index is
+  // the higher of the two (the opposite of a lowest-shard-index rule).
+  const SystemConfig config = engine_config(2);
+  EngineOptions options;
+  options.num_shards = 16;
+  options.num_threads = 1;
+  // Which shard each of objects 0..7 lands in, read off the per-shard
+  // metrics of a one-event serve.
+  std::vector<std::size_t> shard_of;
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    StreamingEngine probe(config, options, drwp_factory(),
+                          last_gap_factory(2));
+    probe.ingest({{{1.0, id, 0}}});
+    const EngineMetrics metrics = probe.finish();
+    for (std::size_t s = 0; s < metrics.shards.size(); ++s) {
+      if (metrics.shards[s].objects == 1) shard_of.push_back(s);
+    }
+  }
+  ASSERT_EQ(shard_of.size(), 8u);
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  bool found = false;
+  for (std::uint64_t a = 0; a < 8 && !found; ++a) {
+    for (std::uint64_t b = 0; b < 8 && !found; ++b) {
+      if (shard_of[a] > shard_of[b]) {
+        first = a;
+        second = b;
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  const std::vector<LogEvent> batch = {{1.0, first, 0},
+                                       {1.0, first, 1},
+                                       {2.0, second, 0},
+                                       {2.0, second, 1}};
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.num_threads = threads;
+    StreamingEngine engine(config, options, drwp_factory(),
+                           last_gap_factory(2));
+    try {
+      engine.ingest(batch);
+      ADD_FAILURE() << "expected the tie to fail the batch";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "strictly increasing and positive: 1 after 1"),
+                std::string::npos)
+          << e.what();
+    }
+    // The failure advanced object state: the engine is poisoned.
+    EXPECT_THROW(engine.ingest({{{3.0, first, 0}}}), CheckFailure);
+  }
+}
+
 TEST_F(EngineTest, FinishIsTerminal) {
   const SystemConfig config = engine_config(2);
   StreamingEngine engine(config, EngineOptions{}, drwp_factory(),

@@ -842,8 +842,9 @@ TEST(ObsTraceTest, SpansFlushToPartsAndMergeSkipsMissingOnes) {
   EXPECT_TRUE(saw_root);
   EXPECT_TRUE(saw_meta);
 
-  // A second incarnation writes its own part.
-  tracer.start(part_b, "proc-b");
+  // A second incarnation writes its own part, under a name that needs
+  // JSON escaping.
+  tracer.start(part_b, "proc-b \"q\" \\ \t");
   { obs::Span other("test.other"); }
   tracer.stop();
 
@@ -860,7 +861,8 @@ TEST(ObsTraceTest, SpansFlushToPartsAndMergeSkipsMissingOnes) {
   EXPECT_NE(doc.find("test.child"), std::string::npos);
   EXPECT_NE(doc.find("test.other"), std::string::npos);
   EXPECT_NE(doc.find("proc-a"), std::string::npos);
-  EXPECT_NE(doc.find("proc-b"), std::string::npos);
+  EXPECT_NE(doc.find("\"name\":\"proc-b \\\"q\\\" \\\\ \\t\""),
+            std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
   fs::remove_all(dir);
 }

@@ -1,9 +1,12 @@
-// ThreadPool and ParallelRunner unit tests: pool task execution and
-// stealing, the per-object seed stream, stats, error propagation, and
-// agreement with a hand-rolled serial loop.
+// ThreadPool and ParallelRunner unit tests: the fork-join round (every
+// index once, the lowest failing index rethrown, steal counting), the
+// per-object seed stream, stats, error propagation, and agreement with
+// a hand-rolled serial loop.
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,32 +46,38 @@ ObjectPredictorFactory oracle_factory() {
   };
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
+TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.num_threads(), threads);
+    std::vector<std::atomic<int>> runs(1000);
+    pool.run(runs.size(), [&runs](std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(pool.steal_count(), 0u);  // inline rounds steal nothing
+    }
   }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1000);
 }
 
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
+TEST(ThreadPool, ZeroTasksReturnAtOnce) {
   ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
+  bool ran = false;
+  pool.run(0, [&ran](std::size_t) { ran = true; });  // must not hang
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(pool.steal_count(), 0u);
 }
 
-TEST(ThreadPool, SupportsMultipleSubmitWaitRounds) {
+TEST(ThreadPool, RunsManyRoundsInSequence) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), (round + 1) * 50);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t n = static_cast<std::size_t>(round % 7);
+    const int before = counter.load();
+    pool.run(n, [&counter](std::size_t) { counter.fetch_add(1); });
+    EXPECT_EQ(counter.load(), before + static_cast<int>(n));
   }
 }
 
@@ -77,22 +86,48 @@ TEST(ThreadPool, ZeroThreadsPicksHardwareConcurrency) {
   EXPECT_GE(pool.num_threads(), 1u);
 }
 
-TEST(ThreadPool, IdleWorkersStealFromLoadedQueues) {
-  // Round-robin distribution with tasks of wildly different lengths
-  // forces the fast workers to steal; on a single-core host stealing can
-  // legitimately be zero, so only assert the pool drains everything.
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&counter, i] {
-      volatile double sink = 0.0;
-      const int spin = (i % 4 == 0) ? 20000 : 10;
-      for (int k = 0; k < spin; ++k) sink = sink + static_cast<double>(k);
-      counter.fetch_add(1);
-    });
+TEST(ThreadPool, EveryTaskRunsAndTheLowestFailingIndexIsRethrown) {
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> runs(64);
+    try {
+      pool.run(runs.size(), [&runs](std::size_t i) {
+        runs[i].fetch_add(1);
+        if (i == 7 || i == 20 || i == 41) {
+          throw std::runtime_error("task " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "expected a task exception to propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 7");
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+    }
+    // A failed round leaves the pool usable.
+    std::atomic<int> after{0};
+    pool.run(10, [&after](std::size_t) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 10);
   }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
+}
+
+TEST(ThreadPool, SkewedRoundCountsSteals) {
+  // Task 0 holds its worker until every other task has run, so the
+  // other three workers run all of them: more than an even share
+  // (⌈n / 4⌉) each on average, which steal_count() reports.
+  ThreadPool pool(4);
+  constexpr std::size_t kTasks = 64;
+  std::atomic<std::size_t> others{0};
+  pool.run(kTasks, [&others](std::size_t i) {
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    while (others.load() < kTasks - 1) std::this_thread::yield();
+  });
+  EXPECT_EQ(others.load(), kTasks - 1);
+  EXPECT_GT(pool.steal_count(), 0u);
 }
 
 TEST(ParallelRunnerSeeds, PureFunctionOfBaseSeedAndIndex) {
