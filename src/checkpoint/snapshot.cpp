@@ -1,6 +1,7 @@
 #include "checkpoint/snapshot.hpp"
 
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -11,31 +12,31 @@
 #include "codec/word_codec.hpp"
 #include "util/check.hpp"
 
-#ifdef __unix__
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace repl {
 
 namespace {
 
-/// Sanity cap on the spec strings: a corrupt length field must not turn
-/// into a multi-GB allocation.
-constexpr std::size_t kMaxSpecBytes = std::size_t{1} << 16;
+/// Pending writer bytes past this go to the file in one write.
+constexpr std::size_t kWriteBlockBytes = std::size_t{1} << 20;
+
+/// The engine spec's largest legal size for `num_servers` servers: two
+/// capped names, λ, the initial server and one rate per server.
+std::uint64_t max_engine_spec_size(std::uint32_t num_servers) {
+  return 2 * (4 + std::uint64_t{SnapshotHeader::kMaxSpecBytes}) + 12 +
+         8 * std::uint64_t{num_servers};
+}
 
 }  // namespace
 
 void sync_path_best_effort(const std::string& path) {
-#ifdef __unix__
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd >= 0) {
     ::fsync(fd);  // best effort: durability, not correctness
     ::close(fd);
   }
-#else
-  (void)path;
-#endif
 }
 
 void rename_and_sync_dir(const std::string& tmp, const std::string& path) {
@@ -44,134 +45,200 @@ void rename_and_sync_dir(const std::string& tmp, const std::string& path) {
   sync_path_best_effort(dir.empty() ? "." : dir.string());
 }
 
+void frame_record(std::vector<unsigned char>& out, std::size_t at,
+                  std::uint64_t object_id, std::uint32_t codec,
+                  std::vector<unsigned char>& scratch) {
+  const std::size_t payload_at = at + SnapshotHeader::kRecordPrefixSize;
+  const std::size_t raw_size = out.size() - payload_at;
+  REPL_REQUIRE_MSG(raw_size <= SnapshotHeader::kMaxRecordBytes,
+                   "object record of " << raw_size
+                                       << " bytes exceeds the record cap");
+  if (codec == SnapshotHeader::kCodecWord) {
+    scratch.clear();
+    word_pack_append(out.data() + payload_at, raw_size, scratch);
+    out.resize(payload_at);
+    out.insert(out.end(), scratch.begin(), scratch.end());
+  }
+  // Guaranteed by the codec's expansion bound given the raw cap above;
+  // anything this writer emits must pass the reader's length checks.
+  const std::size_t encoded_size = out.size() - payload_at;
+  REPL_CHECK(encoded_size <= SnapshotHeader::kMaxEncodedRecordBytes);
+  unsigned char* prefix = out.data() + at;
+  store_le64(prefix, object_id);
+  store_le32(prefix + 8, static_cast<std::uint32_t>(encoded_size));
+  store_le32(prefix + 12, static_cast<std::uint32_t>(raw_size));
+  std::uint32_t crc = crc32c_update(crc32c_init(), prefix, 16);
+  crc = crc32c_final(
+      crc32c_update(crc, out.data() + payload_at, encoded_size));
+  store_le32(prefix + 16, crc);
+}
+
+std::uint64_t framed_record_id(const unsigned char* record) {
+  return load_le64(record);
+}
+
+std::size_t framed_record_size(const unsigned char* record) {
+  return SnapshotHeader::kRecordPrefixSize + load_le32(record + 8);
+}
+
 SnapshotWriter::SnapshotWriter(const std::string& path,
                                const SnapshotHeader& header)
-    : out_(path, std::ios::binary | std::ios::trunc),
-      path_(path),
-      header_(header) {
-  if (!out_) {
-    throw std::runtime_error("checkpoint " + path_ +
-                             ": cannot open for writing");
-  }
-  header_.version = SnapshotHeader::kVersion;  // writers always emit v4
+    : path_(path), header_(header) {
+  header_.version = SnapshotHeader::kVersion;  // writers always emit v5
   REPL_REQUIRE_MSG(header_.codec == SnapshotHeader::kCodecRaw ||
                        header_.codec == SnapshotHeader::kCodecWord,
                    "unknown snapshot codec " << header_.codec);
-  REPL_REQUIRE(header_.policy_spec.size() <= kMaxSpecBytes &&
-               header_.predictor_spec.size() <= kMaxSpecBytes);
-  std::vector<unsigned char> raw(header_.encoded_size());
-  unsigned char* at = raw.data();
-  const auto put32 = [&at](std::uint32_t v) {
-    store_le32(at, v);
-    at += 4;
-  };
-  const auto put64 = [&at](std::uint64_t v) {
-    store_le64(at, v);
-    at += 8;
-  };
-  const auto put_string = [&](const std::string& text) {
-    put32(static_cast<std::uint32_t>(text.size()));
-    std::memcpy(at, text.data(), text.size());
-    at += text.size();
-  };
-  put64(SnapshotHeader::kMagic);
-  put32(SnapshotHeader::kVersion);
-  put32(header_.num_servers);
-  put64(header_.num_objects);
-  put64(header_.events_ingested);
-  put64(header_.batches);
-  put64(header_.base_seed);
-  put64(std::bit_cast<std::uint64_t>(header_.last_batch_time));
-  put32(header_.flags);
-  put32(0);  // reserved
+  for (const std::string* text :
+       {&header_.policy_spec, &header_.predictor_spec, &header_.policy_name,
+        &header_.predictor_name}) {
+    REPL_REQUIRE(text->size() <= SnapshotHeader::kMaxSpecBytes);
+  }
+  REPL_REQUIRE_MSG(header_.storage_rates.empty() ||
+                       header_.storage_rates.size() == header_.num_servers,
+                   "snapshot header lists " << header_.storage_rates.size()
+                                            << " storage rates for "
+                                            << header_.num_servers
+                                            << " servers");
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd_ < 0) {
+    fail("cannot open for writing: " + std::string(std::strerror(errno)));
+  }
+
+  StateWriter out(pending_);
+  out.u64(SnapshotHeader::kMagic);
+  out.u32(SnapshotHeader::kVersion);
+  out.u32(header_.num_servers);
+  out.u64(header_.num_objects);
+  out.u64(header_.events_ingested);
+  out.u64(header_.batches);
+  out.u64(header_.base_seed);
+  out.f64(header_.last_batch_time);
+  out.u32(header_.flags);
+  out.u32(0);  // reserved
   // Version-2 extension: log binding + component specs.
-  put64(header_.log_hash);
-  put64(header_.log_num_objects);
-  put64(header_.log_num_events);
-  put_string(header_.policy_spec);
-  put_string(header_.predictor_spec);
+  out.u64(header_.log_hash);
+  out.u64(header_.log_num_objects);
+  out.u64(header_.log_num_events);
+  out.str(header_.policy_spec);
+  out.str(header_.predictor_spec);
   // Version-3 extension: the object-record payload codec.
-  put32(header_.codec);
-  // Version-4 extension: the slice, then the CRC sealing the header.
-  put32(header_.partition_id);
-  put32(header_.num_partitions);
-  put32(header_.pf_version);
-  put32(crc32c(raw.data(), raw.size() - 4));
-  out_.write(reinterpret_cast<const char*>(raw.data()),
-             static_cast<std::streamsize>(raw.size()));
-  if (!out_) throw std::runtime_error("checkpoint " + path_ + ": header write failed");
-  bytes_written_ = header_.encoded_size();
+  out.u32(header_.codec);
+  // Version-4 extension: the slice.
+  out.u32(header_.partition_id);
+  out.u32(header_.num_partitions);
+  out.u32(header_.pf_version);
+  // Version-5 extension: the engine spec.
+  out.u32(static_cast<std::uint32_t>(header_.engine_spec_size()));
+  out.str(header_.policy_name);
+  out.str(header_.predictor_name);
+  out.f64(header_.transfer_cost);
+  out.i32(header_.initial_server);
+  for (std::uint32_t s = 0; s < header_.num_servers; ++s) {
+    out.f64(header_.storage_rates.empty() ? 1.0 : header_.storage_rates[s]);
+  }
+  // The CRC sealing the header.
+  out.u32(crc32c(pending_.data(), pending_.size()));
+  REPL_CHECK(pending_.size() == header_.encoded_size());
+  bytes_written_ = pending_.size();
   open_ = true;
 }
 
-SnapshotWriter::~SnapshotWriter() = default;
+SnapshotWriter::~SnapshotWriter() {
+  if (fd_ >= 0) ::close(fd_);
+}
 
-void SnapshotWriter::add_object(std::uint64_t object_id,
-                                const std::vector<unsigned char>& payload) {
-  REPL_CHECK_MSG(open_, "add_object after close()");
+void SnapshotWriter::fail(const std::string& what) const {
+  throw std::runtime_error("checkpoint " + path_ + ": " + what);
+}
+
+void SnapshotWriter::admit(std::uint64_t object_id) {
+  REPL_CHECK_MSG(open_, "record added after close()");
   REPL_CHECK_MSG(objects_written_ < header_.num_objects,
                  "more object records than the header promises");
   REPL_CHECK_MSG(objects_written_ == 0 || object_id > last_id_,
                  "object records must have strictly increasing ids");
+  last_id_ = object_id;
+  ++objects_written_;
+}
+
+void SnapshotWriter::add_object(std::uint64_t object_id,
+                                const std::vector<unsigned char>& payload) {
   REPL_REQUIRE_MSG(payload.size() <= SnapshotHeader::kMaxRecordBytes,
                    "object record of " << payload.size()
                                        << " bytes exceeds the record cap");
-  last_id_ = object_id;
-  ++objects_written_;
-
-  const std::vector<unsigned char>* encoded = &payload;
-  std::vector<unsigned char> packed;
-  if (header_.codec == SnapshotHeader::kCodecWord) {
-    packed = word_pack(payload);
-    encoded = &packed;
-  }
-  // Guaranteed by the codec's expansion bound given the raw cap above;
-  // anything this writer emits must pass the reader's length checks.
-  REPL_CHECK(encoded->size() <= SnapshotHeader::kMaxEncodedRecordBytes);
-  unsigned char prefix[20];
-  store_le64(prefix, object_id);
-  store_le32(prefix + 8, static_cast<std::uint32_t>(encoded->size()));
-  store_le32(prefix + 12, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = crc32c_update(crc32c_init(), prefix, 16);
-  crc = crc32c_final(crc32c_update(crc, encoded->data(), encoded->size()));
-  store_le32(prefix + 16, crc);
-  out_.write(reinterpret_cast<const char*>(prefix), sizeof(prefix));
-  out_.write(reinterpret_cast<const char*>(encoded->data()),
-             static_cast<std::streamsize>(encoded->size()));
-  if (!out_) {
-    throw std::runtime_error("checkpoint " + path_ + ": record write failed");
-  }
-  bytes_written_ += sizeof(prefix) + encoded->size();
+  admit(object_id);
+  const std::size_t at = pending_.size();
+  pending_.resize(at + SnapshotHeader::kRecordPrefixSize);
+  pending_.insert(pending_.end(), payload.begin(), payload.end());
+  frame_record(pending_, at, object_id, header_.codec, scratch_);
+  bytes_written_ += pending_.size() - at;
+  if (pending_.size() >= kWriteBlockBytes) flush();
 }
 
-void SnapshotWriter::close() {
-  REPL_CHECK_MSG(open_, "close() called twice");
+void SnapshotWriter::add_framed(const unsigned char* record) {
+  admit(framed_record_id(record));
+  const std::size_t size = framed_record_size(record);
+  pending_.insert(pending_.end(), record, record + size);
+  bytes_written_ += size;
+  if (pending_.size() >= kWriteBlockBytes) flush();
+}
+
+void SnapshotWriter::flush() {
+  const unsigned char* at = pending_.data();
+  std::size_t left = pending_.size();
+  while (left > 0) {
+    const ::ssize_t written = ::write(fd_, at, left);
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      fail("write failed: " + std::string(std::strerror(errno)));
+    }
+    at += written;
+    left -= static_cast<std::size_t>(written);
+  }
+  pending_.clear();
+}
+
+void SnapshotWriter::seal() {
+  REPL_CHECK_MSG(open_, "seal() or close() called twice");
   open_ = false;
   REPL_CHECK_MSG(objects_written_ == header_.num_objects,
                  "snapshot holds " << objects_written_
                                    << " object records, header promises "
                                    << header_.num_objects);
-  unsigned char footer[8];
-  store_le64(footer, SnapshotHeader::kFooterMagic);
-  out_.write(reinterpret_cast<const char*>(footer), sizeof(footer));
-  out_.flush();
-  if (!out_) throw std::runtime_error("checkpoint " + path_ + ": footer write failed");
-  bytes_written_ += sizeof(footer);
-  out_.close();
-  if (out_.fail()) throw std::runtime_error("checkpoint " + path_ + ": close failed");
+  const std::size_t at = pending_.size();
+  pending_.resize(at + 8);
+  store_le64(pending_.data() + at, SnapshotHeader::kFooterMagic);
+  bytes_written_ += 8;
+  flush();
+}
+
+void SnapshotWriter::close() {
+  if (open_) seal();
+  REPL_CHECK_MSG(fd_ >= 0, "close() called twice");
   // Push the bytes to stable storage before the caller renames this file
   // over the previous snapshot — otherwise a power loss can persist the
   // rename but not the data, destroying the last good checkpoint.
-  sync_path_best_effort(path_);
+  if (::fsync(fd_) != 0) {
+    fail("fsync failed: " + std::string(std::strerror(errno)));
+  }
+  const int fd = fd_;
+  fd_ = -1;
+  if (::close(fd) != 0) {
+    fail("close failed: " + std::string(std::strerror(errno)));
+  }
 }
 
 SnapshotReader::SnapshotReader(const std::string& path)
     : in_(path, std::ios::binary), path_(path) {
   if (!in_) fail("cannot open for reading");
-  // Every header byte read is kept, so a v4 header's CRC can cover it.
+  in_.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(in_.tellg());
+  in_.seekg(0, std::ios::beg);
+  // Every header byte read is kept, so a v4+ header's CRC can cover it.
   std::vector<unsigned char> raw;
   const auto take = [&](std::size_t n, const std::string& what) {
     const std::size_t at = raw.size();
+    if (file_size - at < n) fail("truncated " + what);
     raw.resize(at + n);
     in_.read(reinterpret_cast<char*>(raw.data() + at),
              static_cast<std::streamsize>(n));
@@ -179,6 +246,17 @@ SnapshotReader::SnapshotReader(const std::string& path)
       fail("truncated " + what);
     }
     return raw.data() + at;
+  };
+  // A length-prefixed field. A length past the cap, or past the end of
+  // the file, is reported with the length itself: either the field is
+  // cut short or its length is corrupt.
+  const auto take_field = [&](const std::string& what, std::uint64_t cap,
+                              std::uint32_t& len) {
+    len = load_le32(take(4, what + " length"));
+    if (len > cap) {
+      fail("implausible " + what + " length " + std::to_string(len));
+    }
+    return take(len, what + " (spec length " + std::to_string(len) + ")");
   };
   const unsigned char* fixed = take(SnapshotHeader::kSize, "header");
   if (load_le64(fixed) != SnapshotHeader::kMagic) {
@@ -202,11 +280,9 @@ SnapshotReader::SnapshotReader(const std::string& path)
     header_.log_num_objects = load_le64(ext + 8);
     header_.log_num_events = load_le64(ext + 16);
     const auto read_string = [&](std::string& text, const std::string& what) {
-      const std::uint32_t len = load_le32(take(4, what + " length"));
-      if (len > kMaxSpecBytes) {
-        fail("implausible " + what + " length " + std::to_string(len));
-      }
-      const unsigned char* bytes = take(len, what);
+      std::uint32_t len = 0;
+      const unsigned char* bytes =
+          take_field(what, SnapshotHeader::kMaxSpecBytes, len);
       text.assign(reinterpret_cast<const char*>(bytes), len);
     };
     read_string(header_.policy_spec, "policy spec");
@@ -215,13 +291,21 @@ SnapshotReader::SnapshotReader(const std::string& path)
   if (header_.version >= 3) {
     header_.codec = load_le32(take(4, "codec field"));
   }
+  std::size_t engine_spec_at = 0;
+  std::uint32_t engine_spec_len = 0;
   if (header_.version >= 4) {
-    const unsigned char* slice =
-        take(SnapshotHeader::kSliceSize, "slice and header CRC");
+    const unsigned char* slice = take(12, "slice");
     header_.partition_id = load_le32(slice);
     header_.num_partitions = load_le32(slice + 4);
     header_.pf_version = load_le32(slice + 8);
-    if (load_le32(slice + 12) != crc32c(raw.data(), raw.size() - 4)) {
+    if (header_.version >= 5) {
+      const unsigned char* spec =
+          take_field("engine spec", max_engine_spec_size(header_.num_servers),
+                     engine_spec_len);
+      engine_spec_at = static_cast<std::size_t>(spec - raw.data());
+    }
+    const std::uint32_t crc = load_le32(take(4, "header CRC"));
+    if (crc != crc32c(raw.data(), raw.size() - 4)) {
       fail("header CRC mismatch");
     }
   }
@@ -229,6 +313,26 @@ SnapshotReader::SnapshotReader(const std::string& path)
   if (header_.codec != SnapshotHeader::kCodecRaw &&
       header_.codec != SnapshotHeader::kCodecWord) {
     fail("unknown object-record codec " + std::to_string(header_.codec));
+  }
+  if (header_.version >= 5) {
+    // CRC-covered, so only a writer bug can make it malformed.
+    try {
+      StateReader spec(raw.data() + engine_spec_at, engine_spec_len,
+                       "engine spec");
+      header_.policy_name = spec.str();
+      header_.predictor_name = spec.str();
+      header_.transfer_cost = spec.f64();
+      header_.initial_server = spec.i32();
+      if (spec.remaining() != 8 * std::uint64_t{header_.num_servers}) {
+        spec.fail("holds " + std::to_string(spec.remaining()) +
+                  " bytes of storage rates for " +
+                  std::to_string(header_.num_servers) + " servers");
+      }
+      header_.storage_rates.resize(header_.num_servers);
+      for (double& rate : header_.storage_rates) rate = spec.f64();
+    } catch (const std::runtime_error& error) {
+      fail(std::string("malformed engine spec (") + error.what() + ")");
+    }
   }
 }
 

@@ -9,7 +9,7 @@
 //
 //   offset  size  field
 //   0       8     magic        "REPLCKPT"
-//   8       4     version      currently 4
+//   8       4     version      currently 5
 //   12      4     num_servers
 //   16      8     num_objects        (object records that follow)
 //   24      8     events_ingested    (the event-log resume offset in
@@ -44,8 +44,16 @@
 //   ...     4     num_partitions       serves (0 partitions: unbound),
 //   ...     4     pf_version           under this partition function
 //                                      (cluster/partition.hpp)
-//   ...     4     header CRC-32C     over every header byte before it
+//   --- version 5 extension ---
+//   ...     4+n   engine_spec        length-prefixed engine-wide values
+//                                     every object record shares: the
+//                                     policy and predictor names (each
+//                                     4+n), λ (binary64), the initial
+//                                     server (4) and one binary64
+//                                     storage rate per server
 //   ---
+//   ...     4     header CRC-32C     over every header byte before it
+//                                     (versions >= 4)
 //   then    --    object records, ascending object id.
 //                 Version <= 2:
 //                   0   8   object id
@@ -66,18 +74,24 @@
 // path and rename into place (see StreamingEngine::checkpoint) so a
 // partial file never shadows a good snapshot.
 //
-// Every byte of a version-4 file is checked: the header by its own CRC,
-// each record by its record CRC, the footer by its magic, so a flipped
-// bit anywhere fails with a diagnostic naming the header, the record or
-// the footer. The slice makes a
-// cluster worker's snapshot self-describing: one atomic file per cut,
-// which a worker assigned another partition, partition count or
-// partition-function version refuses (StreamingEngine::bind_slice). The
-// word codec shrinks the double-heavy payloads (repeated NaN/inf
-// sentinels, near-constant accumulators). Writers always emit version 4.
-// Version 1 files (no extension block), version 2 files (no codec
-// field, bare records) and version 3 files (no slice, no header CRC)
-// still read: they restore with no slice, v1 specs decode empty and the
+// Every byte of a version-4 or -5 file is checked: the header by its own
+// CRC, each record by its record CRC, the footer by its magic, so a
+// flipped bit anywhere fails with a diagnostic naming the header, the
+// record or the footer. The slice makes a cluster worker's snapshot
+// self-describing: one atomic file per cut, which a worker assigned
+// another partition, partition count or partition-function version
+// refuses (StreamingEngine::bind_slice).
+//
+// A version-5 payload holds what its object alone knows: each
+// per-server table lists the touched servers only (core/server_table.hpp),
+// and the engine spec is checked once per restore instead of once per
+// record. The word codec packs the payload's 64-bit words against their
+// predecessors (codec/word_codec.hpp). Writers always emit version 5.
+// Versions 3 and 4 (dense tables, the engine-wide values and
+// per-component cross-checks repeated in every record) still restore,
+// each table converted to its touched entries on load, as do version 1
+// files (no extension block) and version 2 files (no codec field, bare
+// records): those restore with no slice, v1 specs decode empty and the
 // log binding as unknown, which downgrades the resume cross-checks to
 // the version-1 behavior.
 #pragma once
@@ -87,9 +101,11 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/state_io.hpp"
+
 namespace repl {
 
-/// Best-effort fsync of a file or directory (no-op off POSIX).
+/// Best-effort fsync of a file or directory: failures are ignored.
 void sync_path_best_effort(const std::string& path);
 
 /// Atomic replace: renames the sealed (already synced) file `tmp` over
@@ -103,12 +119,15 @@ struct SnapshotHeader {
   static constexpr std::uint64_t kMagic = 0x54504b434c504552ULL;  // "REPLCKPT"
   static constexpr std::uint64_t kFooterMagic =
       0x444e4b434c504552ULL;  // "REPLCKND"
-  static constexpr std::uint32_t kVersion = 4;
+  static constexpr std::uint32_t kVersion = kStateFormat;
   static constexpr std::size_t kSize = 64;  // fixed part, bytes on disk
   /// Fixed-width portion of the v2 extension (before the spec strings).
   static constexpr std::size_t kExtensionSize = 24;
   /// The v4 extension: the slice (three u32) and the header CRC.
   static constexpr std::size_t kSliceSize = 16;
+  /// Object-record prefix bytes from version 3 on: id, both lengths and
+  /// the record CRC.
+  static constexpr std::size_t kRecordPrefixSize = 20;
 
   /// Object-record payload codecs (version >= 3).
   static constexpr std::uint32_t kCodecRaw = 0;
@@ -123,6 +142,8 @@ struct SnapshotHeader {
   /// slack), so everything the writer can legally emit reads back.
   static constexpr std::uint32_t kMaxEncodedRecordBytes =
       kMaxRecordBytes + kMaxRecordBytes / 16 + 16;
+  /// Sanity cap on each spec string and component name.
+  static constexpr std::size_t kMaxSpecBytes = std::size_t{1} << 16;
   /// "Unknown" sentinel for log_num_events (mirrors
   /// EventLogHeader::kUnknownCount without including trace/event_log.hpp).
   static constexpr std::uint64_t kUnknownLogEvents = ~std::uint64_t{0};
@@ -159,27 +180,62 @@ struct SnapshotHeader {
   std::uint32_t partition_id = 0;
   std::uint32_t num_partitions = 0;
   std::uint32_t pf_version = 0;
+  /// The engine spec (version >= 5): the components' names, which every
+  /// object's components must carry, and the SystemConfig values every
+  /// component prices against. Empty names mean no object records.
+  std::string policy_name;
+  std::string predictor_name;
+  double transfer_cost = 0.0;
+  std::int32_t initial_server = 0;
+  /// One rate per server. Writers read an empty list as every rate 1.0,
+  /// as SystemConfig does; readers always fill it.
+  std::vector<double> storage_rates;
+
+  /// Bytes of the engine spec block after its length prefix.
+  std::size_t engine_spec_size() const {
+    return 4 + policy_name.size() + 4 + predictor_name.size() + 8 + 4 +
+           8 * std::size_t{num_servers};
+  }
 
   /// Total on-disk header size: where the first object record begins.
   std::size_t encoded_size() const {
     if (version < 2) return kSize;
     return kSize + kExtensionSize + 4 + policy_spec.size() + 4 +
            predictor_spec.size() + (version >= 3 ? 4 : 0) +
-           (version >= 4 ? kSliceSize : 0);
+           (version >= 4 ? kSliceSize : 0) +
+           (version >= 5 ? 4 + engine_spec_size() : 0);
   }
 
   /// Object-record prefix bytes for this version (id + lengths [+ crc]).
-  std::size_t record_prefix_size() const { return version >= 3 ? 20 : 12; }
+  std::size_t record_prefix_size() const {
+    return version >= 3 ? kRecordPrefixSize : 12;
+  }
 };
+
+/// Seals one object record in `out`: the payload's raw bytes were
+/// appended after a kRecordPrefixSize gap that starts at offset `at`.
+/// Under kCodecWord the payload is packed (through `scratch`) in place
+/// of its raw bytes; then the prefix is filled in, CRC included. The
+/// engine's shard encoders frame every record through this, straight
+/// into their shard's buffer, and so does SnapshotWriter::add_object.
+void frame_record(std::vector<unsigned char>& out, std::size_t at,
+                  std::uint64_t object_id, std::uint32_t codec,
+                  std::vector<unsigned char>& scratch);
+
+/// The object id and total byte size (prefix included) of the framed
+/// record that starts at `record`.
+std::uint64_t framed_record_id(const unsigned char* record);
+std::size_t framed_record_size(const unsigned char* record);
 
 /// Opens `path`, validates and returns just the header — the cheap way
 /// to inspect a snapshot's specs and log binding without decoding any
 /// object records.
 SnapshotHeader read_snapshot_header(const std::string& path);
 
-/// Writes a snapshot file. The object count is fixed up front (the engine
-/// knows its table size before serializing), so close() can verify every
-/// promised record was emitted before sealing the footer.
+/// Writes a snapshot file through its own descriptor, in large blocks.
+/// The object count is fixed up front (the engine knows its table size
+/// before serializing), so close() can verify every promised record was
+/// emitted before sealing the footer.
 class SnapshotWriter {
  public:
   /// Opens `path` (truncating) and emits the header. Throws
@@ -194,29 +250,47 @@ class SnapshotWriter {
   /// canonical order, independent of shard layout.
   void add_object(std::uint64_t object_id,
                   const std::vector<unsigned char>& payload);
+  /// Appends one record that frame_record sealed under this header's
+  /// codec; `record` points at its prefix. Same id order as add_object.
+  void add_framed(const unsigned char* record);
 
-  /// Seals the footer, flushes, and closes. Throws std::runtime_error on
-  /// I/O failure or if fewer records than promised were added. The
-  /// destructor does NOT seal — an abandoned writer leaves a file without
-  /// a footer, which readers reject.
+  /// Appends the footer and writes every pending byte. Throws
+  /// std::runtime_error naming the path when a write fails, or if fewer
+  /// records than promised were added.
+  void seal();
+  /// Seals (unless seal() did), fsyncs the file and closes it. Throws
+  /// std::runtime_error naming the path when a write, the fsync or the
+  /// close fails; the file must not be renamed into place then. The
+  /// destructor does NOT seal — an abandoned writer leaves a file
+  /// without a footer, which readers reject.
   void close();
 
   std::uint64_t bytes_written() const { return bytes_written_; }
 
  private:
-  std::ofstream out_;
+  /// Checks a record's id against the order and the promised count.
+  void admit(std::uint64_t object_id);
+  /// Writes the pending block through the descriptor.
+  void flush();
+  [[noreturn]] void fail(const std::string& what) const;
+
+  int fd_ = -1;
   std::string path_;
   SnapshotHeader header_;
+  /// Bytes not yet written; flushed once they pass a block.
+  std::vector<unsigned char> pending_;
+  /// add_object's word-codec scratch.
+  std::vector<unsigned char> scratch_;
   std::uint64_t objects_written_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t last_id_ = 0;
   bool open_ = false;
 };
 
-/// Reads and validates a snapshot file: header (and its v4 CRC) on open,
-/// per-record bounds, CRCs and id ordering during iteration, footer at
-/// the end. Every corruption mode (bad magic, unsupported version, header
-/// CRC mismatch, truncation anywhere, trailing garbage) raises
+/// Reads and validates a snapshot file: header (and its v4+ CRC) on
+/// open, per-record bounds, CRCs and id ordering during iteration, footer
+/// at the end. Every corruption mode (bad magic, unsupported version,
+/// header CRC mismatch, truncation anywhere, trailing garbage) raises
 /// std::runtime_error with a diagnostic.
 class SnapshotReader {
  public:

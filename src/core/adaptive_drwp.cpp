@@ -48,7 +48,6 @@ double AdaptiveDrwpPolicy::choose_duration(const Prediction& pred,
 
 void AdaptiveDrwpPolicy::save_state(StateWriter& out) const {
   DrwpPolicy::save_state(out);
-  out.f64(options_.beta);
   out.u64(static_cast<std::uint64_t>(served_));
   out.u64(static_cast<std::uint64_t>(fallback_count_));
   REPL_CHECK(estimator_.has_value());
@@ -57,7 +56,9 @@ void AdaptiveDrwpPolicy::save_state(StateWriter& out) const {
 
 void AdaptiveDrwpPolicy::load_state(StateReader& in) {
   DrwpPolicy::load_state(in);
-  if (in.f64() != options_.beta) in.fail("adaptive beta mismatch");
+  if (in.legacy() && in.f64() != options_.beta) {
+    in.fail("adaptive beta mismatch");
+  }
   served_ = static_cast<std::size_t>(in.u64());
   fallback_count_ = static_cast<std::size_t>(in.u64());
   if (!estimator_.has_value()) {

@@ -61,7 +61,6 @@ void DrwpPolicy::set_intended(int server, double time, double duration,
   st.special_since = kInf;
   st.expiry = time + duration;
   st.last_intended = duration;
-  ++st.generation;
   if (server == next_server_) {
     find_next_expiry();  // the earliest copy was renewed
   } else if (st.expiry < next_expiry_ ||
@@ -213,44 +212,55 @@ bool DrwpPolicy::is_special(int server) const {
 }
 
 void DrwpPolicy::ServerState::save(StateWriter& out) const {
-  out.boolean(has_copy);
-  out.boolean(special);
-  out.f64(expiry);
-  out.f64(special_since);
-  out.f64(last_intended);
-  out.f64(last_request_time);
-  out.u64(generation);
+  const ServerState untouched;
+  EntryWriter fields(out);
+  fields.boolean(has_copy);
+  fields.boolean(special);
+  fields.f64(expiry, untouched.expiry);
+  fields.f64(special_since, untouched.special_since);
+  fields.f64(last_intended, untouched.last_intended);
+  fields.f64(last_request_time, untouched.last_request_time);
+  fields.end();
 }
 
 void DrwpPolicy::ServerState::load(StateReader& in) {
-  has_copy = in.boolean();
-  special = in.boolean();
-  expiry = in.f64();
-  special_since = in.f64();
-  last_intended = in.f64();
-  last_request_time = in.f64();
-  generation = in.u64();
+  if (in.legacy()) {
+    has_copy = in.boolean();
+    special = in.boolean();
+    expiry = in.f64();
+    special_since = in.f64();
+    last_intended = in.f64();
+    last_request_time = in.f64();
+    in.u64();  // the intended-duration count, which only the record kept
+    return;
+  }
+  const ServerState untouched;
+  EntryReader fields(in);
+  has_copy = fields.boolean();
+  special = fields.boolean();
+  expiry = fields.f64(untouched.expiry);
+  special_since = fields.f64(untouched.special_since);
+  last_intended = fields.f64(untouched.last_intended);
+  last_request_time = fields.f64(untouched.last_request_time);
+  fields.end();
 }
 
 void DrwpPolicy::save_state(StateWriter& out) const {
-  out.f64(alpha_);
-  out.i32(num_servers_);
   out.i32(copy_count_);
   out.f64(now_);
-  servers_.save(out, num_servers_);
+  servers_.save(out);
 }
 
 void DrwpPolicy::load_state(StateReader& in) {
-  const double alpha = in.f64();
-  if (alpha != alpha_) in.fail("drwp alpha mismatch");
-  const std::int32_t num_servers = in.i32();
-  if (config_ == nullptr || num_servers != num_servers_) {
-    in.fail("drwp server count mismatch (load_state before reset?)");
+  if (config_ == nullptr) in.fail("drwp load_state before reset");
+  if (in.legacy()) {
+    if (in.f64() != alpha_) in.fail("drwp alpha mismatch");
+    if (in.i32() != num_servers_) in.fail("drwp server count mismatch");
   }
   copy_count_ = in.i32();
   now_ = in.f64();
-  servers_.load(in, num_servers);
-  if (copy_count_ < 1 || copy_count_ > num_servers) {
+  servers_.load(in, num_servers_);
+  if (copy_count_ < 1 || copy_count_ > num_servers_) {
     in.fail("drwp copy count " + std::to_string(copy_count_) +
             " out of range");
   }

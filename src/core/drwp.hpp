@@ -50,9 +50,9 @@ class DrwpPolicy : public ReplicationPolicy {
   std::unique_ptr<ReplicationPolicy> clone() const override;
 
   /// Serializes the per-server automaton state (E_j, K_j, bookkeeping)
-  /// of every server, untouched ones included, and the clock; the next
-  /// expiry is recomputed from it on load. alpha and the server count
-  /// are written as cross-checks only.
+  /// of the touched servers and the clock; the next expiry is recomputed
+  /// from it on load. alpha is checked through name(), the server count
+  /// by the snapshot header.
   void save_state(StateWriter& out) const override;
   void load_state(StateReader& in) override;
 
@@ -98,8 +98,6 @@ class DrwpPolicy : public ReplicationPolicy {
     double special_since = std::numeric_limits<double>::infinity();
     double last_intended = std::numeric_limits<double>::quiet_NaN();
     double last_request_time = std::numeric_limits<double>::quiet_NaN();
-    /// Intended durations set so far; kept for the snapshot record.
-    std::uint64_t generation = 0;
 
     void save(StateWriter& out) const;
     void load(StateReader& in);

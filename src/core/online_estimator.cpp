@@ -59,24 +59,25 @@ void OnlineCostEstimator::record(int server, double time, bool local,
 }
 
 void OnlineCostEstimator::save_state(StateWriter& out) const {
-  out.f64(lambda_);
   out.f64(opt_l_);
   out.f64(allocated_);
   out.f64(last_global_time_);
   out.u64(static_cast<std::uint64_t>(servers_seen_count_));
   out.u64(static_cast<std::uint64_t>(requests_seen_));
-  out.u64(static_cast<std::uint64_t>(num_servers_));
-  server_seen_.save(out, num_servers_);
+  server_seen_.save(out);
 }
 
 void OnlineCostEstimator::load_state(StateReader& in) {
-  if (in.f64() != lambda_) in.fail("estimator lambda mismatch");
+  if (in.legacy() && in.f64() != lambda_) {
+    in.fail("estimator lambda mismatch");
+  }
   opt_l_ = in.f64();
   allocated_ = in.f64();
   last_global_time_ = in.f64();
   servers_seen_count_ = static_cast<std::size_t>(in.u64());
   requests_seen_ = static_cast<std::size_t>(in.u64());
-  if (in.u64() != static_cast<std::uint64_t>(num_servers_)) {
+  if (in.legacy() &&
+      in.u64() != static_cast<std::uint64_t>(num_servers_)) {
     in.fail("estimator server count mismatch");
   }
   server_seen_.load(in, num_servers_);

@@ -54,9 +54,9 @@ class OnlineCostEstimator {
 
   std::size_t requests_seen() const { return requests_seen_; }
 
-  /// Checkpoint protocol: the accumulators and the seen-server set; λ is
-  /// construction state and only cross-checked. A record whose seen
-  /// count disagrees with its seen set fails to load.
+  /// Checkpoint protocol: the accumulators and the seen-server set. λ is
+  /// construction state, which the snapshot header checks. A record
+  /// whose seen count disagrees with its seen set fails to load.
   void save_state(StateWriter& out) const;
   void load_state(StateReader& in);
 

@@ -17,12 +17,16 @@
 // 0..n−1 and skipped untouched ones sees the same sequence in both
 // modes.
 //
-// Checkpoints keep the dense record: save() writes one entry per server
-// of the fleet, untouched ones as T{}, and load() keeps only entries
-// whose encoding differs from T{}'s. T provides the encoding:
+// A checkpoint record holds the touched entries only: their count, then
+// each one's server id and encoding, in ascending server id (count and
+// ids as varints). Entries whose encoding equals T{}'s are not written,
+// and load() rejects them, so every record it accepts re-encodes to its
+// own bytes. Records of snapshot versions 1–4 listed every server of the
+// fleet; load() reads those too and keeps only the entries that differ
+// from T{}. T provides the encoding, and decodes both versions of it:
 //
-//   void save(StateWriter& out) const;   // a fixed number of bytes
-//   void load(StateReader& in);
+//   void save(StateWriter& out) const;
+//   void load(StateReader& in);   // in.legacy(): the version-4 layout
 //
 // T must be trivially copyable: entries move with memcpy.
 #pragma once
@@ -32,6 +36,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -136,79 +141,78 @@ class ServerTable {
         [&f](int server, const T& entry) { f(server, entry); });
   }
 
-  /// Calls f(server, value) for every server of the fleet in ascending
-  /// id, untouched ones with T{}: the dense view, in one merged pass.
-  template <class F>
-  void for_each_server(int fleet, F&& f) const {
-    const T untouched{};
-    const T* value = values();
-    std::uint32_t i = 0;
-    for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(fleet); ++s) {
-      if (direct()) {
-        f(static_cast<int>(s), s < size_ ? value[s] : untouched);
-      } else if (i < size_ && ids()[i] == s) {
-        f(static_cast<int>(s), value[i++]);
-      } else {
-        f(static_cast<int>(s), untouched);
-      }
-    }
-  }
-
-  /// Writes the dense record: one entry per server of the fleet.
-  void save(StateWriter& out, int fleet) const {
-    for_each_server(fleet, [&out](int, const T& entry) { entry.save(out); });
-  }
-
-  /// Reads the dense record save() writes for a fleet of `fleet`
-  /// servers. Entries whose bytes equal T{}'s encoding are not kept; the
-  /// others are decoded into one block sized for them (the old block
-  /// when it fits).
-  void load(StateReader& in, int fleet) {
+  /// Writes the record: the count of entries that differ from T{}, then
+  /// each one's server id and encoding, in ascending server id.
+  void save(StateWriter& out) const {
     const std::vector<unsigned char>& untouched = untouched_encoding();
-    const std::size_t width = untouched.size();
-    const auto n = static_cast<std::size_t>(fleet);
-    const unsigned char* record = in.peek(n * width);
-    std::uint32_t kept = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (std::memcmp(record + s * width, untouched.data(), width) != 0) {
-        ++kept;
+    const std::size_t count_at = out.size();
+    out.u8(0);  // the count, while it fits one byte
+    std::uint32_t count = 0;
+    for_each([&](int server, const T& entry) {
+      const std::size_t start = out.size();
+      out.varint(static_cast<std::uint32_t>(server));
+      const std::size_t body = out.size();
+      entry.save(out);
+      if (out.size() - body == untouched.size() &&
+          std::memcmp(out.buffer().data() + body, untouched.data(),
+                      untouched.size()) == 0) {
+        out.truncate(start);
+      } else {
+        ++count;
       }
+    });
+    if (count < 0x80) {
+      out.set_u8(count_at, static_cast<std::uint8_t>(count));
+      return;
     }
+    // A count past one varint byte: re-append the entries behind it.
+    const std::vector<unsigned char> entries(
+        out.buffer().begin() + static_cast<std::ptrdiff_t>(count_at + 1),
+        out.buffer().end());
+    out.truncate(count_at);
+    out.varint(count);
+    for (const unsigned char byte : entries) out.u8(byte);
+  }
 
-    const std::uint32_t capacity = kept == 0 ? 0 : capacity_for(kept, fleet);
-    if (capacity == kDirect) {
-      if (!direct() || size_ != n) {
-        clear();
-        block_ = ::operator new(n * sizeof(T));
-        size_ = static_cast<std::uint32_t>(n);
-        capacity_ = kDirect;
-      }
-      std::uninitialized_fill_n(values(), n, T{});
-    } else {
-      if (direct() || capacity_ < kept) {
-        clear();
-        if (capacity > 0) regrow(capacity);
-      }
-      size_ = 0;  // grows as entries decode, so a failed load stays whole
+  /// Reads the record save() writes, or a version-4 dense one, for a
+  /// fleet of `fleet` servers. The entries are decoded into one block
+  /// sized for them (the old block when it fits).
+  void load(StateReader& in, int fleet) {
+    if (in.legacy()) {
+      load_dense(in, fleet);
+      return;
     }
-
-    for (std::size_t s = 0; s < n; ++s) {
-      if (std::memcmp(record + s * width, untouched.data(), width) == 0) {
-        in.skip(width);
-        continue;
+    const std::uint32_t kept = in.varint();
+    // Each entry takes at least two bytes: its id and its encoding.
+    if (kept > static_cast<std::uint32_t>(fleet) || kept > in.remaining() / 2) {
+      in.fail("table of " + std::to_string(kept) + " entries exceeds " +
+              (kept > static_cast<std::uint32_t>(fleet)
+                   ? "the fleet of " + std::to_string(fleet) + " servers"
+                   : std::string("the record")));
+    }
+    const std::vector<unsigned char>& untouched = untouched_encoding();
+    reserve(kept, fleet);
+    std::int64_t prev = -1;
+    for (std::uint32_t i = 0; i < kept; ++i) {
+      const std::uint32_t server = in.varint();
+      if (server >= static_cast<std::uint32_t>(fleet) ||
+          static_cast<std::int64_t>(server) <= prev) {
+        in.fail("table entry for server " + std::to_string(server) +
+                (server >= static_cast<std::uint32_t>(fleet)
+                     ? " outside the fleet of " + std::to_string(fleet)
+                     : std::string(" out of ascending order")));
       }
-      const std::size_t before = in.remaining();
+      prev = server;
+      const unsigned char* begin = in.cursor();
       T entry{};
       entry.load(in);
-      if (before - in.remaining() != width) {
-        in.fail("server entry of unexpected width");
+      const auto width = static_cast<std::size_t>(in.cursor() - begin);
+      if (width == untouched.size() &&
+          std::memcmp(begin, untouched.data(), width) == 0) {
+        in.fail("table entry for server " + std::to_string(server) +
+                " holds the untouched default");
       }
-      if (capacity == kDirect) {
-        values()[s] = entry;
-      } else {
-        ids()[size_] = static_cast<std::uint32_t>(s);
-        values()[size_++] = entry;
-      }
+      put(server, entry);
     }
   }
 
@@ -284,6 +288,59 @@ class ServerTable {
   void release() {
     ::operator delete(block_);
     block_ = nullptr;
+  }
+
+  /// Empties the table into a block that holds `entries` of a fleet of
+  /// `fleet` servers (the old block when it fits).
+  void reserve(std::uint32_t entries, int fleet) {
+    const std::uint32_t capacity =
+        entries == 0 ? 0 : capacity_for(entries, fleet);
+    if (capacity == kDirect) {
+      const auto n = static_cast<std::uint32_t>(fleet);
+      if (!direct() || size_ != n) {
+        clear();
+        block_ = ::operator new(n * sizeof(T));
+        size_ = n;
+        capacity_ = kDirect;
+      }
+      std::uninitialized_fill_n(values(), n, T{});
+      return;
+    }
+    if (direct() || capacity_ < entries) {
+      clear();
+      if (capacity > 0) regrow(capacity);
+    }
+    size_ = 0;  // grows as entries decode, so a failed load stays whole
+  }
+
+  /// Stores the entry of `server` into a block reserve() prepared,
+  /// servers in ascending order.
+  void put(std::uint32_t server, const T& entry) {
+    if (direct()) {
+      values()[server] = entry;
+    } else {
+      ids()[size_] = server;
+      values()[size_++] = entry;
+    }
+  }
+
+  /// The version-4 record: every server of the fleet, in order.
+  void load_dense(StateReader& in, int fleet) {
+    const std::vector<unsigned char>& untouched = untouched_encoding();
+    std::vector<std::pair<std::uint32_t, T>> kept;
+    std::vector<unsigned char> encoding;
+    for (int s = 0; s < fleet; ++s) {
+      T entry{};
+      entry.load(in);
+      encoding.clear();
+      StateWriter out(encoding);
+      entry.save(out);
+      if (encoding != untouched) {
+        kept.emplace_back(static_cast<std::uint32_t>(s), entry);
+      }
+    }
+    reserve(static_cast<std::uint32_t>(kept.size()), fleet);
+    for (const auto& [server, entry] : kept) put(server, entry);
   }
 
   /// T{}'s encoding, the bytes of an untouched server in the record.

@@ -137,8 +137,7 @@ class Recorder final : public EventSink {
     out.f64(last_time_);
     out.f64(initial_intended_);
     out.f64(storage_cost_);
-    out.u64(static_cast<std::uint64_t>(config_.num_servers));
-    servers_.save(out, config_.num_servers);
+    servers_.save(out);
   }
 
   void load_state(StateReader& in) {
@@ -148,7 +147,8 @@ class Recorder final : public EventSink {
     last_time_ = in.f64();
     initial_intended_ = in.f64();
     storage_cost_ = in.f64();
-    if (in.u64() != static_cast<std::uint64_t>(config_.num_servers)) {
+    if (in.legacy() &&
+        in.u64() != static_cast<std::uint64_t>(config_.num_servers)) {
       in.fail("recorder server count mismatch");
     }
     servers_.load(in, config_.num_servers);
@@ -167,14 +167,24 @@ class Recorder final : public EventSink {
     double special_from = kInf;
 
     void save(StateWriter& out) const {
-      out.boolean(holding);
-      out.f64(begin);
-      out.f64(special_from);
+      EntryWriter fields(out);
+      fields.boolean(holding);
+      fields.f64(begin, 0.0);
+      fields.f64(special_from, kInf);
+      fields.end();
     }
     void load(StateReader& in) {
-      holding = in.boolean();
-      begin = in.f64();
-      special_from = in.f64();
+      if (in.legacy()) {
+        holding = in.boolean();
+        begin = in.f64();
+        special_from = in.f64();
+        return;
+      }
+      EntryReader fields(in);
+      holding = fields.boolean();
+      begin = fields.f64(0.0);
+      special_from = fields.f64(kInf);
+      fields.end();
     }
   };
 
@@ -329,7 +339,6 @@ double OnlineSimulation::last_time() const {
 
 void OnlineSimulation::save_state(StateWriter& out) const {
   const Impl& im = *impl_;
-  REPL_CHECK_MSG(!im.finished, "save_state after finish()");
   out.str(im.policy.name());
   out.str(im.predictor.name());
   // Config cross-checks: every component below prices against the same
@@ -341,30 +350,14 @@ void OnlineSimulation::save_state(StateWriter& out) const {
   for (int s = 0; s < im.config.num_servers; ++s) {
     out.f64(im.config.storage_rate(s));
   }
-  out.u64(static_cast<std::uint64_t>(im.index));
-  out.f64(im.last_request_time);
-  out.u64(static_cast<std::uint64_t>(im.num_local));
-  out.boolean(im.initial_prediction.within_lambda);
-  im.recorder.save_state(out);
-  im.policy.save_state(out);
-  im.predictor.save_state(out);
+  save_record(out);
 }
 
 void OnlineSimulation::load_state(StateReader& in) {
-  Impl& im = *impl_;
-  REPL_CHECK_MSG(!im.finished, "load_state after finish()");
-  REPL_CHECK_MSG(im.index == 0,
-                 "load_state requires a freshly constructed simulation");
+  const Impl& im = *impl_;
   const std::string policy_name = in.str();
-  if (policy_name != im.policy.name()) {
-    in.fail("policy mismatch: snapshot has '" + policy_name + "', have '" +
-            im.policy.name() + "'");
-  }
   const std::string predictor_name = in.str();
-  if (predictor_name != im.predictor.name()) {
-    in.fail("predictor mismatch: snapshot has '" + predictor_name +
-            "', have '" + im.predictor.name() + "'");
-  }
+  expect_components(policy_name, predictor_name, in);
   if (in.f64() != im.config.transfer_cost) {
     in.fail("transfer cost (lambda) mismatch");
   }
@@ -376,6 +369,40 @@ void OnlineSimulation::load_state(StateReader& in) {
       in.fail("storage rate mismatch at server " + std::to_string(s));
     }
   }
+  load_record(in);
+}
+
+void OnlineSimulation::expect_components(const std::string& policy_name,
+                                         const std::string& predictor_name,
+                                         const StateReader& in) const {
+  const Impl& im = *impl_;
+  if (policy_name != im.policy.name()) {
+    in.fail("policy mismatch: snapshot has '" + policy_name + "', have '" +
+            im.policy.name() + "'");
+  }
+  if (predictor_name != im.predictor.name()) {
+    in.fail("predictor mismatch: snapshot has '" + predictor_name +
+            "', have '" + im.predictor.name() + "'");
+  }
+}
+
+void OnlineSimulation::save_record(StateWriter& out) const {
+  const Impl& im = *impl_;
+  REPL_CHECK_MSG(!im.finished, "save_state after finish()");
+  out.u64(static_cast<std::uint64_t>(im.index));
+  out.f64(im.last_request_time);
+  out.u64(static_cast<std::uint64_t>(im.num_local));
+  out.boolean(im.initial_prediction.within_lambda);
+  im.recorder.save_state(out);
+  im.policy.save_state(out);
+  im.predictor.save_state(out);
+}
+
+void OnlineSimulation::load_record(StateReader& in) {
+  Impl& im = *impl_;
+  REPL_CHECK_MSG(!im.finished, "load_state after finish()");
+  REPL_CHECK_MSG(im.index == 0,
+                 "load_state requires a freshly constructed simulation");
   im.index = static_cast<std::size_t>(in.u64());
   im.last_request_time = in.f64();
   im.num_local = static_cast<std::size_t>(in.u64());

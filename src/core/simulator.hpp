@@ -136,8 +136,21 @@ class OnlineSimulation {
   /// load_state must run on a freshly constructed simulation (no steps
   /// yet) whose config, options, policy type, and predictor type match
   /// the saved one; mismatches raise std::runtime_error.
+  ///
+  /// save_state's stream stands alone: it leads with both component
+  /// names, λ, the initial server and every storage rate, and
+  /// load_state checks them. A snapshot's header carries those once for
+  /// every object (a version-1–4 record still holds them inline), so the
+  /// engine writes save_record, the state alone, checks the names with
+  /// expect_components and reads load_record.
   void save_state(StateWriter& out) const;
   void load_state(StateReader& in);
+  void save_record(StateWriter& out) const;
+  void load_record(StateReader& in);
+  /// Fails through `in` unless the components are the named ones.
+  void expect_components(const std::string& policy_name,
+                         const std::string& predictor_name,
+                         const StateReader& in) const;
 
   SimulationResult finish();
 

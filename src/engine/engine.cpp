@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -48,9 +49,6 @@ std::uint64_t table_hash(std::uint64_t id) {
   return id;
 }
 
-/// One object's snapshot record: its id and encoded state.
-using ObjectRecord = std::pair<std::uint64_t, std::vector<unsigned char>>;
-
 /// One timed interval of the serve pipeline, measured once: a single
 /// start/stop clock pair feeds every sink that exists — the EngineStats
 /// field, the registry histogram (telemetry on) and a trace span (the
@@ -77,6 +75,12 @@ class Stage {
   /// Whether this stage records a span (the tracer was on at its start).
   bool traced() const { return span_ != nullptr; }
   std::uint64_t start_ns() const { return start_ns_; }
+  /// This stage's span context, the parent of its child stages; empty
+  /// when it records no span.
+  obs::TraceContext context() {
+    if (span_ == nullptr) return {};
+    return {trace_id(), span_id()};
+  }
   /// Re-parents the span before stop(): the context a batch rode in on
   /// is only known once the source has delivered it.
   void set_parent(obs::TraceContext parent) { parent_ = parent; }
@@ -102,8 +106,8 @@ class Stage {
       record.arg_value = arg_value_;
       record.start_ns = start_ns_;
       record.dur_ns = end_ns - start_ns_;
-      record.span_id = tracer.next_id();
-      record.trace_id = parent_.valid() ? parent_.trace_id : tracer.next_id();
+      record.span_id = span_id();
+      record.trace_id = trace_id();
       record.parent_id = parent_.span_id;
       tracer.record(record);
     }
@@ -111,10 +115,24 @@ class Stage {
   }
 
  private:
+  /// Minted on first use, so a stage nothing asks for ids takes them
+  /// when it records.
+  std::uint64_t span_id() {
+    if (span_id_ == 0) span_id_ = obs::Tracer::global().next_id();
+    return span_id_;
+  }
+  std::uint64_t trace_id() {
+    if (parent_.valid()) return parent_.trace_id;
+    if (trace_id_ == 0) trace_id_ = obs::Tracer::global().next_id();
+    return trace_id_;
+  }
+
   double* total_;
   obs::Histogram* histogram_;
   const char* span_;
   obs::TraceContext parent_;
+  std::uint64_t span_id_ = 0;
+  std::uint64_t trace_id_ = 0;
   const char* arg_key_ = nullptr;
   std::uint64_t arg_value_ = 0;
   std::uint64_t start_ns_;
@@ -179,6 +197,9 @@ struct StreamingEngine::Telemetry {
         execute(stage(registry, "execute")),
         reduce(stage(registry, "reduce")),
         checkpoint_write(stage(registry, "checkpoint_write")),
+        checkpoint_encode(stage(registry, "checkpoint_encode")),
+        checkpoint_io(stage(registry, "checkpoint_io")),
+        checkpoint_sync(stage(registry, "checkpoint_sync")),
         checkpoint_restore(stage(registry, "checkpoint_restore")) {}
 
   static obs::Histogram& stage(obs::MetricsRegistry& registry,
@@ -188,7 +209,10 @@ struct StreamingEngine::Telemetry {
         "Wall seconds per serve-pipeline stage, labeled by stage: "
         "source_wait (log decode / admission wait), route "
         "(validate + shard routing), execute (parallel shard tasks), "
-        "reduce (finish), checkpoint_write / checkpoint_restore",
+        "reduce (finish), checkpoint_write (a whole cut) split into "
+        "checkpoint_encode (shard tasks), checkpoint_io (merge and "
+        "writes) and checkpoint_sync (fsync, rename, directory sync), "
+        "checkpoint_restore",
         obs::Histogram::default_latency_bounds(), {{"stage", name}});
   }
 
@@ -212,6 +236,9 @@ struct StreamingEngine::Telemetry {
   obs::Histogram& execute;
   obs::Histogram& reduce;
   obs::Histogram& checkpoint_write;
+  obs::Histogram& checkpoint_encode;
+  obs::Histogram& checkpoint_io;
+  obs::Histogram& checkpoint_sync;
   obs::Histogram& checkpoint_restore;
 };
 
@@ -236,21 +263,32 @@ struct StreamingEngine::ObjectState {
   }
 
   /// The record's event count is the simulation's step count: both
-  /// advance once per ingested event.
+  /// advance once per ingested event. The snapshot header carries the
+  /// component names and the config the record's fields price against.
   void save_state(StateWriter& out) const {
     out.u64(static_cast<std::uint64_t>(simulation.steps()));
     out.boolean(lower_bound.has_value());
     if (lower_bound) lower_bound->save_state(out);
-    simulation.save_state(out);
+    simulation.save_record(out);
   }
 
-  void load_state(StateReader& in) {
+  /// Reads a record of `header`'s snapshot version; a version-5 record's
+  /// components must carry the header's names.
+  void load_state(StateReader& in, const SnapshotHeader& header) {
+    if (!in.legacy()) {
+      simulation.expect_components(header.policy_name, header.predictor_name,
+                                   in);
+    }
     const std::uint64_t events = in.u64();
     if (in.boolean() != lower_bound.has_value()) {
       in.fail("lower-bound presence mismatch");
     }
     if (lower_bound) lower_bound->load_state(in);
-    simulation.load_state(in);
+    if (in.legacy()) {
+      simulation.load_state(in);  // the names and config ride inline
+    } else {
+      simulation.load_record(in);
+    }
     in.expect_end();
     if (events != simulation.steps()) {
       in.fail("event count " + std::to_string(events) +
@@ -643,13 +681,7 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
       tel->source_bytes.set(static_cast<double>(source.bytes_consumed()));
     }
     if (checkpoint_every > 0 && stats_.events_ingested >= next_checkpoint) {
-      {
-        Stage write(&stats_.checkpoint_seconds,
-                    tel ? &tel->checkpoint_write : nullptr,
-                    "engine.checkpoint", parent);
-        write.set_arg("events", stats_.events_ingested);
-        checkpoint(options.checkpoint_path);
-      }
+      checkpoint(options.checkpoint_path, parent);
       ++stats_.checkpoints_written;
       if (capture) capture->record_cut(stats_.events_ingested);
       source.checkpointed(stats_.events_ingested);
@@ -779,43 +811,25 @@ void StreamingEngine::seek_to_resume(EventLogReader& reader) {
 }
 
 void StreamingEngine::checkpoint(const std::string& path) {
+  checkpoint(path, obs::TraceContext{});
+}
+
+void StreamingEngine::checkpoint(const std::string& path,
+                                 obs::TraceContext parent) {
   REPL_CHECK_MSG(!finished_, "checkpoint after finish()");
   REPL_CHECK_MSG(!failed_, "engine unusable after a prior failure");
-
-  // Serialize shard-parallel, in ascending shard id: each task
-  // snapshots its shard's objects into id-sorted (id, payload) pairs.
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->objects.empty()) active.push_back(i);
-  }
-  std::vector<std::vector<ObjectRecord>> snapshots(active.size());
-  run_shard_tasks(active.size(), [&](std::size_t task) {
-    const Shard& shard = *shards_[active[task]];
-    std::vector<ObjectRecord>& out = snapshots[task];
-    out.reserve(shard.objects.size());
-    for (const ObjectState& state : shard.objects) {
-      StateWriter writer;
-      state.save_state(writer);
-      out.emplace_back(state.id, writer.release());
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  });
-
-  // Merge to canonical order: shards partition the id space, so a global
-  // id sort over the shard-sorted runs yields the snapshot's record
-  // order regardless of shard layout.
-  std::vector<const ObjectRecord*> records;
-  records.reserve(object_count());
-  for (const std::vector<ObjectRecord>& run : snapshots) {
-    for (const ObjectRecord& entry : run) records.push_back(&entry);
-  }
-  std::sort(records.begin(), records.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+  Telemetry* tel = telemetry_.get();
+  // The whole cut, then its three phases back to back as child stages:
+  // encode, merge and write, sync.
+  Stage cut(&stats_.checkpoint_seconds, tel ? &tel->checkpoint_write : nullptr,
+            "engine.checkpoint", parent);
+  cut.set_arg("events", stats_.events_ingested);
+  Stage encode(nullptr, tel ? &tel->checkpoint_encode : nullptr,
+               "engine.checkpoint.encode", cut.context(), cut.start_ns());
 
   SnapshotHeader header;
   header.num_servers = static_cast<std::uint32_t>(config_.num_servers);
-  header.num_objects = records.size();
+  header.num_objects = object_count();
   header.events_ingested = stats_.events_ingested;
   header.batches = stats_.batches;
   header.base_seed = options_.base_seed;
@@ -836,19 +850,122 @@ void StreamingEngine::checkpoint(const std::string& path) {
   header.partition_id = partition_id_;
   header.num_partitions = num_partitions_;
   header.pf_version = pf_version_;
-  // Atomic replace: seal the snapshot under a temporary name first, so a
-  // crash mid-write never clobbers the previous good one.
-  const std::string tmp = path + ".tmp";
-  SnapshotWriter writer(tmp, header);
-  for (const auto* record : records) {
-    writer.add_object(record->first, record->second);
+  header.transfer_cost = config_.transfer_cost;
+  header.initial_server = config_.initial_server;
+  header.storage_rates = config_.storage_rates;
+
+  // Every object's components must carry the names the header records
+  // once; any object's names serve as the reference.
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (!shards_[i]->objects.empty()) active.push_back(i);
   }
-  writer.close();  // syncs the snapshot's bytes
-  rename_and_sync_dir(tmp, path);
-  stats_.checkpoint_bytes += writer.bytes_written();
-  if (telemetry_) {
-    telemetry_->checkpoint_writes.inc();
-    telemetry_->checkpoint_bytes.inc(writer.bytes_written());
+  if (!active.empty()) {
+    const ObjectState& first = shards_[active.front()]->objects.front();
+    header.policy_name = first.policy->name();
+    header.predictor_name = first.predictor->name();
+  }
+
+  // Shard-parallel, in ascending shard id: each task frames its shard's
+  // records, in ascending object id, one after another into one buffer.
+  struct EncodedShard {
+    std::vector<unsigned char> records;
+    const ObjectState* mismatch = nullptr;  // first object named otherwise
+  };
+  std::vector<EncodedShard> encoded(active.size());
+  run_shard_tasks(active.size(), [&](std::size_t task) {
+    const Shard& shard = *shards_[active[task]];
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+    order.reserve(shard.objects.size());
+    for (std::size_t i = 0; i < shard.objects.size(); ++i) {
+      order.emplace_back(shard.objects[i].id, static_cast<std::uint32_t>(i));
+    }
+    std::sort(order.begin(), order.end());
+    std::vector<unsigned char>& out = encoded[task].records;
+    out.reserve(shard.objects.size() * 320);
+    StateWriter writer(out);
+    std::vector<unsigned char> scratch;
+    for (const auto& [id, index] : order) {
+      const ObjectState& state = shard.objects[index];
+      if (encoded[task].mismatch == nullptr &&
+          (state.policy->name() != header.policy_name ||
+           state.predictor->name() != header.predictor_name)) {
+        encoded[task].mismatch = &state;
+      }
+      const std::size_t at = out.size();
+      out.resize(at + SnapshotHeader::kRecordPrefixSize);
+      state.save_state(writer);
+      frame_record(out, at, id, header.codec, scratch);
+    }
+  });
+  for (const EncodedShard& shard : encoded) {
+    REPL_REQUIRE_MSG(shard.mismatch == nullptr,
+                     "object " << shard.mismatch->id << " runs policy '"
+                               << shard.mismatch->policy->name()
+                               << "' and predictor '"
+                               << shard.mismatch->predictor->name()
+                               << "', but a snapshot names one pair for "
+                                  "every object: '"
+                               << header.policy_name << "' and '"
+                               << header.predictor_name << "'");
+  }
+
+  // Atomic replace: seal the snapshot under a temporary name first, so a
+  // crash mid-write never clobbers the previous good one; a failed cut
+  // removes its temporary file and leaves the previous snapshot in place.
+  const std::string tmp = path + ".tmp";
+  std::uint64_t bytes = 0;
+  try {
+    Stage io(nullptr, tel ? &tel->checkpoint_io : nullptr,
+             "engine.checkpoint.io", cut.context(), encode.stop());
+    SnapshotWriter writer(tmp, header);
+    // Merge to canonical order: shards partition the id space, so
+    // interleaving the id-sorted runs by their next id yields the
+    // snapshot's record order whatever the shard layout.
+    struct Cursor {
+      std::uint64_t id;
+      std::size_t run;
+      std::size_t at;
+    };
+    const auto later = [](const Cursor& a, const Cursor& b) {
+      return a.id > b.id;
+    };
+    std::vector<Cursor> heap;
+    for (std::size_t run = 0; run < encoded.size(); ++run) {
+      heap.push_back(
+          {framed_record_id(encoded[run].records.data()), run, 0});
+    }
+    std::make_heap(heap.begin(), heap.end(), later);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      Cursor& next = heap.back();
+      std::vector<unsigned char>& run = encoded[next.run].records;
+      const unsigned char* record = run.data() + next.at;
+      writer.add_framed(record);
+      next.at += framed_record_size(record);
+      if (next.at < run.size()) {
+        next.id = framed_record_id(run.data() + next.at);
+        std::push_heap(heap.begin(), heap.end(), later);
+      } else {
+        std::vector<unsigned char>().swap(run);
+        heap.pop_back();
+      }
+    }
+    writer.seal();
+    Stage sync(nullptr, tel ? &tel->checkpoint_sync : nullptr,
+               "engine.checkpoint.sync", cut.context(), io.stop());
+    writer.close();  // fsyncs the snapshot's bytes
+    rename_and_sync_dir(tmp, path);
+    bytes = writer.bytes_written();
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
+  }
+  stats_.checkpoint_bytes += bytes;
+  if (tel) {
+    tel->checkpoint_writes.inc();
+    tel->checkpoint_bytes.inc(bytes);
   }
 }
 
@@ -862,6 +979,28 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
                    "snapshot has " << header.num_servers
                                    << " servers, config expects "
                                    << config.num_servers);
+  if (header.version >= 5) {
+    // Every component prices against the same SystemConfig, so a
+    // different λ, initial server or storage rate would continue with
+    // diverging durations and costs. Older records check these inline.
+    REPL_REQUIRE_MSG(header.transfer_cost == config.transfer_cost,
+                     "snapshot was cut with transfer cost (lambda) "
+                         << header.transfer_cost << ", config has "
+                         << config.transfer_cost);
+    REPL_REQUIRE_MSG(header.initial_server == config.initial_server,
+                     "snapshot was cut with initial server "
+                         << header.initial_server << ", config has "
+                         << config.initial_server);
+    for (int s = 0; s < config.num_servers; ++s) {
+      REPL_REQUIRE_MSG(
+          header.storage_rates[static_cast<std::size_t>(s)] ==
+              config.storage_rate(s),
+          "snapshot was cut with storage rate "
+              << header.storage_rates[static_cast<std::size_t>(s)]
+              << " at server " << s << ", config has "
+              << config.storage_rate(s));
+    }
+  }
   const bool snapshot_lower_bound =
       (header.flags & SnapshotHeader::kFlagLowerBound) != 0;
   REPL_REQUIRE_MSG(snapshot_lower_bound == options.compute_lower_bound,
@@ -924,36 +1063,44 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
     engine->log_num_events_ = header.log_num_events;
   }
 
-  // Rebuild the object table in bounded-memory chunks: route records to
-  // per-shard inboxes (reused across chunks), then decode shard-parallel
-  // with one task per shard in the order of its first record (object
-  // construction runs the factories + a fresh simulation reset before
-  // load_state overwrites the evolved fields — the expensive part, worth
-  // the fan-out).
+  // Rebuild the object table in bounded-memory chunks: read a chunk's
+  // payloads into one buffer and route them to per-shard inboxes (both
+  // reused across chunks), then decode shard-parallel with one task per
+  // shard in the order of its first record (object construction runs the
+  // factories + a fresh simulation reset before load_state overwrites
+  // the evolved fields — the expensive part, worth the fan-out).
   constexpr std::size_t kChunkObjects = std::size_t{1} << 16;
+  struct Routed {
+    std::uint64_t id;
+    std::size_t at;
+    std::size_t size;
+  };
   const std::size_t num_shards = engine->options_.num_shards;
-  std::vector<std::vector<ObjectRecord>> inboxes(num_shards);
+  std::vector<std::vector<Routed>> inboxes(num_shards);
+  std::vector<unsigned char> chunk;
+  std::vector<unsigned char> payload;
   bool more = true;
   while (more) {
     std::vector<std::size_t> active;
     std::size_t routed = 0;
     std::uint64_t id = 0;
-    std::vector<unsigned char> payload;
+    chunk.clear();
     while (routed < kChunkObjects && (more = reader.next_object(id, payload))) {
       const std::size_t shard = shard_index(id, num_shards);
       if (inboxes[shard].empty()) active.push_back(shard);
-      inboxes[shard].emplace_back(id, std::move(payload));
+      inboxes[shard].push_back({id, chunk.size(), payload.size()});
+      chunk.insert(chunk.end(), payload.begin(), payload.end());
       ++routed;
     }
     if (routed == 0) break;
     engine->run_shard_tasks(active.size(), [&](std::size_t task) {
       Shard& shard = *engine->shards_[active[task]];
-      auto& inbox = inboxes[active[task]];
-      for (auto& [object_id, bytes] : inbox) {
-        ObjectState state = engine->make_object_state(object_id);
-        StateReader in(bytes.data(), bytes.size(),
-                       "object " + std::to_string(object_id));
-        state.load_state(in);
+      std::vector<Routed>& inbox = inboxes[active[task]];
+      for (const Routed& record : inbox) {
+        ObjectState state = engine->make_object_state(record.id);
+        StateReader in(chunk.data() + record.at, record.size,
+                       "object " + std::to_string(record.id), header.version);
+        state.load_state(in, header);
         shard.insert(std::move(state));
       }
       inbox.clear();

@@ -39,18 +39,19 @@ StreamingLowerBound::StreamingLowerBound(const SystemConfig& config)
 }
 
 void StreamingLowerBound::save_state(StateWriter& out) const {
-  out.f64(lambda_);
   out.f64(prev_global_);
   out.f64(bound_);
-  out.u64(static_cast<std::uint64_t>(num_servers_));
-  last_at_server_.save(out, num_servers_);
+  last_at_server_.save(out);
 }
 
 void StreamingLowerBound::load_state(StateReader& in) {
-  if (in.f64() != lambda_) in.fail("lower bound lambda mismatch");
+  if (in.legacy() && in.f64() != lambda_) {
+    in.fail("lower bound lambda mismatch");
+  }
   prev_global_ = in.f64();
   bound_ = in.f64();
-  if (in.u64() != static_cast<std::uint64_t>(num_servers_)) {
+  if (in.legacy() &&
+      in.u64() != static_cast<std::uint64_t>(num_servers_)) {
     in.fail("lower bound server count mismatch");
   }
   last_at_server_.load(in, num_servers_);

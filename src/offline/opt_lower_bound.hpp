@@ -40,9 +40,9 @@ class StreamingLowerBound {
 
   double value() const { return bound_; }
 
-  /// Checkpoint protocol: the accumulator and the last request time of
-  /// every server, untouched ones included; λ is construction state and
-  /// only cross-checked.
+  /// Checkpoint protocol: the accumulators and the last request time of
+  /// each requested server. λ is construction state, which the snapshot
+  /// header checks.
   void save_state(StateWriter& out) const;
   void load_state(StateReader& in);
 

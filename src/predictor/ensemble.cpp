@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "util/check.hpp"
 #include "util/format.hpp"
@@ -65,25 +66,63 @@ Prediction EnsemblePredictor::predict(const PredictionQuery& query) {
   return Prediction{within_weight > beyond_weight};
 }
 
+void EnsemblePredictor::PendingVote::save(StateWriter& out) const {
+  const PendingVote untouched;
+  EntryWriter fields(out);
+  fields.boolean(has_votes);
+  fields.f64(time, untouched.time);
+  fields.i32(votes, untouched.votes);
+  fields.end();
+}
+
+void EnsemblePredictor::PendingVote::load(StateReader& in) {
+  const PendingVote untouched;
+  EntryReader fields(in);
+  has_votes = fields.boolean();
+  time = fields.f64(untouched.time);
+  const std::int32_t bits = fields.i32(untouched.votes);
+  fields.end();
+  if (bits < 0 || bits > 0xffff) in.fail("ensemble votes out of range");
+  votes = static_cast<std::uint16_t>(bits);
+}
+
 void EnsemblePredictor::save_state(StateWriter& out) const {
-  const std::size_t experts = experts_.size();
-  out.u64(static_cast<std::uint64_t>(experts));
   for (const double w : weights_) out.f64(w);
-  out.u64(pending_extent_);
-  pending_.for_each_server(
-      static_cast<int>(pending_extent_),
-      [&out, experts](int, const PendingVote& pending) {
-        out.f64(pending.time);
-        out.u64(pending.has_votes ? experts : 0);
-        if (!pending.has_votes) return;
-        for (std::size_t e = 0; e < experts; ++e) {
-          out.boolean(((unsigned{pending.votes} >> e) & 1u) != 0);
-        }
-      });
+  out.varint(pending_extent_);
+  pending_.save(out);
   for (const auto& expert : experts_) expert->save_state(out);
 }
 
 void EnsemblePredictor::load_state(StateReader& in) {
+  if (in.legacy()) {
+    load_legacy(in);
+  } else {
+    for (double& w : weights_) w = in.f64();
+    pending_extent_ = in.varint();
+    if (pending_extent_ > static_cast<std::uint32_t>(
+                              std::numeric_limits<int>::max())) {
+      in.fail("ensemble pending extent " + std::to_string(pending_extent_) +
+              " out of range");
+    }
+    pending_.load(in, static_cast<int>(pending_extent_));
+  }
+  // A scored entry always carries one vote per expert; anything else is
+  // corruption, and predict() would score votes that were never cast.
+  const unsigned cast = (1u << experts_.size()) - 1;
+  pending_.for_each([&](int, const PendingVote& pending) {
+    if ((pending.votes & ~cast) != 0 ||
+        (!pending.has_votes && pending.votes != 0)) {
+      in.fail("ensemble pending votes do not match the " +
+              std::to_string(experts_.size()) + " experts");
+    }
+    if (pending.time >= 0.0 && !pending.has_votes) {
+      in.fail("ensemble pending entry has a timestamp but no votes");
+    }
+  });
+  for (const auto& expert : experts_) expert->load_state(in);
+}
+
+void EnsemblePredictor::load_legacy(StateReader& in) {
   if (in.u64() != experts_.size()) {
     in.fail("ensemble expert count mismatch");
   }
@@ -100,15 +139,10 @@ void EnsemblePredictor::load_state(StateReader& in) {
   for (std::uint32_t s = 0; s < pending_extent_; ++s) {
     PendingVote pending;
     pending.time = in.f64();
-    // A scored entry always carries one vote per expert; anything else is
-    // corruption, and predict() would score votes that were never cast.
     const std::uint64_t num_votes = in.u64();
     if (num_votes != 0 && num_votes != experts_.size()) {
       in.fail("ensemble pending vote count " + std::to_string(num_votes) +
               " != expert count " + std::to_string(experts_.size()));
-    }
-    if (pending.time >= 0.0 && num_votes != experts_.size()) {
-      in.fail("ensemble pending entry has a timestamp but no votes");
     }
     pending.has_votes = num_votes != 0;
     for (std::uint64_t e = 0; e < num_votes; ++e) {
@@ -120,7 +154,6 @@ void EnsemblePredictor::load_state(StateReader& in) {
       pending_.touch(static_cast<int>(s), static_cast<int>(extent)) = pending;
     }
   }
-  for (const auto& expert : experts_) expert->load_state(in);
 }
 
 std::string EnsemblePredictor::name() const {

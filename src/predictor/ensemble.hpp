@@ -54,7 +54,14 @@ class EnsemblePredictor final : public Predictor {
     double time = -1.0;  // when the scored prediction was issued
     std::uint16_t votes = 0;  // bit e: expert e forecast "within"
     bool has_votes = false;
+
+    void save(StateWriter& out) const;
+    void load(StateReader& in);
   };
+
+  /// The version-4 record: the expert count, then every server below
+  /// the extent with its time and one vote per expert.
+  void load_legacy(StateReader& in);
 
   std::vector<std::shared_ptr<Predictor>> experts_;
   Config config_;

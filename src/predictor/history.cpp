@@ -31,12 +31,12 @@ Prediction HistoryPredictor::predict(const PredictionQuery& query) {
 }
 
 void HistoryPredictor::save_state(StateWriter& out) const {
-  out.u32(static_cast<std::uint32_t>(num_servers_));
-  state_.save(out, num_servers_);
+  state_.save(out);
 }
 
 void HistoryPredictor::load_state(StateReader& in) {
-  if (in.u32() != static_cast<std::uint32_t>(num_servers_)) {
+  if (in.legacy() &&
+      in.u32() != static_cast<std::uint32_t>(num_servers_)) {
     in.fail("history predictor server count mismatch");
   }
   state_.load(in, num_servers_);

@@ -44,12 +44,23 @@ class HistoryPredictor final : public Predictor {
     double ewma = -1.0;       // <0 until the first gap is observed
 
     void save(StateWriter& out) const {
-      out.f64(last_time);
-      out.f64(ewma);
+      const ServerState untouched;
+      EntryWriter fields(out);
+      fields.f64(last_time, untouched.last_time);
+      fields.f64(ewma, untouched.ewma);
+      fields.end();
     }
     void load(StateReader& in) {
-      last_time = in.f64();
-      ewma = in.f64();
+      if (in.legacy()) {
+        last_time = in.f64();
+        ewma = in.f64();
+        return;
+      }
+      const ServerState untouched;
+      EntryReader fields(in);
+      last_time = fields.f64(untouched.last_time);
+      ewma = fields.f64(untouched.ewma);
+      fields.end();
     }
   };
 

@@ -13,25 +13,36 @@ LastGapPredictor::LastGapPredictor(int num_servers, bool default_within)
 void LastGapPredictor::reset() { state_.clear(); }
 
 void LastGapPredictor::ServerState::save(StateWriter& out) const {
-  out.f64(last_time);
-  out.i32(last_class);
+  const ServerState untouched;
+  EntryWriter fields(out);
+  fields.f64(last_time, untouched.last_time);
+  fields.i32(last_class, untouched.last_class);
+  fields.end();
 }
 
 void LastGapPredictor::ServerState::load(StateReader& in) {
-  last_time = in.f64();
-  last_class = in.i32();
+  const ServerState untouched;
+  if (in.legacy()) {
+    last_time = in.f64();
+    last_class = in.i32();
+  } else {
+    EntryReader fields(in);
+    last_time = fields.f64(untouched.last_time);
+    last_class = fields.i32(untouched.last_class);
+    fields.end();
+  }
   if (last_class < -1 || last_class > 1) {
     in.fail("last-gap class out of range");
   }
 }
 
 void LastGapPredictor::save_state(StateWriter& out) const {
-  out.u32(static_cast<std::uint32_t>(num_servers_));
-  state_.save(out, num_servers_);
+  state_.save(out);
 }
 
 void LastGapPredictor::load_state(StateReader& in) {
-  if (in.u32() != static_cast<std::uint32_t>(num_servers_)) {
+  if (in.legacy() &&
+      in.u32() != static_cast<std::uint32_t>(num_servers_)) {
     in.fail("last-gap predictor server count mismatch");
   }
   state_.load(in, num_servers_);

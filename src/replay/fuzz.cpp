@@ -791,7 +791,7 @@ Mutation mutate_snapshot_flip(const SnapCase& c, Rng& rng) {
   flip_bit(m.bytes, byte, bit);
   m.name = "flip:byte=" + std::to_string(byte) + ":bit=" + std::to_string(bit);
   // Every byte is covered: magic and version by their checks, the rest
-  // of the header by the v4 header CRC, records by their record CRCs,
+  // of the header by the header CRC, records by their record CRCs,
   // the footer by its magic.
   m.expect = Expect::kReject;
   return m;

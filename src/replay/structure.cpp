@@ -98,7 +98,8 @@ SnapshotImage walk_snapshot_image(const std::vector<unsigned char>& bytes) {
     // underflow and read past the buffer.
     if (header_bytes > bytes.size()) return image;
     // Two length-prefixed spec strings, then (v3) the codec word, then
-    // (v4) the slice block and the header CRC. Each check below keeps
+    // (v4) the slice block, (v5) the engine spec, and (v4) the header
+    // CRC. Each check below keeps
     // header_bytes <= bytes.size(), so the size_t subtractions cannot
     // underflow.
     for (int spec = 0; spec < 2; ++spec) {
@@ -117,6 +118,16 @@ SnapshotImage walk_snapshot_image(const std::vector<unsigned char>& bytes) {
         return image;
       }
       header_bytes += SnapshotHeader::kSliceSize;
+      if (version >= 5) {
+        // The length-prefixed engine spec sits between the slice and
+        // the header CRC.
+        const std::uint32_t len =
+            load_le32(bytes.data() + header_bytes - 4);
+        if (bytes.size() - header_bytes < len) return image;
+        header_bytes += len;
+        if (bytes.size() - header_bytes < 4) return image;
+        header_bytes += 4;
+      }
       image.header_crc_ok =
           load_le32(bytes.data() + header_bytes - 4) ==
           crc32c(bytes.data(), header_bytes - 4);

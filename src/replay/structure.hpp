@@ -71,14 +71,14 @@ struct LogImage {
 
 LogImage walk_log_image(const std::vector<unsigned char>& bytes);
 
-/// Walk of a snapshot file image (REPLCKPT v1-v4).
+/// Walk of a snapshot file image (REPLCKPT v1-v5).
 struct SnapshotImage {
   bool header_ok = false;
   std::uint32_t version = 0;
   std::uint64_t num_objects = 0;
-  /// Full header size including the v2-v4 extensions and spec strings.
+  /// Full header size including the v2-v5 extensions and spec strings.
   std::size_t header_bytes = 0;
-  /// The v4 header CRC matches (vacuously true before v4).
+  /// The v4+ header CRC matches (vacuously true before v4).
   bool header_crc_ok = true;
   std::vector<SegmentSpan> records;
   /// Footer magic found immediately after the walked records.
@@ -110,7 +110,7 @@ void patch_log_event_count(std::vector<unsigned char>& bytes,
                            std::uint64_t num_events);
 
 /// Rewrites the num_objects field of a snapshot image header in place.
-/// A v4 header whose CRC held is resealed, so the new count reaches the
+/// A v4+ header whose CRC held is resealed, so the new count reaches the
 /// record checks instead of stopping at the header CRC.
 void patch_snapshot_object_count(std::vector<unsigned char>& bytes,
                                  std::uint64_t num_objects);

@@ -228,14 +228,18 @@ TEST(AdaptiveDrwp, RestoreRejectsASeenCountThatDisagreesWithItsSet) {
   };
   EXPECT_EQ(restore(bytes), policy.monitored_ratio());
 
-  // The estimator's record ends with the seen count, the request count,
-  // the server count and one seen flag per server.
-  const std::size_t count_at = bytes.size() - (4 + 3 * 8);
+  // The estimator's record ends with the seen count, the request count
+  // and the seen set: its size, then each seen server's id and flag.
+  const std::size_t set_at = bytes.size() - (1 + 3 * 2);
+  const std::size_t count_at = set_at - 2 * 8;
   ASSERT_EQ(bytes[count_at], 3);
+  ASSERT_EQ(bytes[set_at], 3);
   bytes[count_at] = 2;
   EXPECT_THROW(restore(bytes), std::runtime_error);
   bytes[count_at] = 3;
-  bytes[bytes.size() - 1] = 1;  // server 3 seen, count still 3
+  bytes[set_at] = 4;  // server 3 seen, count still 3
+  bytes.push_back(3);
+  bytes.push_back(1);
   EXPECT_THROW(restore(bytes), std::runtime_error);
 }
 

@@ -13,9 +13,14 @@
 //    checkpoint correctly;
 //  * pinned bytes — a fixed log's snapshot under five spec pairs keeps
 //    its exact size and CRC-32C, so no save_state stream or component
-//    name drifts.
+//    name drifts, and checked-in version-4 snapshots keep restoring;
+//  * canonical records — a CRC-valid but hostile record payload either
+//    fails naming its object or re-cuts to its own bytes;
+//  * failed cuts — a cut whose writes fail throws and leaves the
+//    previous snapshot in place.
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +34,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include "api/experiment.hpp"
 #include "checkpoint/snapshot.hpp"
@@ -837,6 +844,12 @@ std::unique_ptr<StreamingEngine> restore_test_engine(const std::string& path) {
                                   engine_predictor_factory());
 }
 
+/// A checked-in snapshot that the version-4 writer produced: the
+/// workloads below, cut by the build before snapshot version 5.
+std::string legacy_snapshot(const std::string& name) {
+  return std::string(REPL_SNAPSHOT_V4_DIR) + "/" + name;
+}
+
 // A cluster worker's checkpoint is one file that names its slice, so the
 // slice must survive checkpoint -> restore -> checkpoint, with or without
 // a bind on the restored engine.
@@ -852,7 +865,7 @@ TEST_F(CheckpointFileTest, SliceRoundTripsThroughCheckpointAndRestore) {
   const std::string bound = temp_path("bound.ckpt");
   engine->checkpoint(bound);
   const SnapshotHeader header = read_snapshot_header(bound);
-  EXPECT_EQ(header.version, 4u);
+  EXPECT_EQ(header.version, SnapshotHeader::kVersion);
   EXPECT_EQ(header.partition_id, 1u);
   EXPECT_EQ(header.num_partitions, 4u);
   EXPECT_EQ(header.pf_version, 1u);
@@ -875,8 +888,11 @@ TEST_F(CheckpointFileTest, RestoreRefusesAnotherSlice) {
   engine->ingest(events);
   const std::string unbound = temp_path("unbound.ckpt");
   engine->checkpoint(unbound);
+  // The same engine's unbound cut as the version-4 writer made it, and
+  // its v3 twin.
+  const std::string v4 = legacy_snapshot("unbound-drwp-last_gap.ckpt");
   const std::string v3 = temp_path("v3.ckpt");
-  write_file(v3, strip_to_v3(unbound));
+  write_file(v3, strip_to_v3(v4));
   engine->bind_slice(1, 4, 1);
   const std::string bound = temp_path("bound.ckpt");
   engine->checkpoint(bound);
@@ -905,8 +921,8 @@ TEST_F(CheckpointFileTest, RestoreRefusesAnotherSlice) {
                  "partition 1 of 8 under partition function 1");
   expect_refused(bound, 1, 4, 2, cut_for,
                  "partition 1 of 4 under partition function 2");
-  // An unbound snapshot, v4 or v3, cannot resume a partition.
-  for (const std::string& path : {unbound, v3}) {
+  // An unbound snapshot, v5, v4 or v3, cannot resume a partition.
+  for (const std::string& path : {unbound, v4, v3}) {
     SCOPED_TRACE(path);
     expect_refused(path, 0, 2, 1,
                    "snapshot was cut with no partition slice",
@@ -916,33 +932,20 @@ TEST_F(CheckpointFileTest, RestoreRefusesAnotherSlice) {
   EXPECT_THROW(fresh_engine(4, 1)->bind_slice(4, 4, 1), std::invalid_argument);
 }
 
-// The v4 header CRC covers every header byte: a single flipped bit
-// anywhere in it, or a cut anywhere inside it, fails the restore at the
-// reader with a diagnostic naming the cause, before any field is used.
-TEST_F(CheckpointFileTest, EveryHeaderBitFlipAndTruncationIsRejected) {
-  EngineBuilder builder;
-  builder.config(test_config()).policy("drwp(alpha=0.3)").predictor("last_gap");
-  auto engine = builder.build();
-  EventLogHeader log;
-  log.num_servers = kServers;
-  log.num_objects = 200;
-  log.num_events = 4000;
-  engine->bind_log(log);
-  engine->bind_slice(1, 2, 1);
-  engine->ingest(interleaved_events(4000, 200, 47));
-  const std::string path = temp_path("header.ckpt");
-  engine->checkpoint(path);
-  const SnapshotHeader header = read_snapshot_header(path);
-  ASSERT_FALSE(header.policy_spec.empty() || header.predictor_spec.empty());
-  const std::size_t header_bytes = header.encoded_size();
-  ASSERT_NE(builder.restore(path), nullptr);
+/// Flips every bit of `path`'s header, and cuts the file at every header
+/// byte: each copy must fail `restore` at the reader, naming the file.
+/// Past the version, the header CRC (or a spec length's own check, for
+/// a length that runs past its cap or the file) names the cause, and a
+/// cut names the truncation.
+void expect_every_header_bit_flip_and_cut_rejected(
+    const std::string& path, const std::string& probe,
+    const std::function<void(const std::string&)>& restore) {
+  const std::size_t header_bytes = read_snapshot_header(path).encoded_size();
   const std::vector<char> intact = read_file(path);
-
-  const std::string probe = temp_path("probe.ckpt");
   const auto rejection = [&](const std::vector<char>& bytes) -> std::string {
     write_file(probe, bytes);
     try {
-      builder.restore(probe);
+      restore(probe);
     } catch (const std::exception& error) {
       return error.what();
     }
@@ -976,52 +979,105 @@ TEST_F(CheckpointFileTest, EveryHeaderBitFlipAndTruncationIsRejected) {
   }
 }
 
-/// One pinned snapshot: a spec pair, the engine it needs, and the size
-/// and CRC-32C of the v4 file it must produce and of that file's v3 twin.
+// The header CRC covers every header byte: a single flipped bit
+// anywhere in it, or a cut anywhere inside it, fails the restore at the
+// reader with a diagnostic naming the cause, before any field is used.
+// That holds for a version-4 header as well as for the current one.
+TEST_F(CheckpointFileTest, EveryHeaderBitFlipAndTruncationIsRejected) {
+  EngineBuilder builder;
+  builder.config(test_config()).policy("drwp(alpha=0.3)").predictor("last_gap");
+  auto engine = builder.build();
+  EventLogHeader log;
+  log.num_servers = kServers;
+  log.num_objects = 200;
+  log.num_events = 4000;
+  engine->bind_log(log);
+  engine->bind_slice(1, 2, 1);
+  engine->ingest(interleaved_events(4000, 200, 47));
+  const std::string path = temp_path("header.ckpt");
+  engine->checkpoint(path);
+  const SnapshotHeader header = read_snapshot_header(path);
+  ASSERT_FALSE(header.policy_spec.empty() || header.predictor_spec.empty());
+  ASSERT_NE(builder.restore(path), nullptr);
+  const std::string probe = temp_path("probe.ckpt");
+  expect_every_header_bit_flip_and_cut_rejected(
+      path, probe, [&](const std::string& file) { builder.restore(file); });
+
+  const std::string v4 = legacy_snapshot("drwp-last_gap.ckpt");
+  ASSERT_EQ(read_snapshot_header(v4).version, 4u);
+  SystemConfig config;
+  config.num_servers = 10;
+  config.transfer_cost = 10.0;
+  EngineBuilder legacy;
+  legacy.config(config).policy("drwp(alpha=0.3)").predictor("last_gap");
+  ASSERT_NE(legacy.restore(v4), nullptr);
+  expect_every_header_bit_flip_and_cut_rejected(
+      v4, probe, [&](const std::string& file) { legacy.restore(file); });
+}
+
+/// One pinned snapshot: a spec pair and the engine it needs; the
+/// checked-in file the version-4 writer made of the small log, with the
+/// size and CRC-32C of that file and of its v3 twin; and the size and
+/// CRC-32C of the version-5 file of the full log.
 struct PinnedSnapshot {
   const char* policy;
   const char* predictor;
   bool weighted_rates;  // storage rates 1..10, no lower bound
-  std::uint64_t bytes;
-  std::uint32_t crc;
+  const char* legacy_file;
+  std::uint64_t v4_bytes;
+  std::uint32_t v4_crc;
   std::uint64_t v3_bytes;
   std::uint32_t v3_crc;
+  std::uint64_t bytes;
+  std::uint32_t crc;
 };
+
+/// The pinned generator's log of `objects` objects and `events` events
+/// over 10 servers, written to `path`, and its events.
+std::vector<LogEvent> pinned_log(const std::string& path,
+                                 std::uint64_t objects, std::uint64_t events) {
+  StreamWorkloadConfig workload;
+  workload.num_objects = objects;
+  workload.num_servers = 10;
+  workload.rate = static_cast<double>(objects) / 64.0;
+  workload.max_events = events;
+  EXPECT_EQ(generate_event_log(workload, 2024, path), events);
+  std::vector<LogEvent> out;
+  EventLogReader reader(path);
+  LogEvent event;
+  while (reader.next(event)) out.push_back(event);
+  return out;
+}
 
 // Snapshot bytes are the on-disk contract: fixtures, live checkpoints and
 // worker snapshots written by an older build must restore bit for bit.
 // These constants pin the exact files for a fixed log under five spec
 // pairs, so a change to any save_state stream, the recorder's layout or
-// a component's name() shows up here as a byte difference. Both versions
-// stay pinned: the v3 pins are the files the v3 writer produced, which
-// each v4 file must strip back to exactly, and a restored v3 file must
-// checkpoint to the v4 bytes again.
+// a component's name() shows up here as a byte difference. The writer
+// emits version 5 only, so the version-4 pins are checked-in files its
+// predecessor wrote of a small log: each must keep its bytes, strip to
+// its v3 twin's, and both must restore and cut exactly the version-5
+// file a fresh engine fed the same events writes.
 TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
-  const std::string log = temp_path("pinned.evlog");
-  StreamWorkloadConfig workload;
-  workload.num_objects = 200;
-  workload.num_servers = 10;
-  workload.rate = 200.0 / 64.0;
-  workload.max_events = 5000;
-  ASSERT_EQ(generate_event_log(workload, 2024, log), 5000u);
-  std::vector<LogEvent> events;
-  {
-    EventLogReader reader(log);
-    LogEvent event;
-    while (reader.next(event)) events.push_back(event);
-  }
+  const std::vector<LogEvent> events =
+      pinned_log(temp_path("pinned.evlog"), 200, 5000);
+  const std::string small_log = temp_path("pinned_small.evlog");
+  const std::vector<LogEvent> small_events = pinned_log(small_log, 8, 400);
 
   const PinnedSnapshot pinned[] = {
-      {"drwp(alpha=0.3)", "last_gap", false, 215961, 0x84e2acd7, 215945,
-       0x740ab898},
+      {"drwp(alpha=0.3)", "last_gap", false, "drwp-last_gap.ckpt", 8793,
+       0x0276501e, 8777, 0x98d3f726, 89337, 0xf7bc51e9},
       {"adaptive(alpha=1.5)", "ensemble(last_gap,history(ewma=0.3))", false,
-       335061, 0x93661bf3, 335045, 0x268cdf41},
-      {"randomized(alpha=0.1)", "history(ewma=0.3)", false, 236784,
-       0x664d8ba5, 236768, 0xdb7fbaf1},
+       "adaptive-ensemble.ckpt", 13685, 0x57621c8a, 13669, 0x6bad0a90,
+       134035, 0x55225e26},
+      {"randomized(alpha=0.1)", "history(ewma=0.3)", false,
+       "randomized-history.ckpt", 9648, 0x12842b59, 9632, 0x1a424903, 101615,
+       0xace6b775},
       {"drwp(alpha=0.30000000000000004)", "fixed(within=true)", false,
-       192173, 0xbc26b0e0, 192157, 0x2817f80a},
-      {"weighted(alpha=0.3)", "last_gap", true, 195365, 0xb7e25d3e, 195349,
-       0xacfdebea},
+       "drwp-fixed.ckpt", 7853, 0x71a52ef3, 7837, 0xf09191a6, 75644,
+       0x3f824be7},
+      {"weighted(alpha=0.3)", "last_gap", true, "weighted-last_gap.ckpt",
+       7973, 0x4af439a9, 7957, 0x41722fde, 75987, 0x7e8fc7d7},
   };
   for (const PinnedSnapshot& pin : pinned) {
     SCOPED_TRACE(std::string(pin.policy) + " + " + pin.predictor);
@@ -1038,28 +1094,289 @@ TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
     EngineBuilder builder;
     builder.config(config).options(options);
     builder.policy(pin.policy).predictor(pin.predictor);
-    auto engine = builder.build();
-    EventLogReader reader(log);
-    engine->bind_log(reader.header());
-    for (std::size_t at = 0; at < events.size(); at += 1024) {
-      engine->ingest(events.data() + at,
-                     std::min<std::size_t>(1024, events.size() - at));
-    }
-    const std::string path = temp_path("pinned.ckpt");
-    engine->checkpoint(path);
-    const std::vector<char> bytes = read_file(path);
-    EXPECT_EQ(bytes.size(), pin.bytes);
-    EXPECT_EQ(crc32c(bytes.data(), bytes.size()), pin.crc);
+    const auto cut = [&](const std::string& log,
+                         const std::vector<LogEvent>& stream) {
+      auto engine = builder.build();
+      EventLogReader reader(log);
+      engine->bind_log(reader.header());
+      for (std::size_t at = 0; at < stream.size(); at += 1024) {
+        engine->ingest(stream.data() + at,
+                       std::min<std::size_t>(1024, stream.size() - at));
+      }
+      const std::string path = temp_path("pinned.ckpt");
+      engine->checkpoint(path);
+      return read_file(path);
+    };
 
-    const std::vector<char> v3 = strip_to_v3(path);
+    // The version-4 file and its v3 twin keep their bytes, and both
+    // restore into the engine that cuts a fresh engine's version-5 file.
+    const std::string v4_path = legacy_snapshot(pin.legacy_file);
+    const std::vector<char> v4 = read_file(v4_path);
+    EXPECT_EQ(v4.size(), pin.v4_bytes);
+    EXPECT_EQ(crc32c(v4.data(), v4.size()), pin.v4_crc);
+    const std::vector<char> v3 = strip_to_v3(v4_path);
     EXPECT_EQ(v3.size(), pin.v3_bytes);
     EXPECT_EQ(crc32c(v3.data(), v3.size()), pin.v3_crc);
     const std::string v3_path = temp_path("pinned_v3.ckpt");
     write_file(v3_path, v3);
-    const std::string again = temp_path("pinned_again.ckpt");
-    builder.restore(v3_path)->checkpoint(again);
-    EXPECT_EQ(read_file(again), bytes);
+    const std::vector<char> small = cut(small_log, small_events);
+    for (const std::string& legacy : {v4_path, v3_path}) {
+      SCOPED_TRACE(legacy);
+      const std::string again = temp_path("pinned_again.ckpt");
+      builder.restore(legacy)->checkpoint(again);
+      EXPECT_EQ(read_file(again), small);
+    }
+
+    const std::vector<char> bytes = cut(temp_path("pinned.evlog"), events);
+    EXPECT_EQ(bytes.size(), pin.bytes);
+    EXPECT_EQ(crc32c(bytes.data(), bytes.size()), pin.crc);
   }
+}
+
+/// Lowers the soft file-size limit for its lifetime, with SIGXFSZ
+/// ignored, so a write past the limit fails with EFBIG instead of
+/// killing the process.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &previous_), 0);
+    rlimit lowered = previous_;
+    lowered.rlim_cur = std::min(bytes, previous_.rlim_max);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit previous_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+};
+
+// A cut whose writes fail throws naming the path, removes its temporary
+// file and leaves the previous snapshot in place, which still restores
+// and resumes bit-identically; the engine cuts again once the cause is
+// gone. A failing fsync takes the same path, but a test cannot make one
+// fail, so the file-size limit stands in for it.
+TEST_F(CheckpointFileTest, FailedWriteFailsTheCutAndKeepsThePreviousOne) {
+  const std::vector<LogEvent> events = interleaved_events(6000, 300, 59);
+  const std::size_t first = 2000;
+  const std::size_t second = 4000;
+  auto reference = fresh_engine(4, 1);
+  reference->ingest(events);
+  const EngineMetrics full = reference->finish();
+  const auto expect_full = [&full](const EngineMetrics& metrics) {
+    EXPECT_EQ(metrics.objects, full.objects);
+    EXPECT_EQ(metrics.num_local, full.num_local);
+    EXPECT_EQ(metrics.num_transfers, full.num_transfers);
+    EXPECT_EQ(metrics.online_cost, full.online_cost);  // bit-identical
+    EXPECT_EQ(metrics.lower_bound, full.lower_bound);
+  };
+  const auto resume = [&events](const std::string& snapshot,
+                                std::size_t at) {
+    auto restored = restore_test_engine(snapshot);
+    EXPECT_EQ(restored->resume_position(), at);
+    restored->ingest(events.data() + at, events.size() - at);
+    return restored->finish();
+  };
+
+  const std::string path = temp_path("limited.ckpt");
+  auto engine = fresh_engine(4, 2);
+  engine->ingest(events.data(), first);
+  engine->checkpoint(path);
+  const std::vector<char> previous = read_file(path);
+  engine->ingest(events.data() + first, second - first);
+  {
+    FileSizeLimit limit(previous.size() / 2);
+    try {
+      engine->checkpoint(path);
+      ADD_FAILURE() << "a cut past the file-size limit succeeded";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(read_file(path), previous);
+  expect_full(resume(path, first));
+
+  engine->checkpoint(path);
+  expect_full(resume(path, second));
+  engine->ingest(events.data() + second, events.size() - second);
+  expect_full(engine->finish());
+}
+
+/// One seeded mutation of a version-5 record payload, named in `name`.
+/// Besides byte flips, cuts and extensions it breaks the lower-bound
+/// table, the first table of every record with the bound on: its count
+/// sits at byte 25 (event count, presence flag, two accumulators),
+/// server i's one-byte id at 26 + 9i and its entry, one binary64 whose
+/// untouched default is −inf, right after.
+void mutate_payload(std::vector<unsigned char>& payload, Rng& rng,
+                    std::string& name) {
+  ASSERT_GT(payload.size(), 26u);
+  ASSERT_EQ(payload[8], 1);  // the lower bound is present
+  const std::size_t count = payload[25];
+  ASSERT_LE(26 + 9 * count, payload.size());
+  switch (rng.uniform_index(6)) {
+    case 5: {
+      if (count == 0) break;
+      const std::size_t i = rng.uniform_index(count);
+      StateWriter untouched;
+      untouched.f64(-std::numeric_limits<double>::infinity());
+      std::copy(untouched.buffer().begin(), untouched.buffer().end(),
+                payload.begin() + static_cast<std::ptrdiff_t>(27 + 9 * i));
+      name = "entry " + std::to_string(i) + " at its default";
+      return;
+    }
+    case 0: {
+      const std::size_t byte = rng.uniform_index(payload.size());
+      const int bit = static_cast<int>(rng.uniform_index(8));
+      payload[byte] = static_cast<unsigned char>(payload[byte] ^ (1 << bit));
+      name = "flip byte " + std::to_string(byte) + " bit " +
+             std::to_string(bit);
+      return;
+    }
+    case 1: {
+      const std::size_t keep = rng.uniform_index(payload.size());
+      payload.resize(keep);
+      name = "truncate to " + std::to_string(keep);
+      return;
+    }
+    case 2: {
+      const std::size_t extra = 1 + rng.uniform_index(8);
+      for (std::size_t i = 0; i < extra; ++i) {
+        payload.push_back(static_cast<unsigned char>(rng.uniform_index(256)));
+      }
+      name = "extend by " + std::to_string(extra);
+      return;
+    }
+    case 3: {
+      const auto value = static_cast<unsigned char>(
+          rng.bernoulli(0.5) ? 11 + rng.uniform_index(117)
+                             : count + (rng.bernoulli(0.5) ? 1 : 0) - 1 +
+                                   (count == 0 ? 2 : 0));
+      payload[25] = value;
+      name = "table count " + std::to_string(count) + " -> " +
+             std::to_string(value);
+      return;
+    }
+    default: {
+      if (count < 2) {
+        payload[26] = static_cast<unsigned char>(10 + rng.uniform_index(118));
+        name = "server id out of range";
+        return;
+      }
+      const std::size_t i = 1 + rng.uniform_index(count - 1);
+      unsigned char& id = payload[26 + 9 * i];
+      const unsigned char before = payload[26 + 9 * (i - 1)];
+      switch (rng.uniform_index(3)) {
+        case 0:
+          id = static_cast<unsigned char>(10 + rng.uniform_index(118));
+          name = "server id out of range";
+          break;
+        case 1:
+          id = before;
+          name = "server id repeated";
+          break;
+        default:
+          id = static_cast<unsigned char>(rng.uniform_index(before + 1u));
+          name = "server id descending";
+          break;
+      }
+      name += " at entry " + std::to_string(i);
+      return;
+    }
+  }
+}
+
+// Record payloads that pass every CRC but break the decoder's rules: a
+// seeded mutator rewrites one record of a version-5 snapshot at a time
+// through SnapshotWriter, so the CRCs are valid. Each restore must fail
+// with a std::runtime_error naming the object, or succeed and cut that
+// record back to the same bytes: the decoder accepts only what the
+// encoder writes.
+TEST_F(CheckpointFileTest, HostileRecordPayloadsFailOrRecutToTheirBytes) {
+  const std::string log = temp_path("hostile.evlog");
+  const std::vector<LogEvent> events = pinned_log(log, 40, 3000);
+  const std::pair<const char*, const char*> pairs[] = {
+      {"drwp(alpha=0.3)", "last_gap"},
+      {"adaptive(alpha=1.5)", "ensemble(last_gap,history(ewma=0.3))"},
+      {"randomized(alpha=0.1)", "history(ewma=0.3)"},
+  };
+  Rng rng(0x4057113);
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (const auto& [policy, predictor] : pairs) {
+    SCOPED_TRACE(std::string(policy) + " + " + predictor);
+    SystemConfig config;
+    config.num_servers = 10;
+    config.transfer_cost = 10.0;
+    EngineBuilder builder;
+    builder.config(config).policy(policy).predictor(predictor);
+    auto engine = builder.build();
+    engine->ingest(events);
+    const std::string base = temp_path("hostile.ckpt");
+    engine->checkpoint(base);
+    SnapshotReader reader(base);
+    const SnapshotHeader header = reader.header();
+    std::vector<std::pair<std::uint64_t, std::vector<unsigned char>>> records;
+    {
+      std::uint64_t id = 0;
+      std::vector<unsigned char> payload;
+      while (reader.next_object(id, payload)) records.emplace_back(id, payload);
+    }
+    ASSERT_EQ(records.size(), 40u);
+
+    for (int round = 0; round < 160; ++round) {
+      const std::size_t k = rng.uniform_index(records.size());
+      const std::uint64_t id = records[k].first;
+      std::vector<unsigned char> payload = records[k].second;
+      std::string name;
+      mutate_payload(payload, rng, name);
+      if (payload == records[k].second) continue;
+      SCOPED_TRACE("object " + std::to_string(id) + ": " + name);
+      SnapshotHeader rewritten = header;
+      rewritten.codec = round % 2 == 0 ? SnapshotHeader::kCodecRaw
+                                       : SnapshotHeader::kCodecWord;
+      const std::string hostile = temp_path("hostile_mutated.ckpt");
+      {
+        SnapshotWriter writer(hostile, rewritten);
+        for (std::size_t i = 0; i < records.size(); ++i) {
+          writer.add_object(records[i].first,
+                            i == k ? payload : records[i].second);
+        }
+        writer.close();
+      }
+      std::unique_ptr<StreamingEngine> restored;
+      try {
+        restored = builder.restore(hostile);
+      } catch (const std::runtime_error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("object " + std::to_string(id) + ":"),
+                  std::string::npos)
+            << what;
+        ++rejected;
+        continue;
+      }
+      const std::string recut = temp_path("hostile_recut.ckpt");
+      restored->checkpoint(recut);
+      SnapshotReader again(recut);
+      std::uint64_t recut_id = 0;
+      std::vector<unsigned char> recut_payload;
+      while (again.next_object(recut_id, recut_payload) && recut_id != id) {
+      }
+      ASSERT_EQ(recut_id, id);
+      EXPECT_EQ(recut_payload, payload);
+      ++accepted;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

@@ -1214,8 +1214,39 @@ TEST(ObsEngineParityTest, EachIntervalIsMeasuredOnceIntoEverySink) {
 
   // The engine registers exactly the series the README documents.
   const std::set<std::string> documented = readme_engine_inventory();
-  EXPECT_EQ(documented.size(), 14u);
+  EXPECT_EQ(documented.size(), 17u);
   EXPECT_EQ(series_keys(samples), documented);
+}
+
+TEST(ObsEngineParityTest, CheckpointPhasesSplitEachCut) {
+  // Each cut observes its three phases once, back to back inside the
+  // whole cut's interval, so their sums stay within checkpoint_write's.
+  const std::filesystem::path ckpt =
+      std::filesystem::temp_directory_path() /
+      ("repl_obs_phase_test_" + std::to_string(::getpid()) + ".ckpt");
+  MetricsRegistry registry;
+  StreamingEngine engine = make_obs_engine(&registry);
+  VectorSource source(obs_events(2000), 256);
+  ServeOptions serve_options;
+  serve_options.checkpoint_every = 1000;
+  serve_options.checkpoint_path = ckpt.string();
+  engine.serve(source, serve_options);
+  std::filesystem::remove(ckpt);
+  ASSERT_EQ(engine.stats().checkpoints_written, 2u);
+
+  const std::vector<Sample> samples = registry.collect();
+  const Sample& cut =
+      histogram_of(samples, "repl_stage_seconds", "checkpoint_write");
+  EXPECT_EQ(cut.count, 2u);
+  double phases = 0.0;
+  for (const char* phase :
+       {"checkpoint_encode", "checkpoint_io", "checkpoint_sync"}) {
+    const Sample& h = histogram_of(samples, "repl_stage_seconds", phase);
+    EXPECT_EQ(h.count, 2u) << phase;
+    EXPECT_GT(h.sum, 0.0) << phase;
+    phases += h.sum;
+  }
+  EXPECT_LE(phases, cut.sum);
 }
 
 }  // namespace
