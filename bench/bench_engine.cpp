@@ -486,8 +486,7 @@ int main(int argc, char** argv) {
   cli.add_flag("json", "BENCH_engine.json", "machine-readable output path");
   cli.add_flag("log-format", "raw",
                "wire format of the generated sweep logs: raw|compressed");
-  cli.add_bool_flag("compress", "write snapshots with compressed object "
-                    "records, and bench the compressed wire format "
+  cli.add_bool_flag("compress", "bench the compressed wire format "
                     "(bytes/event, encode/decode MB/s, end-to-end "
                     "events/sec vs raw) on the smallest log");
   cli.add_bool_flag("verify", "also run the serial per-object Simulator "
@@ -626,7 +625,6 @@ int main(int argc, char** argv) {
       options.num_shards = shards;
       options.num_threads = threads;
       options.base_seed = seed;
-      options.compress_checkpoints = cli.get_bool("compress");
 
       const EngineBuilder builder =
           make_builder(config, options, policy_spec, predictor_spec);

@@ -81,9 +81,6 @@ int main(int argc, char** argv) {
   cli.add_flag("log-format", "raw",
                "wire format of the generated log: raw|compressed (an "
                "existing --log is read in whatever format it is)");
-  cli.add_bool_flag("compress",
-                    "write snapshots with compressed object records "
-                    "(word codec, codec 1)");
   cli.add_bool_flag("keep-log", "keep the generated log on disk");
   cli.add_flag("checkpoint-every", "0",
                "snapshot the engine every N events (0 = never)");
@@ -160,7 +157,6 @@ int main(int argc, char** argv) {
   EngineOptions options;
   options.num_shards = shards;
   options.num_threads = static_cast<int>(cli.get_size_t("threads", 0, 4096));
-  options.compress_checkpoints = cli.get_bool("compress");
 
   // Telemetry: one registry feeds the optional HTTP endpoint and the
   // stats reporter's batch histogram. Declared here so it outlives the

@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
                "per-partition checkpoint cadence in partition-local "
                "events (0 = never)");
   cli.add_flag("max-respawns", "3", "respawn budget per partition");
-  cli.add_bool_flag("compress", "write snapshots with compressed records");
   cli.add_bool_flag("no-lower-bound", "skip the OPTL lower bound");
   cli.add_flag("metrics-port", "-1",
                "(coordinator) GET /metrics endpoint on 127.0.0.1:PORT "
@@ -145,7 +144,6 @@ int main(int argc, char** argv) {
   engine_options.num_threads =
       static_cast<int>(cli.get_size_t("threads", 0, 4096));
   engine_options.base_seed = cli.get_uint64("seed");
-  engine_options.compress_checkpoints = cli.get_bool("compress");
   engine_options.compute_lower_bound = !cli.get_bool("no-lower-bound");
 
   try {
@@ -232,7 +230,6 @@ int main(int argc, char** argv) {
     opts.worker_shards = engine_options.num_shards;
     opts.worker_threads = engine_options.num_threads;
     opts.compute_lower_bound = engine_options.compute_lower_bound;
-    opts.compress_checkpoints = engine_options.compress_checkpoints;
     opts.batch_events = cli.get_size_t("batch-events", 1);
     opts.checkpoint_every = cli.get_uint64("checkpoint-every");
     opts.max_respawns = cli.get_size_t("max-respawns");

@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   cli.add_flag("max-events-per-sec", "0",
                "per-connection ingest rate cap, events/second (token "
                "bucket with one second of burst; 0 = unlimited)");
-  cli.add_bool_flag("compress", "write snapshots with compressed records");
   cli.add_flag("checkpoint-every", "0",
                "snapshot the engine every N events (0 = never)");
   cli.add_flag("checkpoint-path", "", "snapshot destination");
@@ -109,7 +108,6 @@ int main(int argc, char** argv) {
   EngineOptions options;
   options.num_shards = cli.get_size_t("shards", 1, 1 << 20);
   options.num_threads = static_cast<int>(cli.get_size_t("threads", 0, 4096));
-  options.compress_checkpoints = cli.get_bool("compress");
 
   // One registry for the whole process: the engine's pipeline telemetry
   // and the net server's ingest counters land in the same store, so the

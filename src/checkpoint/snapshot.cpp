@@ -46,18 +46,17 @@ void rename_and_sync_dir(const std::string& tmp, const std::string& path) {
 }
 
 void frame_record(std::vector<unsigned char>& out, std::size_t at,
-                  std::uint64_t object_id, std::uint32_t codec,
-                  std::vector<unsigned char>& scratch) {
+                  std::uint64_t object_id, std::uint32_t codec) {
   const std::size_t payload_at = at + SnapshotHeader::kRecordPrefixSize;
   const std::size_t raw_size = out.size() - payload_at;
   REPL_REQUIRE_MSG(raw_size <= SnapshotHeader::kMaxRecordBytes,
                    "object record of " << raw_size
                                        << " bytes exceeds the record cap");
   if (codec == SnapshotHeader::kCodecWord) {
-    scratch.clear();
-    word_pack_append(out.data() + payload_at, raw_size, scratch);
+    const std::vector<unsigned char> packed =
+        word_pack(out.data() + payload_at, raw_size);
     out.resize(payload_at);
-    out.insert(out.end(), scratch.begin(), scratch.end());
+    out.insert(out.end(), packed.begin(), packed.end());
   }
   // Guaranteed by the codec's expansion bound given the raw cap above;
   // anything this writer emits must pass the reader's length checks.
@@ -170,7 +169,7 @@ void SnapshotWriter::add_object(std::uint64_t object_id,
   const std::size_t at = pending_.size();
   pending_.resize(at + SnapshotHeader::kRecordPrefixSize);
   pending_.insert(pending_.end(), payload.begin(), payload.end());
-  frame_record(pending_, at, object_id, header_.codec, scratch_);
+  frame_record(pending_, at, object_id, header_.codec);
   bytes_written_ += pending_.size() - at;
   if (pending_.size() >= kWriteBlockBytes) flush();
 }

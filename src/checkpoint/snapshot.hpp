@@ -85,8 +85,10 @@
 // A version-5 payload holds what its object alone knows: each
 // per-server table lists the touched servers only (core/server_table.hpp),
 // and the engine spec is checked once per restore instead of once per
-// record. The word codec packs the payload's 64-bit words against their
-// predecessors (codec/word_codec.hpp). Writers always emit version 5.
+// record. Writers always emit version 5, and the engine always cuts
+// codec 0. Codec-1 records, which older builds wrote with the word
+// codec (codec/word_codec.hpp), still restore; SnapshotWriter packs
+// records that way only when its header asks for codec 1.
 // Versions 3 and 4 (dense tables, the engine-wide values and
 // per-component cross-checks repeated in every record) still restore,
 // each table converted to its touched entries on load, as do version 1
@@ -214,13 +216,13 @@ struct SnapshotHeader {
 
 /// Seals one object record in `out`: the payload's raw bytes were
 /// appended after a kRecordPrefixSize gap that starts at offset `at`.
-/// Under kCodecWord the payload is packed (through `scratch`) in place
-/// of its raw bytes; then the prefix is filled in, CRC included. The
-/// engine's shard encoders frame every record through this, straight
-/// into their shard's buffer, and so does SnapshotWriter::add_object.
+/// Under kCodecWord the payload is packed in place of its raw bytes;
+/// then the prefix is filled in, CRC included. The engine's shard
+/// encoders frame every record through this (always kCodecRaw),
+/// straight into their shard's buffer, and so does
+/// SnapshotWriter::add_object.
 void frame_record(std::vector<unsigned char>& out, std::size_t at,
-                  std::uint64_t object_id, std::uint32_t codec,
-                  std::vector<unsigned char>& scratch);
+                  std::uint64_t object_id, std::uint32_t codec);
 
 /// The object id and total byte size (prefix included) of the framed
 /// record that starts at `record`.
@@ -279,8 +281,6 @@ class SnapshotWriter {
   SnapshotHeader header_;
   /// Bytes not yet written; flushed once they pass a block.
   std::vector<unsigned char> pending_;
-  /// add_object's word-codec scratch.
-  std::vector<unsigned char> scratch_;
   std::uint64_t objects_written_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t last_id_ = 0;

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <iomanip>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -22,20 +21,10 @@
 #include "obs/trace.hpp"
 #include "trace/event_log.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 #include "util/json.hpp"
 
 namespace repl {
-
-namespace {
-
-/// Round-trip-exact double for a CLI argument.
-std::string format_double(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
-}
-
-}  // namespace
 
 struct ClusterCoordinator::Partition {
   std::uint32_t id = 0;
@@ -113,6 +102,13 @@ ClusterCoordinator::ClusterCoordinator(ClusterCoordinatorOptions options)
   REPL_REQUIRE_MSG(!options_.socket_dir.empty(),
                    "cluster needs a socket directory");
   options_.config.validate();
+  const std::vector<double>& rates = options_.config.storage_rates;
+  for (std::size_t s = 0; s < rates.size(); ++s) {
+    REPL_REQUIRE_MSG(rates[s] == 1.0,
+                     "config.storage_rates[" << s << "] is " << rates[s]
+                                             << ", but cluster workers "
+                                                "serve unit storage rates");
+  }
   if (options_.metrics != nullptr) {
     registry_ = options_.metrics;
   } else {
@@ -402,7 +398,6 @@ void ClusterCoordinator::spawn_worker(std::uint32_t p) {
                    std::to_string(options_.checkpoint_every));
     args.push_back("--checkpoint-path=" + snapshot_path(p));
   }
-  if (options_.compress_checkpoints) args.push_back("--compress");
   if (!options_.compute_lower_bound) args.push_back("--no-lower-bound");
   // Observability pass-through. Each incarnation gets its own trace part
   // file: a SIGKILLed worker leaves its last flushed prefix behind, and

@@ -78,6 +78,8 @@ struct ClusterCoordinatorOptions {
   /// checkpoints; must exist.
   std::string socket_dir;
 
+  /// Workers receive the server count, λ and the initial server, and
+  /// serve unit storage rates, so every listed rate must be 1.
   SystemConfig config;
   std::string policy_spec = "drwp(alpha=0.3)";
   std::string predictor_spec = "last_gap";
@@ -87,7 +89,6 @@ struct ClusterCoordinatorOptions {
   std::size_t worker_shards = 64;
   int worker_threads = 0;
   bool compute_lower_bound = true;
-  bool compress_checkpoints = false;
 
   /// Events per wire block / engine batch.
   std::size_t batch_events = std::size_t{1} << 16;

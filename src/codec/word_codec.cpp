@@ -24,15 +24,9 @@ unsigned significant_bytes(std::uint64_t x) {
 
 std::vector<unsigned char> word_pack(const unsigned char* data,
                                      std::size_t size) {
+  const std::size_t words = size / 8;
   std::vector<unsigned char> out;
   out.reserve(size / 2 + 16);  // guess; grows to at most ~size * 17/16
-  word_pack_append(data, size, out);
-  return out;
-}
-
-void word_pack_append(const unsigned char* data, std::size_t size,
-                      std::vector<unsigned char>& out) {
-  const std::size_t words = size / 8;
 
   std::uint64_t prev = 0;
   std::size_t w = 0;
@@ -54,6 +48,7 @@ void word_pack_append(const unsigned char* data, std::size_t size,
     out[control_pos] = control;
   }
   out.insert(out.end(), data + words * 8, data + size);
+  return out;
 }
 
 std::vector<unsigned char> word_unpack(const unsigned char* data,

@@ -38,9 +38,6 @@ inline std::vector<unsigned char> word_pack(
     const std::vector<unsigned char>& data) {
   return word_pack(data.data(), data.size());
 }
-/// word_pack, appending to `out` (which must not alias the input).
-void word_pack_append(const unsigned char* data, std::size_t size,
-                      std::vector<unsigned char>& out);
 
 /// Decompresses an encoded span back to exactly `raw_size` bytes. Throws
 /// std::runtime_error (prefixed with `context`) when the encoding is

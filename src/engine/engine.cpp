@@ -409,7 +409,6 @@ StreamingEngine::~StreamingEngine() = default;
 StreamingEngine::ObjectState StreamingEngine::make_object_state(
     std::uint64_t object_id) {
   SimulationOptions sim_options;
-  sim_options.horizon = options_.horizon;
   sim_options.record_events = false;
   EngineObjectContext context;
   context.object_id = object_id;
@@ -845,8 +844,6 @@ void StreamingEngine::checkpoint(const std::string& path,
                                      : SnapshotHeader::kUnknownLogEvents;
   header.policy_spec = options_.policy_spec;
   header.predictor_spec = options_.predictor_spec;
-  header.codec = options_.compress_checkpoints ? SnapshotHeader::kCodecWord
-                                               : SnapshotHeader::kCodecRaw;
   header.partition_id = partition_id_;
   header.num_partitions = num_partitions_;
   header.pf_version = pf_version_;
@@ -884,7 +881,6 @@ void StreamingEngine::checkpoint(const std::string& path,
     std::vector<unsigned char>& out = encoded[task].records;
     out.reserve(shard.objects.size() * 320);
     StateWriter writer(out);
-    std::vector<unsigned char> scratch;
     for (const auto& [id, index] : order) {
       const ObjectState& state = shard.objects[index];
       if (encoded[task].mismatch == nullptr &&
@@ -895,7 +891,7 @@ void StreamingEngine::checkpoint(const std::string& path,
       const std::size_t at = out.size();
       out.resize(at + SnapshotHeader::kRecordPrefixSize);
       state.save_state(writer);
-      frame_record(out, at, id, header.codec, scratch);
+      frame_record(out, at, id, header.codec);
     }
   });
   for (const EncodedShard& shard : encoded) {

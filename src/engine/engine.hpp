@@ -83,22 +83,11 @@ struct EngineOptions {
   /// 0 => all hardware threads; 1 => run shards inline on the calling
   /// thread (the serial reference path — no worker thread is started).
   int num_threads = 0;
-  /// Per-object cost horizon, as SimulationOptions::horizon: negative
-  /// means "that object's final request time".
-  double horizon = -1.0;
   /// Also accumulate the streaming OPTL lower bound per object, enabling
   /// the ratio aggregate. Requires uniform unit storage rates.
   bool compute_lower_bound = true;
   /// Root of the per-object seed streams.
   std::uint64_t base_seed = 0x5eed5eed5eed5eedULL;
-  /// Write snapshots with word-codec-compressed object records
-  /// (checkpoint/snapshot.hpp record codec 1). Purely an on-disk
-  /// choice: restore() reads either transparently and the engine state
-  /// is bit-identical. The codec packs 64-bit words, and version-5
-  /// records hold few whole words: on a replay-1m half-log cut it saves
-  /// 7% of the bytes and on a cluster worker's cut 5%, while both cuts
-  /// take longer to write.
-  bool compress_checkpoints = false;
   /// Canonical component specs of the factories (api/registry.hpp),
   /// recorded in checkpoints so restore() can cross-check the resuming
   /// components — or reconstruct them from the snapshot alone (see

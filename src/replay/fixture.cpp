@@ -10,6 +10,7 @@
 #include "codec/crc32.hpp"
 #include "codec/endian.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 
 namespace repl {
 
@@ -25,6 +26,9 @@ constexpr std::uint64_t kMaxFixtureBytes = std::uint64_t{1} << 32;
 /// count sizes per-server state downstream, so an untrusted u32 must be
 /// bounded well below INT_MAX before it leaves the reader.
 constexpr std::uint32_t kMaxFixtureServers = 1u << 20;
+/// The one cost horizon a fixture may record: -1, each object's final
+/// request (SimulationOptions' default, the only one engines serve).
+constexpr double kFixtureHorizon = -1.0;
 
 [[noreturn]] void fixture_fail(const std::string& path,
                                const std::string& what) {
@@ -77,9 +81,9 @@ void write_fixture(const std::string& path, const Fixture& fixture) {
   meta.u32(static_cast<std::uint32_t>(fixture.storage_rates.size()));
   for (double rate : fixture.storage_rates) meta.f64(rate);
   meta.u64(fixture.base_seed);
-  meta.f64(fixture.horizon);
+  meta.f64(kFixtureHorizon);
   meta.boolean(fixture.compute_lower_bound);
-  meta.boolean(fixture.compress_checkpoints);
+  meta.boolean(false);  // the snapshot codec: engines cut codec 0
   meta.u64(fixture.slice_first_event);
   meta.u64(fixture.slice_events);
   meta.u64(fixture.slice_begin_byte);
@@ -196,9 +200,14 @@ Fixture read_fixture(const std::string& path) {
     fixture.storage_rates[i] = meta.f64();
   }
   fixture.base_seed = meta.u64();
-  fixture.horizon = meta.f64();
+  const double horizon = meta.f64();
+  if (horizon != kFixtureHorizon) {
+    meta.fail("unsupported cost horizon " + format_double(horizon) +
+              " (engines bill each object up to its final request, "
+              "recorded as -1)");
+  }
   fixture.compute_lower_bound = meta.boolean();
-  fixture.compress_checkpoints = meta.boolean();
+  meta.boolean();  // the snapshot codec: 0 and 1 replay alike
   fixture.slice_first_event = meta.u64();
   fixture.slice_events = meta.u64();
   fixture.slice_begin_byte = meta.u64();
@@ -285,9 +294,7 @@ SessionCapture::SessionCapture(const CaptureOptions& options,
   fixture_.initial_server = config.initial_server;
   fixture_.storage_rates = config.storage_rates;
   fixture_.base_seed = engine_options.base_seed;
-  fixture_.horizon = engine_options.horizon;
   fixture_.compute_lower_bound = engine_options.compute_lower_bound;
-  fixture_.compress_checkpoints = engine_options.compress_checkpoints;
   fixture_.slice_first_event = first_event;
   scratch_log_ = options.path + ".slice.tmp";
   writer_ = std::make_unique<EventLogWriter>(scratch_log_,

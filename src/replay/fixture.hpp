@@ -97,9 +97,7 @@ struct Fixture {
   std::int32_t initial_server = 0;
   std::vector<double> storage_rates;
   std::uint64_t base_seed = 0;
-  double horizon = -1.0;
   bool compute_lower_bound = true;
-  bool compress_checkpoints = false;
 
   /// The captured slice: [slice_first_event, slice_first_event +
   /// slice_events) of the logical stream, and its byte range within the

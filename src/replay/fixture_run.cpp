@@ -54,10 +54,8 @@ EngineBuilder make_builder(const Fixture& fixture,
   EngineOptions engine_options;
   if (options.num_shards > 0) engine_options.num_shards = options.num_shards;
   engine_options.num_threads = options.num_threads;
-  engine_options.horizon = fixture.horizon;
   engine_options.compute_lower_bound = fixture.compute_lower_bound;
   engine_options.base_seed = fixture.base_seed;
-  engine_options.compress_checkpoints = fixture.compress_checkpoints;
   EngineBuilder builder;
   builder.config(fixture.system_config())
       .options(engine_options)

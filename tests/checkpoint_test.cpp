@@ -850,6 +850,12 @@ std::string legacy_snapshot(const std::string& name) {
   return std::string(REPL_SNAPSHOT_V4_DIR) + "/" + name;
 }
 
+/// A checked-in version-5 snapshot with codec-1 (word codec) records,
+/// cut by the last build whose engine could pack its records.
+std::string word_snapshot(const std::string& name) {
+  return std::string(REPL_SNAPSHOT_V5_WORD_DIR) + "/" + name;
+}
+
 // A cluster worker's checkpoint is one file that names its slice, so the
 // slice must survive checkpoint -> restore -> checkpoint, with or without
 // a bind on the restored engine.
@@ -1016,9 +1022,10 @@ TEST_F(CheckpointFileTest, EveryHeaderBitFlipAndTruncationIsRejected) {
 }
 
 /// One pinned snapshot: a spec pair and the engine it needs; the
-/// checked-in file the version-4 writer made of the small log, with the
-/// size and CRC-32C of that file and of its v3 twin; and the size and
-/// CRC-32C of the version-5 file of the full log.
+/// checked-in files the version-4 writer and the codec-1 version-5
+/// writer made of the small log (same name in both directories), with
+/// the size and CRC-32C of each and of the v4 file's v3 twin; and the
+/// size and CRC-32C of the version-5 file of the full log.
 struct PinnedSnapshot {
   const char* policy;
   const char* predictor;
@@ -1028,6 +1035,8 @@ struct PinnedSnapshot {
   std::uint32_t v4_crc;
   std::uint64_t v3_bytes;
   std::uint32_t v3_crc;
+  std::uint64_t word_bytes;
+  std::uint32_t word_crc;
   std::uint64_t bytes;
   std::uint32_t crc;
 };
@@ -1057,7 +1066,9 @@ std::vector<LogEvent> pinned_log(const std::string& path,
 // emits version 5 only, so the version-4 pins are checked-in files its
 // predecessor wrote of a small log: each must keep its bytes, strip to
 // its v3 twin's, and both must restore and cut exactly the version-5
-// file a fresh engine fed the same events writes.
+// file a fresh engine fed the same events writes. The engine cuts
+// codec 0 only, so the codec-1 pins are checked-in version-5 files of
+// the same log with word-packed records, held to the same rule.
 TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
   const std::vector<LogEvent> events =
       pinned_log(temp_path("pinned.evlog"), 200, 5000);
@@ -1066,18 +1077,19 @@ TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
 
   const PinnedSnapshot pinned[] = {
       {"drwp(alpha=0.3)", "last_gap", false, "drwp-last_gap.ckpt", 8793,
-       0x0276501e, 8777, 0x98d3f726, 89337, 0xf7bc51e9},
+       0x0276501e, 8777, 0x98d3f726, 5351, 0x5ecb557e, 89337, 0xf7bc51e9},
       {"adaptive(alpha=1.5)", "ensemble(last_gap,history(ewma=0.3))", false,
-       "adaptive-ensemble.ckpt", 13685, 0x57621c8a, 13669, 0x6bad0a90,
-       134035, 0x55225e26},
+       "adaptive-ensemble.ckpt", 13685, 0x57621c8a, 13669, 0x6bad0a90, 8023,
+       0x8bd1e2f3, 134035, 0x55225e26},
       {"randomized(alpha=0.1)", "history(ewma=0.3)", false,
-       "randomized-history.ckpt", 9648, 0x12842b59, 9632, 0x1a424903, 101615,
-       0xace6b775},
+       "randomized-history.ckpt", 9648, 0x12842b59, 9632, 0x1a424903, 6041,
+       0xa0f89b0a, 101615, 0xace6b775},
       {"drwp(alpha=0.30000000000000004)", "fixed(within=true)", false,
-       "drwp-fixed.ckpt", 7853, 0x71a52ef3, 7837, 0xf09191a6, 75644,
-       0x3f824be7},
+       "drwp-fixed.ckpt", 7853, 0x71a52ef3, 7837, 0xf09191a6, 4426,
+       0x218273fe, 75644, 0x3f824be7},
       {"weighted(alpha=0.3)", "last_gap", true, "weighted-last_gap.ckpt",
-       7973, 0x4af439a9, 7957, 0x41722fde, 75987, 0x7e8fc7d7},
+       7973, 0x4af439a9, 7957, 0x41722fde, 4568, 0x6cbd1244, 75987,
+       0x7e8fc7d7},
   };
   for (const PinnedSnapshot& pin : pinned) {
     SCOPED_TRACE(std::string(pin.policy) + " + " + pin.predictor);
@@ -1108,8 +1120,9 @@ TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
       return read_file(path);
     };
 
-    // The version-4 file and its v3 twin keep their bytes, and both
-    // restore into the engine that cuts a fresh engine's version-5 file.
+    // The version-4 file, its v3 twin and the codec-1 file keep their
+    // bytes, and each restores into the engine that cuts a fresh
+    // engine's codec-0 version-5 file.
     const std::string v4_path = legacy_snapshot(pin.legacy_file);
     const std::vector<char> v4 = read_file(v4_path);
     EXPECT_EQ(v4.size(), pin.v4_bytes);
@@ -1119,8 +1132,17 @@ TEST_F(CheckpointFileTest, SnapshotBytesArePinned) {
     EXPECT_EQ(crc32c(v3.data(), v3.size()), pin.v3_crc);
     const std::string v3_path = temp_path("pinned_v3.ckpt");
     write_file(v3_path, v3);
+    const std::string word_path = word_snapshot(pin.legacy_file);
+    const std::vector<char> word = read_file(word_path);
+    EXPECT_EQ(word.size(), pin.word_bytes);
+    EXPECT_EQ(crc32c(word.data(), word.size()), pin.word_crc);
+    const SnapshotHeader word_header = read_snapshot_header(word_path);
+    EXPECT_EQ(word_header.version, 5u);
+    EXPECT_EQ(word_header.codec, SnapshotHeader::kCodecWord);
     const std::vector<char> small = cut(small_log, small_events);
-    for (const std::string& legacy : {v4_path, v3_path}) {
+    EXPECT_EQ(read_snapshot_header(temp_path("pinned.ckpt")).codec,
+              SnapshotHeader::kCodecRaw);
+    for (const std::string& legacy : {v4_path, v3_path, word_path}) {
       SCOPED_TRACE(legacy);
       const std::string again = temp_path("pinned_again.ckpt");
       builder.restore(legacy)->checkpoint(again);

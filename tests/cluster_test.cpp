@@ -796,6 +796,22 @@ TEST_F(ClusterTest, MultiPartitionServeIsBitIdenticalToSingleProcess) {
   }
 }
 
+// Workers are spawned with the server count, λ and the initial server
+// only, so they serve unit storage rates. A cluster handed other rates
+// would drift from a single-process serve without a word; its
+// coordinator refuses them up front, naming the field. Unit rates listed
+// explicitly still serve.
+TEST_F(ClusterTest, NonUnitStorageRatesAreRefused) {
+  ClusterCoordinatorOptions options = cluster_options(run_dir("rates"), 2);
+  options.config.storage_rates = {1.0, 2.0, 3.0, 4.0, 5.0};
+  expect_throws_with([&] { ClusterCoordinator coordinator(options); },
+                     "config.storage_rates[1] is 2");
+  options.config.storage_rates.assign(kServers, 1.0);
+  const std::string log = write_log(make_events(2000, 37));
+  ClusterCoordinator coordinator(options);
+  expect_same(single_reference(log), coordinator.serve_log(log).metrics);
+}
+
 /// Writes an executable /bin/sh script that runs `prologue`, then execs
 /// the repl_cluster launcher with the script's (possibly rewritten)
 /// arguments.

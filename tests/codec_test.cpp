@@ -888,23 +888,33 @@ TEST_F(CodecLogTest, CompressedServeMatchesRawBitForBitAcrossResumeCut) {
     EXPECT_EQ(metrics.online_cost, reference.online_cost);
     EXPECT_EQ(metrics.lower_bound, reference.lower_bound);
   }
-  // Checkpoint/resume cut entirely on the compressed path, with
-  // compressed snapshot records: serve half, snapshot, restore, finish.
-  const std::string ckpt = temp_path("serve.ckpt");
+  // Checkpoint/resume cut entirely on the compressed path: serve half,
+  // snapshot, restore, finish. The engine cuts codec 0, so the cut is
+  // re-framed under codec 1, the word codec older builds wrote, and
+  // resumed from that.
+  const std::string raw_ckpt = temp_path("serve_raw.ckpt");
   {
     EventLogReader reader(compressed);
-    EngineOptions compress_options = options;
-    compress_options.compress_checkpoints = true;
-    EngineBuilder half = builder;
-    half.options(compress_options);
-    auto engine = half.build();
+    auto engine = builder.build();
     engine->bind_log(reader.header());
     std::vector<LogEvent> batch;
     while (engine->stats().events_ingested < 3000 &&
            reader.read_batch(batch, 512) > 0) {
       engine->ingest(batch);
     }
-    engine->checkpoint(ckpt);
+    engine->checkpoint(raw_ckpt);
+  }
+  const std::string ckpt = temp_path("serve.ckpt");
+  {
+    SnapshotReader reader(raw_ckpt);
+    SnapshotHeader header = reader.header();
+    EXPECT_EQ(header.codec, SnapshotHeader::kCodecRaw);
+    header.codec = SnapshotHeader::kCodecWord;
+    SnapshotWriter writer(ckpt, header);
+    std::uint64_t id = 0;
+    std::vector<unsigned char> payload;
+    while (reader.next_object(id, payload)) writer.add_object(id, payload);
+    writer.close();
     EXPECT_EQ(read_snapshot_header(ckpt).codec, SnapshotHeader::kCodecWord);
   }
   {
@@ -916,22 +926,10 @@ TEST_F(CodecLogTest, CompressedServeMatchesRawBitForBitAcrossResumeCut) {
     EXPECT_EQ(metrics.num_transfers, reference.num_transfers);
     EXPECT_EQ(metrics.events, reference.events);
   }
-  // A compressed snapshot is smaller than the raw one taken at the same
-  // point.
-  {
-    EventLogReader reader(compressed);
-    auto engine = builder.build();
-    engine->bind_log(reader.header());
-    std::vector<LogEvent> batch;
-    while (engine->stats().events_ingested < 3000 &&
-           reader.read_batch(batch, 512) > 0) {
-      engine->ingest(batch);
-    }
-    const std::string raw_ckpt = temp_path("serve_raw.ckpt");
-    engine->checkpoint(raw_ckpt);
-    EXPECT_LT(std::filesystem::file_size(ckpt),
-              std::filesystem::file_size(raw_ckpt));
-  }
+  // The compressed snapshot is smaller than the raw one it was framed
+  // from.
+  EXPECT_LT(std::filesystem::file_size(ckpt),
+            std::filesystem::file_size(raw_ckpt));
 }
 
 /// Resuming against the wrong log still fails on the compressed path

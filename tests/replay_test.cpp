@@ -3,6 +3,7 @@
 // bit-parity across slice formats and checkpointing, the structured
 // fuzzer's determinism and zero-escape invariant, and minimizer
 // convergence on a large failing input.
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <stdexcept>
@@ -81,9 +82,7 @@ TEST_F(ReplayTest, FixtureRoundTripsEveryField) {
   fixture.initial_server = 1;
   fixture.storage_rates = {0.5, 1.0, 1.5, 2.0, 2.5};
   fixture.base_seed = 42;
-  fixture.horizon = 99.5;
   fixture.compute_lower_bound = false;
-  fixture.compress_checkpoints = true;
   fixture.slice_first_event = 7;
   fixture.slice_events = 123;
   fixture.slice_begin_byte = 32;
@@ -112,9 +111,7 @@ TEST_F(ReplayTest, FixtureRoundTripsEveryField) {
   EXPECT_EQ(back.initial_server, fixture.initial_server);
   EXPECT_EQ(back.storage_rates, fixture.storage_rates);
   EXPECT_EQ(back.base_seed, fixture.base_seed);
-  EXPECT_EQ(back.horizon, fixture.horizon);
   EXPECT_EQ(back.compute_lower_bound, fixture.compute_lower_bound);
-  EXPECT_EQ(back.compress_checkpoints, fixture.compress_checkpoints);
   EXPECT_EQ(back.slice_first_event, fixture.slice_first_event);
   EXPECT_EQ(back.slice_events, fixture.slice_events);
   EXPECT_EQ(back.slice_begin_byte, fixture.slice_begin_byte);
@@ -272,14 +269,30 @@ TEST_F(ReplayTest, SnapshotCountPatchReachesTheRecordChecks) {
             std::string::npos);
 }
 
-// Overwrites the u32 at `at` and reseals the trailing CRC, so the
-// mutation reaches the metadata decoder instead of the CRC check.
+// Recomputes a patched fixture's trailing CRC, so the mutation reaches
+// the metadata decoder instead of the CRC check.
+void reseal_fixture(std::vector<unsigned char>& bytes) {
+  const std::size_t crc_at = bytes.size() - 12;
+  store_le32(bytes.data() + crc_at, crc32c(bytes.data(), crc_at));
+}
+
+// Overwrites the u32 at `at` and reseals the fixture.
 void patch_fixture_u32(std::vector<unsigned char>& bytes, std::size_t at,
                        std::uint32_t value) {
   ASSERT_LT(at + 4, bytes.size() - 12);
   store_le32(bytes.data() + at, value);
-  const std::size_t crc_at = bytes.size() - 12;
-  store_le32(bytes.data() + crc_at, crc32c(bytes.data(), crc_at));
+  reseal_fixture(bytes);
+}
+
+// Where the cost horizon (f64) sits in `fixture`'s file (see
+// write_fixture): the three spec strings, num_servers, λ, the initial
+// server, the storage rates and the seed come first. The
+// compute_lower_bound byte and the snapshot-codec byte follow it.
+std::size_t fixture_horizon_at(const Fixture& fixture) {
+  return 32 + (4 + fixture.policy_spec.size()) +
+         (4 + fixture.predictor_spec.size()) +
+         (4 + fixture.source_name.size()) + 4 + 8 + 4 +
+         (4 + 8 * fixture.storage_rates.size()) + 8;
 }
 
 TEST_F(ReplayTest, FixtureRejectsImplausibleServerAndRateCounts) {
@@ -340,6 +353,77 @@ TEST_F(ReplayTest, FixtureRejectsImplausibleServerAndRateCounts) {
 
   // The untouched fixture still reads back.
   EXPECT_EQ(read_fixture(path).num_servers, 2u);
+}
+
+// Engines bill each object up to its final request, so the metadata's
+// horizon field must read -1: writers emit -1 and a codec byte of 0, and
+// a reader names any other horizon instead of replaying it wrongly.
+TEST_F(ReplayTest, FixtureRejectsAnyCostHorizonButTheFinalRequest) {
+  Fixture fixture;
+  fixture.policy_spec = "p";
+  fixture.predictor_spec = "q";
+  fixture.source_name = "s";
+  fixture.num_servers = 2;
+  fixture.storage_rates = {1.0, 2.0};
+  const std::string path = temp_path("horizon.replfixt");
+  write_fixture(path, fixture);
+  std::vector<unsigned char> bytes = read_bytes(path);
+  const std::size_t horizon_at = fixture_horizon_at(fixture);
+  EXPECT_EQ(std::bit_cast<double>(load_le64(bytes.data() + horizon_at)),
+            -1.0);
+  EXPECT_EQ(bytes[horizon_at + 8], 1);  // compute_lower_bound
+  EXPECT_EQ(bytes[horizon_at + 9], 0);  // snapshot codec
+
+  store_le64(bytes.data() + horizon_at, std::bit_cast<std::uint64_t>(99.5));
+  reseal_fixture(bytes);
+  const std::string patched = temp_path("horizon_99.replfixt");
+  write_bytes(patched, bytes);
+  try {
+    read_fixture(patched);
+    FAIL() << "read_fixture accepted a cost horizon of 99.5";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("cost horizon 99.5"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+// A fixture captured while its engine wrote word-codec snapshots records
+// codec byte 1; the snapshot codec never changed aggregates, so such a
+// fixture still reads and replays, its cuts included.
+TEST_F(ReplayTest, FixtureWithCodecByteOneReadsAndReplays) {
+  const std::string log_path = write_event_log(
+      temp_path("source.evlog"), make_events(600), EventLogFormat::kRaw);
+  SystemConfig config;
+  config.num_servers = 3;
+  EngineBuilder builder;
+  builder.config(config).policy("drwp(alpha=0.3)").predictor("last_gap");
+  ServeOptions serve;
+  serve.batch_events = 128;
+  serve.checkpoint_every = 150;
+  serve.checkpoint_path = temp_path("serve.ckpt");
+  CaptureOptions capture;
+  capture.path = temp_path("captured.replfixt");
+  capture.source_name = log_path;
+  serve.capture = capture;
+  EventLogReader reader(log_path);
+  builder.build()->serve(reader, serve);
+
+  std::vector<unsigned char> bytes = read_bytes(capture.path);
+  const std::size_t codec_at =
+      fixture_horizon_at(read_fixture(capture.path)) + 9;
+  ASSERT_EQ(bytes[codec_at], 0);
+  bytes[codec_at] = 1;
+  reseal_fixture(bytes);
+  const std::string patched = temp_path("codec1.replfixt");
+  write_bytes(patched, bytes);
+
+  const Fixture fixture = read_fixture(patched);
+  EXPECT_EQ(fixture.cuts.size(), 4u);
+  FixtureRunOptions run;
+  run.verify_cuts = true;
+  const FixtureRunResult result = fixture_run(fixture, run);
+  EXPECT_TRUE(result.pass) << result.detail;
 }
 
 TEST_F(ReplayTest, FailureSignatureNormalizesPathsAndDigits) {
