@@ -168,9 +168,10 @@ int main(int argc, char** argv) {
   double wall = 0.0;
   try {
     // The source carries the front-end's hooks: ingest spans adopt the
-    // newest trace context a client announced on the wire, checkpoints
-    // drive the checkpoint-age metrics, and stats lines end with queue
-    // depth and connection counts.
+    // newest trace context a client announced on the wire, and
+    // checkpoints drive the checkpoint-age metrics. The server shares the
+    // engine's registry, so stats lines end with its queue depth and
+    // connection counts.
     NetIngestServer server(net);
     NetIngestSource source(server,
                            static_cast<std::uint32_t>(servers));

@@ -7,15 +7,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "cluster/partition.hpp"
 #include "net/client.hpp"
+#include "obs/exposition.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -663,8 +664,18 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
     dial_worker(p);
   }
 
-  serve_start_ = std::chrono::steady_clock::now();
-  auto last_stats = serve_start_;
+  // Progress lines render the coordinator's series and the workers'
+  // federated ones, in the format of the engine's [serve] line.
+  const auto cluster_samples = [this] {
+    std::vector<obs::Sample> samples = registry_->collect();
+    for (obs::Sample& s : federated_samples()) samples.push_back(std::move(s));
+    return samples;
+  };
+  auto last_stats = std::chrono::steady_clock::now();
+  std::optional<obs::ProgressLine> progress;
+  if (options_.stats_every > 0) {
+    progress.emplace("[cluster]", cluster_samples(), last_stats);
+  }
   const bool tracing = obs::Tracer::global().enabled();
   EventLogReader reader(log_path);
   std::vector<LogEvent> batch;
@@ -693,40 +704,25 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
       if (part.seen > part.resume_events) route_event(p, event);
       if (options_.on_progress) options_.on_progress(p, part.seen);
     }
-    bool emit_stats = false;
-    if (options_.stats_every > 0) {
+    {
+      std::lock_guard<std::mutex> lock(ctl_mu_);
+      for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
+        Partition& part = *parts_[p];
+        part.seen_published = part.seen;
+        const std::uint64_t acked =
+            std::min(part.progress_events, part.seen);
+        inst_->in_flight[p]->set(static_cast<double>(part.seen - acked));
+      }
+    }
+    if (progress) {
+      // Outside ctl_mu_: federated_samples() takes it, and sinks do I/O.
       const auto now = std::chrono::steady_clock::now();
       if (std::chrono::duration<double>(now - last_stats).count() >=
           options_.stats_every) {
         last_stats = now;
-        emit_stats = true;
+        REPL_LOG_INFO("cluster", progress->render(cluster_samples(), now));
       }
     }
-    std::ostringstream stats_line;
-    {
-      std::lock_guard<std::mutex> lock(ctl_mu_);
-      std::uint64_t total_seen = 0;
-      for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
-        Partition& part = *parts_[p];
-        part.seen_published = part.seen;
-        total_seen += part.seen;
-        const std::uint64_t acked =
-            std::min(part.progress_events, part.seen);
-        inst_->in_flight[p]->set(static_cast<double>(part.seen - acked));
-        if (emit_stats) {
-          stats_line << " p" << p << "=" << part.progress_events << "/"
-                     << part.seen;
-        }
-      }
-      if (emit_stats) {
-        std::ostringstream head;
-        head << "cluster progress events=" << total_seen
-             << " respawns=" << total_respawns_ << " ingested/seen:";
-        stats_line.str(head.str() + stats_line.str());
-      }
-    }
-    // Log outside the lock: sinks do I/O.
-    if (emit_stats) REPL_LOG_INFO("cluster", stats_line.str());
   }
 
   for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
@@ -735,6 +731,13 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
   for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
     await_summary(p);
     inst_->in_flight[p]->set(0.0);
+  }
+  // Each worker sends its last metrics snapshot before its summary, so
+  // this line covers the whole log.
+  if (progress) {
+    REPL_LOG_INFO("cluster", progress->render(
+                                 cluster_samples(),
+                                 std::chrono::steady_clock::now()));
   }
 
   ClusterServeResult result;

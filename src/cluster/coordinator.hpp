@@ -41,7 +41,6 @@
 // everything after is replayed.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -113,8 +112,9 @@ struct ClusterCoordinatorOptions {
   std::string log_spec;
   /// Forward --log-json to workers (JSON log lines on stderr).
   bool log_json = false;
-  /// Coordinator progress line cadence in seconds (0 disables); also
-  /// forwarded to workers as --stats-every.
+  /// Cadence in seconds (0 disables) of the `[cluster]` progress line,
+  /// plus a last one after every summary; also forwarded to workers as
+  /// --stats-every.
   double stats_every = 0.0;
 
   /// Test hook: invoked after each partition-p event is routed (or
@@ -230,7 +230,6 @@ class ClusterCoordinator {
   std::string log_path_;
   bool served_ = false;
   std::size_t total_respawns_ = 0;
-  std::chrono::steady_clock::time_point serve_start_{};
 
   /// Control plane: one listener, one accept thread, one reader thread
   /// per worker control connection. Per-partition control state lives in

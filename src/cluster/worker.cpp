@@ -31,9 +31,9 @@ void send_buffer(Socket& sock, std::vector<unsigned char>& buf) {
 /// partition: a misrouted event means the two sides disagree about the
 /// partition function — the exact bug the pf_version machinery exists to
 /// catch — and silently serving it would double-count the object
-/// somewhere, so the serve dies loudly instead. Trace context, status
-/// text and checkpoint notices pass through to the inner source; the
-/// engine's hooks also carry the worker's own control-plane duties.
+/// somewhere, so the serve dies loudly instead. Trace context and
+/// checkpoint notices pass through to the inner source; the engine's
+/// hooks also carry the worker's own control-plane duties.
 class WorkerSource final : public EventSource {
  public:
   WorkerSource(EventSource& inner, const ClusterWorkerOptions& options,
@@ -68,8 +68,6 @@ class WorkerSource final : public EventSource {
   obs::TraceContext trace_parent() const override {
     return inner_.trace_parent();
   }
-
-  std::string status() const override { return inner_.status(); }
 
   /// Streams progress, then the metrics snapshot, to the coordinator.
   void ingested(const EngineStats& stats) override {

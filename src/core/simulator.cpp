@@ -25,14 +25,14 @@ struct EventLog {
 /// The canonical event sink: validates the event stream and accumulates
 /// costs, copy segments, and transfers.
 ///
-/// `billing_horizon` bounds which costs are billed: transfers at
+/// The billing horizon bounds which costs are billed: transfers at
 /// time <= horizon, and the portion of each copy segment within
-/// [0, horizon]. When the cost horizon is "the final request time" it is
-/// unknown while the run is still streaming, so it starts at +inf (every
-/// in-run transfer happens no later than the final request and is billed
-/// either way, and every in-run segment closes no later than the final
-/// request) and is pinned to the resolved horizon just before the
-/// post-trace flush.
+/// [0, horizon]. The cost horizon is the final request time, unknown
+/// while the run is still streaming, so it starts at +inf (every in-run
+/// transfer happens no later than the final request and is billed either
+/// way, and every in-run segment closes no later than the final request)
+/// and is pinned to the final request time just before the post-trace
+/// flush.
 ///
 /// Storage cost accumulates incrementally as segments close — one
 /// addition per segment, in close order, the exact sequence a post-hoc
@@ -45,8 +45,8 @@ struct EventLog {
 class Recorder final : public EventSink {
  public:
   /// `log` (null: record nothing) must outlive the recorder.
-  Recorder(const SystemConfig& config, EventLog* log, double billing_horizon)
-      : config_(config), log_(log), billing_horizon_(billing_horizon) {}
+  Recorder(const SystemConfig& config, EventLog* log)
+      : config_(config), log_(log) {}
 
   void set_billing_horizon(double horizon) { billing_horizon_ = horizon; }
 
@@ -221,7 +221,7 @@ class Recorder final : public EventSink {
 
   const SystemConfig& config_;
   EventLog* log_;
-  double billing_horizon_;
+  double billing_horizon_ = kInf;
   ServerTable<Segment> servers_;
   int count_ = 0;
   std::size_t transfer_count_ = 0;
@@ -247,12 +247,10 @@ struct OnlineSimulation::Impl {
   Impl(const SystemConfig& cfg, const SimulationOptions& opts,
        ReplicationPolicy& pol, Predictor& pred)
       : config(validated(cfg)),
-        options(opts),
         policy(pol),
         predictor(pred),
-        log(options.record_events ? std::make_unique<EventLog>() : nullptr),
-        recorder(config, log.get(),
-                 options.horizon < 0.0 ? kInf : options.horizon) {
+        log(opts.record_events ? std::make_unique<EventLog>() : nullptr),
+        recorder(config, log.get()) {
     predictor.reset();
     initial_prediction = predictor.predict(PredictionQuery{
         -1, config.initial_server, 0.0, config.transfer_cost});
@@ -260,7 +258,6 @@ struct OnlineSimulation::Impl {
   }
 
   const SystemConfig& config;
-  SimulationOptions options;
   ReplicationPolicy& policy;
   Predictor& predictor;
   std::unique_ptr<EventLog> log;
@@ -423,8 +420,7 @@ SimulationResult OnlineSimulation::finish() {
   im.finished = true;
 
   const double lambda = im.config.transfer_cost;
-  const double horizon =
-      im.options.horizon < 0.0 ? im.last_request_time : im.options.horizon;
+  const double horizon = im.last_request_time;
   im.recorder.set_billing_horizon(horizon);
 
   // Flush pending expiries past the horizon so the post-trace segments
@@ -436,8 +432,7 @@ SimulationResult OnlineSimulation::finish() {
   for (const double rate : im.config.storage_rates) {
     min_rate = std::min(min_rate, rate);
   }
-  const double flush_time = std::max(horizon, im.last_request_time) +
-                            4.0 * lambda / min_rate + 1.0;
+  const double flush_time = horizon + 4.0 * lambda / min_rate + 1.0;
   im.policy.advance_to(flush_time, im.recorder);
   REPL_CHECK_MSG(im.policy.copy_count() == im.recorder.count(),
                  "policy copy count disagrees with event stream");

@@ -80,10 +80,9 @@ struct SimulationResult {
   std::string predictor_name;
 };
 
+/// Every run bills its costs up to its final request (the paper's
+/// convention of counting cost up to r_m only).
 struct SimulationOptions {
-  /// Cost horizon; negative means "the final request time" (the paper's
-  /// convention of counting cost up to r_m only).
-  double horizon = -1.0;
   /// Keep per-event logs (serves/segments/transfers). Benches on long
   /// traces may disable to save memory; analysis requires them. Off, a
   /// run allocates no log at all (the streaming engine's setting).
@@ -99,9 +98,9 @@ struct SimulationOptions {
 /// Lifetime: the config, policy, and predictor must outlive the
 /// OnlineSimulation; reset() is called on both components here.
 /// step() times must be strictly increasing and strictly positive (the
-/// Trace invariants). finish() may be called once; it resolves a negative
-/// `options.horizon` to the last step() time, flushes pending expiries,
-/// and returns the completed result.
+/// Trace invariants). finish() may be called once; it pins the cost
+/// horizon to the last step() time, flushes pending expiries, and
+/// returns the completed result.
 class OnlineSimulation {
  public:
   OnlineSimulation(const SystemConfig& config,

@@ -8,11 +8,10 @@
 #include <string>
 #include <utility>
 
-#include <cstdio>
-
 #include "checkpoint/snapshot.hpp"
 #include "checkpoint/state_io.hpp"
 #include "engine/event_source.hpp"
+#include "obs/exposition.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -48,96 +47,6 @@ std::uint64_t table_hash(std::uint64_t id) {
   id ^= id >> 33;
   return id;
 }
-
-/// One timed interval of the serve pipeline, measured once: a single
-/// start/stop clock pair feeds every sink that exists — the EngineStats
-/// field, the registry histogram (telemetry on) and a trace span (the
-/// process Tracer on) — so the views of one interval cannot disagree.
-/// With tracing off it costs two clock reads. Records at stop() or, if
-/// never stopped, at destruction.
-class Stage {
- public:
-  /// Times from `start_ns` (default: now), so a stage can begin exactly
-  /// where the previous one ended without another clock read.
-  Stage(double* total, obs::Histogram* histogram, const char* span = nullptr,
-        obs::TraceContext parent = {},
-        std::uint64_t start_ns = obs::Tracer::now_ns())
-      : total_(total),
-        histogram_(histogram),
-        span_(span != nullptr && obs::Tracer::global().enabled() ? span
-                                                                 : nullptr),
-        parent_(parent),
-        start_ns_(start_ns) {}
-  Stage(const Stage&) = delete;
-  Stage& operator=(const Stage&) = delete;
-  ~Stage() { stop(); }
-
-  /// Whether this stage records a span (the tracer was on at its start).
-  bool traced() const { return span_ != nullptr; }
-  std::uint64_t start_ns() const { return start_ns_; }
-  /// This stage's span context, the parent of its child stages; empty
-  /// when it records no span.
-  obs::TraceContext context() {
-    if (span_ == nullptr) return {};
-    return {trace_id(), span_id()};
-  }
-  /// Re-parents the span before stop(): the context a batch rode in on
-  /// is only known once the source has delivered it.
-  void set_parent(obs::TraceContext parent) { parent_ = parent; }
-  /// One integer span argument (key must be a string literal).
-  void set_arg(const char* key, std::uint64_t value) {
-    arg_key_ = key;
-    arg_value_ = value;
-  }
-
-  /// Records the interval (once) into every sink, ending at `end_ns`
-  /// (default: now); returns the end, where a following stage may start.
-  std::uint64_t stop(std::uint64_t end_ns = obs::Tracer::now_ns()) {
-    if (stopped_) return end_ns;
-    stopped_ = true;
-    const double seconds = static_cast<double>(end_ns - start_ns_) / 1e9;
-    if (total_ != nullptr) *total_ += seconds;
-    if (histogram_ != nullptr) histogram_->observe(seconds);
-    if (span_ != nullptr) {
-      obs::Tracer& tracer = obs::Tracer::global();
-      obs::SpanRecord record;
-      record.name = span_;
-      record.arg_key = arg_key_;
-      record.arg_value = arg_value_;
-      record.start_ns = start_ns_;
-      record.dur_ns = end_ns - start_ns_;
-      record.span_id = span_id();
-      record.trace_id = trace_id();
-      record.parent_id = parent_.span_id;
-      tracer.record(record);
-    }
-    return end_ns;
-  }
-
- private:
-  /// Minted on first use, so a stage nothing asks for ids takes them
-  /// when it records.
-  std::uint64_t span_id() {
-    if (span_id_ == 0) span_id_ = obs::Tracer::global().next_id();
-    return span_id_;
-  }
-  std::uint64_t trace_id() {
-    if (parent_.valid()) return parent_.trace_id;
-    if (trace_id_ == 0) trace_id_ = obs::Tracer::global().next_id();
-    return trace_id_;
-  }
-
-  double* total_;
-  obs::Histogram* histogram_;
-  const char* span_;
-  obs::TraceContext parent_;
-  std::uint64_t span_id_ = 0;
-  std::uint64_t trace_id_ = 0;
-  const char* arg_key_ = nullptr;
-  std::uint64_t arg_value_ = 0;
-  std::uint64_t start_ns_;
-  bool stopped_ = false;
-};
 
 }  // namespace
 
@@ -452,11 +361,11 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
   // One batch interval (ingest_seconds, repl_batch_seconds, the
   // engine.ingest span), split into route and execute at a shared clock
   // read: three reads for three measurements.
-  Stage batch(&stats_.ingest_seconds, tel ? &tel->batch_seconds : nullptr,
-              "engine.ingest", parent);
+  obs::Span batch("engine.ingest", parent, &stats_.ingest_seconds,
+                  tel ? &tel->batch_seconds : nullptr);
   batch.set_arg("events", count);
-  Stage route(&stats_.route_seconds, tel ? &tel->route : nullptr, nullptr,
-              {}, batch.start_ns());
+  obs::Span route(nullptr, {}, &stats_.route_seconds,
+                  tel ? &tel->route : nullptr, batch.start_ns());
 
   // Validate the whole batch before touching any engine state, so a
   // rejected batch leaves the engine clean and the caller may retry
@@ -497,8 +406,8 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
   any_event_ = true;
   log_hash_ = hash;  // committed only once the whole batch validated
 
-  Stage execute(&stats_.execute_seconds, tel ? &tel->execute : nullptr,
-                nullptr, {}, route.stop());
+  obs::Span execute(nullptr, {}, &stats_.execute_seconds,
+                    tel ? &tel->execute : nullptr, route.stop());
   run_shard_tasks(active.size(), [&](std::size_t task) {
     Shard& shard = *shards_[active[task]];
     for (const LogEvent& event : shard.inbox) {
@@ -525,31 +434,27 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
   REPL_CHECK_MSG(!finished_, "finish() called twice");
   REPL_CHECK_MSG(!failed_, "engine unusable after a prior failure");
   finished_ = true;
-  Stage reduce(&stats_.finish_seconds,
-               telemetry_ ? &telemetry_->reduce : nullptr);
+  obs::Span reduce(nullptr, {}, &stats_.finish_seconds,
+                   telemetry_ ? &telemetry_->reduce : nullptr);
 
   // Shard tasks in ascending shard id: each finalizes its objects into
-  // its own id-sorted run and reduces it in ascending object id.
+  // its own run, in creation order, and counts them.
   std::vector<std::vector<EngineObjectFinal>> shard_finals(shards_.size());
   std::vector<EngineShardMetrics> shard_metrics(shards_.size());
   run_shard_tasks(shards_.size(), [&](std::size_t task) {
     Shard& shard = *shards_[task];
     std::vector<EngineObjectFinal>& run = shard_finals[task];
-    run.reserve(shard.objects.size());
-    for (ObjectState& state : shard.objects) run.push_back(state.finish());
-    shard.release();
-    std::sort(run.begin(), run.end(),
-              [](const EngineObjectFinal& a, const EngineObjectFinal& b) {
-                return a.id < b.id;
-              });
-    const EngineMetrics sums = reduce_object_finals(run);
     EngineShardMetrics& metrics = shard_metrics[task];
-    metrics.objects = sums.objects;
-    metrics.events = sums.events;
-    metrics.num_local = sums.num_local;
-    metrics.num_transfers = sums.num_transfers;
-    metrics.online_cost = sums.online_cost;
-    metrics.lower_bound = sums.lower_bound;
+    run.reserve(shard.objects.size());
+    for (ObjectState& state : shard.objects) {
+      run.push_back(state.finish());
+      const EngineObjectFinal& final = run.back();
+      ++metrics.objects;
+      metrics.events += final.events;
+      metrics.num_local += final.num_local;
+      metrics.num_transfers += final.num_transfers;
+    }
+    shard.release();
   });
 
   // Global reduction: id-sorted across every shard, on the calling
@@ -587,7 +492,7 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
   const bool report = options.stats_every > 0.0;
   REPL_REQUIRE_MSG(!report || telemetry_,
                    "stats_every requires EngineOptions::metrics (the stats "
-                   "line reads repl_batch_seconds)");
+                   "line renders from the registry)");
   Telemetry* tel = telemetry_.get();
 
   // Bind to (and cross-check) the stream's identity, and position the
@@ -611,45 +516,18 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
           ? 0
           : (stats_.events_ingested / checkpoint_every + 1) * checkpoint_every;
 
-  // Periodic stats reporting; batch-latency percentiles come from the
-  // registry's repl_batch_seconds, i.e. route + execute.
-  const auto serve_start = std::chrono::steady_clock::now();
-  auto last_report = serve_start;
-  std::uint64_t last_events = stats_.events_ingested;
-  const std::uint64_t start_events = stats_.events_ingested;
-  const std::size_t start_batches = stats_.batches;
+  // Periodic progress lines, rendered from the registry alone.
+  auto last_report = std::chrono::steady_clock::now();
+  std::uint64_t reported_events = stats_.events_ingested;
+  std::optional<obs::ProgressLine> progress;
+  if (report) {
+    progress.emplace("[serve]", options_.metrics->collect(), last_report);
+  }
   const auto emit_stats = [&](std::chrono::steady_clock::time_point now) {
-    const double t =
-        std::chrono::duration<double>(now - serve_start).count();
-    const double interval =
-        std::chrono::duration<double>(now - last_report).count();
-    const double rate =
-        interval > 0.0
-            ? static_cast<double>(stats_.events_ingested - last_events) /
-                  interval
-            : 0.0;
-    const std::size_t batches = stats_.batches - start_batches;
-    const double events_per_batch =
-        batches > 0 ? static_cast<double>(stats_.events_ingested -
-                                          start_events) /
-                          static_cast<double>(batches)
-                    : 0.0;
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "[serve] t=%.1fs events=%llu rate=%.0f/s batches=%zu "
-                  "ev/batch=%.1f p50_batch=%.1fms p99_batch=%.1fms ckpt=%zu",
-                  t,
-                  static_cast<unsigned long long>(stats_.events_ingested),
-                  rate, stats_.batches, events_per_batch,
-                  tel->batch_seconds.quantile(0.5) * 1e3,
-                  tel->batch_seconds.quantile(0.99) * 1e3,
-                  stats_.checkpoints_written);
-    std::string text(line);
-    const std::string status = source.status();
-    if (!status.empty()) text += ' ' + status;
-    REPL_LOG_INFO("engine", text);
+    REPL_LOG_INFO("engine",
+                  progress->render(options_.metrics->collect(), now));
     last_report = now;
-    last_events = stats_.events_ingested;
+    reported_events = stats_.events_ingested;
   };
 
   // Per batch: the wait stage covers blocking on the source (its span's
@@ -662,8 +540,8 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
     bool more;
     obs::TraceContext parent;
     {
-      Stage wait(&stats_.source_wait_seconds,
-                 tel ? &tel->source_wait : nullptr, "serve.wait");
+      obs::Span wait("serve.wait", {}, &stats_.source_wait_seconds,
+                     tel ? &tel->source_wait : nullptr);
       more = source.next_batch(batch);
       if (wait.traced()) {
         parent = source.trace_parent();
@@ -681,7 +559,6 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
     }
     if (checkpoint_every > 0 && stats_.events_ingested >= next_checkpoint) {
       checkpoint(options.checkpoint_path, parent);
-      ++stats_.checkpoints_written;
       if (capture) capture->record_cut(stats_.events_ingested);
       source.checkpointed(stats_.events_ingested);
       // Flush spans at every checkpoint, so a SIGKILLed process leaves a
@@ -699,7 +576,7 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
       }
     }
   }
-  if (report && stats_.events_ingested != last_events) {
+  if (report && stats_.events_ingested != reported_events) {
     emit_stats(std::chrono::steady_clock::now());
   }
   EngineMetrics metrics = finish(options.collect_finals);
@@ -818,13 +695,13 @@ void StreamingEngine::checkpoint(const std::string& path,
   REPL_CHECK_MSG(!finished_, "checkpoint after finish()");
   REPL_CHECK_MSG(!failed_, "engine unusable after a prior failure");
   Telemetry* tel = telemetry_.get();
-  // The whole cut, then its three phases back to back as child stages:
+  // The whole cut, then its three phases back to back as child spans:
   // encode, merge and write, sync.
-  Stage cut(&stats_.checkpoint_seconds, tel ? &tel->checkpoint_write : nullptr,
-            "engine.checkpoint", parent);
+  obs::Span cut("engine.checkpoint", parent, &stats_.checkpoint_seconds,
+                tel ? &tel->checkpoint_write : nullptr);
   cut.set_arg("events", stats_.events_ingested);
-  Stage encode(nullptr, tel ? &tel->checkpoint_encode : nullptr,
-               "engine.checkpoint.encode", cut.context(), cut.start_ns());
+  obs::Span encode("engine.checkpoint.encode", cut.context(), nullptr,
+                   tel ? &tel->checkpoint_encode : nullptr, cut.start_ns());
 
   SnapshotHeader header;
   header.num_servers = static_cast<std::uint32_t>(config_.num_servers);
@@ -912,8 +789,8 @@ void StreamingEngine::checkpoint(const std::string& path,
   const std::string tmp = path + ".tmp";
   std::uint64_t bytes = 0;
   try {
-    Stage io(nullptr, tel ? &tel->checkpoint_io : nullptr,
-             "engine.checkpoint.io", cut.context(), encode.stop());
+    obs::Span io("engine.checkpoint.io", cut.context(), nullptr,
+                 tel ? &tel->checkpoint_io : nullptr, encode.stop());
     SnapshotWriter writer(tmp, header);
     // Merge to canonical order: shards partition the id space, so
     // interleaving the id-sorted runs by their next id yields the
@@ -948,8 +825,8 @@ void StreamingEngine::checkpoint(const std::string& path,
       }
     }
     writer.seal();
-    Stage sync(nullptr, tel ? &tel->checkpoint_sync : nullptr,
-               "engine.checkpoint.sync", cut.context(), io.stop());
+    obs::Span sync("engine.checkpoint.sync", cut.context(), nullptr,
+                   tel ? &tel->checkpoint_sync : nullptr, io.stop());
     writer.close();  // fsyncs the snapshot's bytes
     rename_and_sync_dir(tmp, path);
     bytes = writer.bytes_written();
@@ -958,6 +835,7 @@ void StreamingEngine::checkpoint(const std::string& path,
     std::filesystem::remove(tmp, ignored);
     throw;
   }
+  ++stats_.checkpoints_written;
   stats_.checkpoint_bytes += bytes;
   if (tel) {
     tel->checkpoint_writes.inc();
@@ -1035,10 +913,10 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
   auto engine = std::make_unique<StreamingEngine>(
       std::move(config), options, std::move(make_policy),
       std::move(make_predictor));
-  Stage restoring(nullptr,
-                  engine->telemetry_
-                      ? &engine->telemetry_->checkpoint_restore
-                      : nullptr);
+  obs::Span restoring(nullptr, {}, nullptr,
+                      engine->telemetry_
+                          ? &engine->telemetry_->checkpoint_restore
+                          : nullptr);
   engine->any_event_ = (header.flags & SnapshotHeader::kFlagAnyEvent) != 0;
   engine->last_batch_time_ = header.last_batch_time;
   engine->stats_.events_ingested = header.events_ingested;

@@ -24,9 +24,9 @@
 //     events stay in stream order, so per-object order is preserved;
 //     across shards objects are independent (the paper's footnote 1 —
 //     the same argument that makes ParallelRunner correct);
-//   * a metrics reducer: finish() finalizes every object, reduces each
-//     shard in ascending object id, then reduces globally in ascending
-//     object id across shards.
+//   * a metrics reducer: finish() finalizes and counts each shard's
+//     objects in its task, then reduces every final in ascending object
+//     id on the calling thread.
 //
 // Determinism contract (same as run/parallel_runner.hpp): the global
 // aggregates are bit-identical to running each object's subsequence
@@ -119,14 +119,12 @@ struct EngineObjectFinal {
   double lower_bound = 0.0;
 };
 
-/// Per-shard aggregate, reduced in ascending object id within the shard.
+/// Per-shard counts, for load balance; costs are only reduced globally.
 struct EngineShardMetrics {
   std::size_t objects = 0;
   std::size_t events = 0;
   std::size_t num_local = 0;
   std::size_t num_transfers = 0;
-  double online_cost = 0.0;
-  double lower_bound = 0.0;
 };
 
 /// Global aggregate, reduced in ascending object id across all shards —
@@ -177,7 +175,8 @@ struct EngineStats {
   /// file decode that replay's reader thread did not finish during the
   /// previous batch, or network admission.
   double source_wait_seconds = 0.0;
-  /// Periodic checkpoints written by serve().
+  /// Snapshots sealed by checkpoint(), periodic or manual
+  /// (repl_checkpoint_writes_total).
   std::size_t checkpoints_written = 0;
   /// Wall seconds of every checkpoint() cut, periodic or manual
   /// (repl_stage_seconds{stage="checkpoint_write"}).
@@ -203,9 +202,9 @@ struct CaptureOptions {
 };
 
 /// Controls one serve() drain, including periodic crash-safe snapshots.
-/// What only the producer knows (trace context, status text, what to do
-/// after a batch or a checkpoint) lives on the EventSource instead. Every
-/// field has a default, so `{.batch_events = n}` names only what changes.
+/// What only the producer knows (trace context, what to do after a batch
+/// or a checkpoint) lives on the EventSource instead. Every field has a
+/// default, so `{.batch_events = n}` names only what changes.
 struct ServeOptions {
   /// Events per batch the reader overload of serve() decodes. Only that
   /// overload reads it: an EventSource sets its own batch size.
@@ -216,12 +215,11 @@ struct ServeOptions {
   std::uint64_t checkpoint_every = 0;
   /// Destination for periodic checkpoints.
   std::string checkpoint_path{};
-  /// Log one progress line roughly every this many seconds of serve()
-  /// wall time (events/sec since the previous line, p50/p99 batch
-  /// latency from repl_batch_seconds, checkpoint count, then the
-  /// source's status()); 0 disables. Requires EngineOptions::metrics.
-  /// Purely observational — aggregates are bit-identical with reporting
-  /// on or off.
+  /// Log one `[serve]` progress line (obs::ProgressLine, rendered from
+  /// the registry, so EngineOptions::metrics is required) roughly every
+  /// this many seconds of serve() wall time, and a last one at the end;
+  /// 0 disables. Purely observational — aggregates are bit-identical
+  /// with reporting on or off.
   double stats_every = 0.0;
   /// When set, serve() records this session as a replay fixture. Capture
   /// requires a fresh engine (resume_position() == 0): a restored
@@ -264,9 +262,9 @@ class StreamingEngine {
   /// Drains any EventSource (engine/event_source.hpp) through ingest()
   /// and returns finish(). One ingestion path for every producer: file
   /// replay and live network ingest both land here, and the source's
-  /// hooks (trace_parent, ingested, checkpointed, status) are the only
-  /// per-producer behaviour. The source is attach()ed first — it binds
-  /// the stream identity and positions itself past a restored engine's
+  /// hooks (bytes_consumed, trace_parent, ingested, checkpointed) are
+  /// the only per-producer behaviour. The source is attach()ed first — it
+  /// binds the stream identity and positions itself past a restored engine's
   /// consumed prefix — then batches flow until the source ends, with
   /// periodic atomic checkpoints per `options`.
   EngineMetrics serve(EventSource& source, const ServeOptions& options);

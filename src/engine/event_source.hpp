@@ -18,10 +18,13 @@
 // next_batch() — and keeps throwing on retry (sticky), so a caller can
 // never mistake a failed stream for a drained one.
 //
-// What a front-end knows and the engine does not — the trace a batch rode
-// in on, its own status text, what to do once events are ingested or
+// What a front-end knows and the engine does not — the bytes it decoded,
+// the trace a batch rode in on, what to do once events are ingested or
 // durable — is the source's to say, through the hooks below. Every hook
-// has a no-op default, so serve() runs one loop for every producer.
+// has a no-op default, so serve() runs one loop for every producer. What
+// a front-end has to report (queue depths, connection counts) it
+// publishes into the registry, where the engine's progress line and a
+// scrape both read it.
 #pragma once
 
 #include <condition_variable>
@@ -29,7 +32,6 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,10 +78,6 @@ class EventSource {
   /// Called once a periodic checkpoint covering the first
   /// `events_ingested` events of the stream has landed atomically.
   virtual void checkpointed(std::uint64_t /*events_ingested*/) {}
-
-  /// Text appended to each periodic stats line (queue depths, connection
-  /// counts); empty appends nothing.
-  virtual std::string status() const { return {}; }
 };
 
 /// File replay: serves a finished event log, double-buffered by default.

@@ -585,10 +585,4 @@ bool NetIngestSource::next_batch(std::vector<LogEvent>& out) {
   return server_.next_batch(out);
 }
 
-std::string NetIngestSource::status() const {
-  return "queued=" + std::to_string(server_.events_queued()) + " conns=" +
-         std::to_string(server_.connections_total()) + "/" +
-         std::to_string(server_.connections_failed()) + "f";
-}
-
 }  // namespace repl

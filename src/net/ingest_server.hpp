@@ -225,8 +225,9 @@ class NetIngestServer {
 /// Idempotent per engine: a front-end may attach early (to learn the
 /// bound ports before serve() blocks) and serve() re-attaches harmlessly.
 /// The hooks need no wiring: engine spans join the newest wire trace
-/// frame, each checkpoint drives the server's checkpoint-age metrics, and
-/// stats lines end with the queue depth and connection counts.
+/// frame, and each checkpoint drives the server's checkpoint-age metrics.
+/// An engine that shares the server's registry ends its stats lines with
+/// the queue depth and connection counts (obs::ProgressLine).
 class NetIngestSource final : public EventSource {
  public:
   NetIngestSource(NetIngestServer& server, std::uint32_t num_servers)
@@ -240,8 +241,6 @@ class NetIngestSource final : public EventSource {
   void checkpointed(std::uint64_t events_ingested) override {
     server_.note_checkpoint(events_ingested);
   }
-  /// "queued=<events> conns=<total>/<failed>f".
-  std::string status() const override;
 
  private:
   NetIngestServer& server_;

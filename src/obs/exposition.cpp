@@ -1,8 +1,12 @@
 #include "obs/exposition.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "util/csv.hpp"
+#include "util/histogram.hpp"
 
 namespace repl::obs {
 namespace {
@@ -64,6 +68,21 @@ std::string label_block(const Labels& labels, const std::string& extra_key = {},
 /// Series key used in the JSON document: name plus selector-style labels.
 std::string series_name(const Sample& s) {
   return s.name + label_block(s.labels);
+}
+
+/// Series `name` summed over every label set; counters as doubles.
+double sum_of(const std::vector<Sample>& samples, const std::string& name) {
+  double total = 0.0;
+  for (const Sample& s : samples) {
+    if (s.name == name) total += s.value;
+  }
+  return total;
+}
+
+bool has_family(const std::vector<Sample>& samples, const char* prefix) {
+  return std::any_of(samples.begin(), samples.end(), [&](const Sample& s) {
+    return s.name.rfind(prefix, 0) == 0;
+  });
 }
 
 }  // namespace
@@ -160,6 +179,74 @@ std::string metrics_json_text(
   if (extra) extra(w);
   w.end_object();
   return w.str();
+}
+
+ProgressLine::ProgressLine(std::string tag, const std::vector<Sample>& baseline,
+                           Clock::time_point start)
+    : tag_(std::move(tag)),
+      start_(start),
+      last_(start),
+      start_events_(sum_of(baseline, "repl_events_ingested_total")),
+      start_batches_(sum_of(baseline, "repl_batches_total")),
+      last_events_(start_events_) {}
+
+std::string ProgressLine::render(const std::vector<Sample>& samples,
+                                 Clock::time_point now) {
+  const double events = sum_of(samples, "repl_events_ingested_total");
+  const double batches = sum_of(samples, "repl_batches_total");
+  const double interval = std::chrono::duration<double>(now - last_).count();
+  // repl_batch_seconds merged bucket-wise over the label sets that share
+  // the first one's buckets (federated samples come from other processes).
+  const Sample* first = nullptr;
+  std::vector<std::uint64_t> cumulative;
+  for (const Sample& s : samples) {
+    if (s.name != "repl_batch_seconds" || s.type != MetricType::kHistogram) {
+      continue;
+    }
+    if (first == nullptr) {
+      first = &s;
+      cumulative.assign(s.cumulative.size(), 0);
+    }
+    if (s.bounds != first->bounds) continue;
+    for (std::size_t i = 0; i < cumulative.size(); ++i) {
+      cumulative[i] += s.cumulative[i];
+    }
+  }
+  const auto quantile_ms = [&](double q) {
+    return first == nullptr
+               ? 0.0
+               : histogram_quantile(first->bounds, cumulative, q) * 1e3;
+  };
+  char buf[256];
+  std::snprintf(
+      buf, sizeof(buf),
+      " t=%.1fs events=%.0f rate=%.0f/s batches=%.0f ev/batch=%.1f "
+      "p50_batch=%.1fms p99_batch=%.1fms ckpt=%.0f",
+      std::chrono::duration<double>(now - start_).count(), events,
+      interval > 0.0 ? (events - last_events_) / interval : 0.0, batches,
+      batches > start_batches_
+          ? (events - start_events_) / (batches - start_batches_)
+          : 0.0,
+      quantile_ms(0.5), quantile_ms(0.99),
+      sum_of(samples, "repl_checkpoint_writes_total"));
+  std::string line = tag_ + buf;
+  if (has_family(samples, "repl_net_")) {
+    std::snprintf(buf, sizeof(buf), " queued=%.0f conns=%.0f/%.0ff",
+                  sum_of(samples, "repl_net_queued_events"),
+                  sum_of(samples, "repl_net_connections_opened_total"),
+                  sum_of(samples, "repl_net_connections_failed_total"));
+    line += buf;
+  }
+  if (has_family(samples, "repl_cluster_")) {
+    std::snprintf(buf, sizeof(buf), " routed=%.0f respawns=%.0f in_flight=%.0f",
+                  sum_of(samples, "repl_cluster_events_routed_total"),
+                  sum_of(samples, "repl_cluster_worker_respawns_total"),
+                  sum_of(samples, "repl_cluster_events_in_flight"));
+    line += buf;
+  }
+  last_ = now;
+  last_events_ = events;
+  return line;
 }
 
 }  // namespace repl::obs

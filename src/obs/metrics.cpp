@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/histogram.hpp"
 
 namespace repl::obs {
 namespace {
@@ -116,11 +115,6 @@ Histogram::Snapshot Histogram::snapshot() const {
     snap.cumulative[i] += snap.cumulative[i - 1];
   snap.count = snap.cumulative.back();
   return snap;
-}
-
-double Histogram::quantile(double q) const {
-  const Snapshot snap = snapshot();
-  return histogram_quantile(bounds_, snap.cumulative, q);
 }
 
 std::vector<double> Histogram::default_latency_bounds() {

@@ -105,11 +105,6 @@ class Histogram {
   };
   Snapshot snapshot() const;
 
-  /// Estimated q-quantile (q in [0,1]) via linear interpolation inside the
-  /// selected bucket; returns the last finite bound for +Inf hits, 0 when
-  /// empty. Good enough for stats lines, not for billing.
-  double quantile(double q) const;
-
   const std::vector<double>& bounds() const { return bounds_; }
 
   /// Default latency bounds, in seconds: 100us .. ~100s, x2 per bucket.

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 
 namespace repl::obs {
@@ -184,44 +185,45 @@ std::uint64_t Tracer::dropped() const {
   return dropped_.load(std::memory_order_relaxed);
 }
 
-Span::Span(const char* name, TraceContext parent) : name_(name) {
-  Tracer& tracer = Tracer::global();
-  if (!tracer.enabled()) return;
-  armed_ = true;
-  start_ns_ = Tracer::now_ns();
-  ctx_.span_id = tracer.next_id();
-  if (parent.valid()) {
-    ctx_.trace_id = parent.trace_id;
-    parent_id_ = parent.span_id;
-  } else {
-    ctx_.trace_id = tracer.next_id();
-  }
+Span::Span(const char* name, TraceContext parent, double* total,
+           Histogram* histogram, std::uint64_t start_ns)
+    : name_(name != nullptr && Tracer::global().enabled() ? name : nullptr),
+      parent_(parent),
+      total_(total),
+      histogram_(histogram),
+      armed_(name_ != nullptr || total != nullptr || histogram != nullptr) {
+  if (armed_) start_ns_ = start_ns != 0 ? start_ns : Tracer::now_ns();
 }
 
-void Span::set_parent(TraceContext parent) {
-  if (!armed_ || !parent.valid()) return;
-  ctx_.trace_id = parent.trace_id;
-  parent_id_ = parent.span_id;
+TraceContext Span::context() {
+  if (name_ == nullptr) return {};
+  if (span_id_ == 0) span_id_ = Tracer::global().next_id();
+  if (parent_.valid()) return {parent_.trace_id, span_id_};
+  if (trace_id_ == 0) trace_id_ = Tracer::global().next_id();
+  return {trace_id_, span_id_};
 }
 
-void Span::set_arg(const char* key, std::uint64_t value) {
-  arg_key_ = key;
-  arg_value_ = value;
-}
-
-void Span::end() {
-  if (!armed_) return;
+std::uint64_t Span::stop(std::uint64_t end_ns) {
+  if (!armed_) return end_ns;
   armed_ = false;
-  SpanRecord record;
-  record.name = name_;
-  record.arg_key = arg_key_;
-  record.arg_value = arg_value_;
-  record.start_ns = start_ns_;
-  record.dur_ns = Tracer::now_ns() - start_ns_;
-  record.trace_id = ctx_.trace_id;
-  record.span_id = ctx_.span_id;
-  record.parent_id = parent_id_;
-  Tracer::global().record(record);
+  if (end_ns == 0) end_ns = Tracer::now_ns();
+  const double seconds = static_cast<double>(end_ns - start_ns_) / 1e9;
+  if (total_ != nullptr) *total_ += seconds;
+  if (histogram_ != nullptr) histogram_->observe(seconds);
+  if (name_ != nullptr) {
+    const TraceContext ctx = context();
+    SpanRecord record;
+    record.name = name_;
+    record.arg_key = arg_key_;
+    record.arg_value = arg_value_;
+    record.start_ns = start_ns_;
+    record.dur_ns = end_ns - start_ns_;
+    record.trace_id = ctx.trace_id;
+    record.span_id = ctx.span_id;
+    record.parent_id = parent_.valid() ? parent_.span_id : 0;
+    Tracer::global().record(record);
+  }
+  return end_ns;
 }
 
 std::size_t merge_trace_parts(const std::vector<std::string>& parts,

@@ -38,6 +38,8 @@
 
 namespace repl::obs {
 
+class Histogram;
+
 /// The propagated slice of a trace: which trace this work belongs to
 /// and which span caused it. trace_id 0 = "no context" everywhere.
 struct TraceContext {
@@ -92,7 +94,7 @@ class Tracer {
 
   const std::string& path() const { return path_; }
 
-  /// Called by Span; public for tests that synthesize records.
+  /// Pushes one completed span into this thread's ring (Span::stop).
   void record(const SpanRecord& record);
 
   /// Monotonic now, in nanoseconds.
@@ -117,39 +119,59 @@ class Tracer {
   mutable std::mutex mu_;
 };
 
-/// RAII span: records [construction, destruction) as one complete
-/// ("ph":"X") trace event. With a valid parent the span joins that
-/// trace; otherwise it starts a new root trace. Disabled tracer ⇒ every
-/// method is a cheap no-op (one relaxed load, no clock reads).
+/// One timed interval, the serve pipeline's one timer: a single clock
+/// pair feeds every sink the span has — a total in seconds, a histogram,
+/// and a complete ("ph":"X") trace event when it is named and the Tracer
+/// was on at its start — so the views of one interval cannot disagree.
+/// The event joins a valid parent's trace, else starts a root trace.
+/// Records at stop() or destruction; with no sink it reads no clock.
 class Span {
  public:
-  explicit Span(const char* name) : Span(name, TraceContext{}) {}
-  Span(const char* name, TraceContext parent);
+  /// `name` is a string literal, or null for no trace event; `total`
+  /// (seconds, added to) and `histogram` may be null. The span starts at
+  /// `start_ns`, or now when it is 0: passing a stop() result starts it
+  /// exactly where the previous one ended, with no clock read.
+  explicit Span(const char* name, TraceContext parent = {},
+                double* total = nullptr, Histogram* histogram = nullptr,
+                std::uint64_t start_ns = 0);
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-  ~Span() { end(); }
+  ~Span() { stop(); }
 
-  /// Re-parents before end(); used when the parent context arrives
+  /// Whether this span records a trace event.
+  bool traced() const { return name_ != nullptr; }
+  std::uint64_t start_ns() const { return start_ns_; }
+
+  /// Re-parents before stop(); used when the parent context arrives
   /// mid-span (e.g. it rode in with the batch the span is waiting for).
-  void set_parent(TraceContext parent);
+  void set_parent(TraceContext parent) { parent_ = parent; }
 
   /// Attaches one integer argument (key must be a string literal).
-  void set_arg(const char* key, std::uint64_t value);
+  void set_arg(const char* key, std::uint64_t value) {
+    arg_key_ = key;
+    arg_value_ = value;
+  }
 
-  /// This span's own context, for propagation to children.
-  TraceContext context() const { return ctx_; }
+  /// The parent context of this span's children; empty when it records
+  /// no trace event. Ids are minted on first use.
+  TraceContext context();
 
-  /// Records now instead of at destruction. Idempotent.
-  void end();
+  /// Records the interval, ending at `end_ns` (0: now), into every sink
+  /// once and returns its end; later calls, and a span with nothing to
+  /// record, read no clock and return `end_ns`.
+  std::uint64_t stop(std::uint64_t end_ns = 0);
 
  private:
-  const char* name_ = nullptr;
+  const char* name_;
+  TraceContext parent_;
+  double* total_;
+  Histogram* histogram_;
+  std::uint64_t start_ns_ = 0;
+  std::uint64_t span_id_ = 0;
+  std::uint64_t trace_id_ = 0;
   const char* arg_key_ = nullptr;
   std::uint64_t arg_value_ = 0;
-  std::uint64_t start_ns_ = 0;
-  std::uint64_t parent_id_ = 0;
-  TraceContext ctx_;
-  bool armed_ = false;
+  bool armed_;
 };
 
 /// Stitches JSONL part files into one Chrome JSON trace document

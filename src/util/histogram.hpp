@@ -11,7 +11,7 @@ namespace repl {
 /// for the implicit +Inf bucket, i.e. cumulative.size() == bounds.size()+1,
 /// cumulative.back() == total count). Linear interpolation inside the
 /// selected bucket; +Inf hits clamp to the last finite bound; 0 when
-/// empty. The obs metrics layer estimates its histogram quantiles here.
+/// empty. obs::ProgressLine estimates its batch-latency quantiles here.
 double histogram_quantile(const std::vector<double>& bounds,
                           const std::vector<std::uint64_t>& cumulative,
                           double q);

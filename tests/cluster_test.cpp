@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "codec/endian.hpp"
 #include "engine/engine.hpp"
 #include "obs/federation.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "trace/event_log.hpp"
@@ -1136,6 +1138,35 @@ TEST_F(ClusterTest, WorkerServeLinesEndWithTheNetStatus) {
   }
   EXPECT_GT(serve_lines, 0u);
   EXPECT_TRUE(saw_status) << "no worker [serve] line ends in conns=1/0f";
+}
+
+TEST_F(ClusterTest, CoordinatorLastLineCoversTheWholeLog) {
+  // The coordinator renders its [cluster] line from its own series plus
+  // the workers' federated ones. Its last line comes once every summary
+  // has arrived, and each worker sends its last metrics snapshot before
+  // its summary, so that line sums the whole log. The cadence is too
+  // long for a periodic line, so the last one is the only one.
+  const std::string log = write_log(make_events(4000, 97));
+  ClusterCoordinatorOptions options = cluster_options(run_dir("line"), 2);
+  options.batch_events = 256;
+  options.stats_every = 3600.0;
+  obs::Logger& logger = obs::Logger::global();
+  logger.reset();
+  std::mutex mu;
+  std::vector<std::string> lines;
+  logger.set_sink([&](const std::string& line) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (line.find("[cluster]") != std::string::npos) lines.push_back(line);
+  });
+  {
+    ClusterCoordinator coordinator(options);
+    (void)coordinator.serve_log(log);
+  }
+  logger.reset();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find(" events=4000 "), std::string::npos) << lines[0];
+  const std::string tail = " conns=2/0f routed=4000 respawns=0 in_flight=0";
+  EXPECT_TRUE(lines[0].ends_with(tail)) << lines[0];
 }
 
 TEST_F(ClusterTest, KillRespawnMatrixStaysBitIdentical) {

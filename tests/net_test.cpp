@@ -28,6 +28,7 @@
 #include "net/ingest_server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "predictor/last_gap.hpp"
@@ -945,8 +946,12 @@ TEST_F(NetTest, SourceHooksNeedNoWiring) {
     if (sample.name == "repl_checkpoint_events") gauge = sample.value;
   }
   EXPECT_EQ(gauge, static_cast<double>(last_cut));
-  // The stats-line suffix: nothing left queued, one clean connection.
-  EXPECT_EQ(source.status(), "queued=0 conns=1/0f");
+  // The stats-line suffix, rendered from the server's registry: nothing
+  // left queued, one clean connection.
+  const auto now = std::chrono::steady_clock::now();
+  const std::string stats = obs::ProgressLine("[serve]", {}, now).render(
+      server.registry().collect(), now);
+  EXPECT_TRUE(stats.ends_with(" queued=0 conns=1/0f")) << stats;
 }
 
 TEST_F(NetTest, RegistryAgreesWithServerCountersEndToEnd) {

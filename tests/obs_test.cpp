@@ -9,6 +9,7 @@
 #include <atomic>
 #include <bit>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -99,15 +100,20 @@ TEST(ObsMetricsTest, HistogramBoundInclusivityMatchesPrometheus) {
   EXPECT_EQ(snap.cumulative[2], 2u);
 }
 
+/// histogram_quantile over a live histogram's snapshot.
+double quantile_of(const Histogram& h, double q) {
+  return histogram_quantile(h.bounds(), h.snapshot().cumulative, q);
+}
+
 TEST(ObsMetricsTest, HistogramQuantileInterpolates) {
   Histogram h({1.0, 2.0, 4.0});
   for (int i = 0; i < 100; ++i) h.observe(1.5);  // all in (1, 2]
   // Every observation sits in the (1,2] bucket: quantiles interpolate
   // inside it.
-  EXPECT_GT(h.quantile(0.5), 1.0);
-  EXPECT_LE(h.quantile(0.5), 2.0);
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.99));
-  EXPECT_EQ(Histogram({1.0}).quantile(0.5), 0.0);  // empty
+  EXPECT_GT(quantile_of(h, 0.5), 1.0);
+  EXPECT_LE(quantile_of(h, 0.5), 2.0);
+  EXPECT_LE(quantile_of(h, 0.5), quantile_of(h, 0.99));
+  EXPECT_EQ(quantile_of(Histogram({1.0}), 0.5), 0.0);  // empty
 }
 
 TEST(ObsMetricsTest, HistogramRejectsBadBounds) {
@@ -786,6 +792,119 @@ TEST(ObsLogTest, JsonModeEmitsOneEscapedObjectPerLine) {
 }
 
 // ---------------------------------------------------------------------
+// Progress lines: one renderer over samples for every front-end
+
+/// An engine's progress series as it publishes them: 5,000 events in 20
+/// batches of `batch_seconds` each, and 3 cuts.
+void publish_engine_progress(MetricsRegistry& r, double batch_seconds) {
+  r.counter("repl_events_ingested_total", "").inc(5000);
+  r.counter("repl_batches_total", "").inc(20);
+  r.counter("repl_checkpoint_writes_total", "").inc(3);
+  Histogram& batches = r.histogram("repl_batch_seconds", "",
+                                   Histogram::default_latency_bounds());
+  for (int i = 0; i < 20; ++i) batches.observe(batch_seconds);
+}
+
+/// A net server's series: one connection, `failed` of them killed.
+void publish_net_progress(MetricsRegistry& r, std::uint64_t failed) {
+  r.counter("repl_net_connections_opened_total", "", {{"kind", "unix"}})
+      .inc();
+  r.counter("repl_net_connections_failed_total", "").inc(failed);
+  r.gauge("repl_net_queued_events", "").set(0.0);
+}
+
+constexpr obs::ProgressLine::Clock::time_point kLineStart{};
+
+obs::ProgressLine::Clock::time_point at_ms(int ms) {
+  return kLineStart + std::chrono::milliseconds(ms);
+}
+
+TEST(ObsProgressLineTest, EngineRegistryRendersTheServeLine) {
+  // Every batch took 3 ms: bucket (1.6 ms, 3.2 ms] of the default
+  // latency ladder, so p50 interpolates to 2.4 ms and p99 to 3.2 ms.
+  MetricsRegistry r;
+  publish_engine_progress(r, 0.003);
+  obs::ProgressLine progress("[serve]", {}, kLineStart);
+  EXPECT_EQ(progress.render(r.collect(), at_ms(2500)),
+            "[serve] t=2.5s events=5000 rate=2000/s batches=20 "
+            "ev/batch=250.0 p50_batch=2.4ms p99_batch=3.2ms ckpt=3");
+
+  // `rate` counts from the previous line, `ev/batch` from the baseline.
+  r.counter("repl_events_ingested_total", "").inc(1000);
+  r.counter("repl_batches_total", "").inc(5);
+  EXPECT_EQ(progress.render(r.collect(), at_ms(3000)),
+            "[serve] t=3.0s events=6000 rate=2000/s batches=25 "
+            "ev/batch=240.0 p50_batch=2.4ms p99_batch=3.2ms ckpt=3");
+  obs::ProgressLine resumed("[serve]", r.collect(), kLineStart);
+  r.counter("repl_events_ingested_total", "").inc(300);
+  r.counter("repl_batches_total", "").inc(1);
+  EXPECT_EQ(resumed.render(r.collect(), at_ms(100)),
+            "[serve] t=0.1s events=6300 rate=3000/s batches=26 "
+            "ev/batch=300.0 p50_batch=2.4ms p99_batch=3.2ms ckpt=3");
+}
+
+TEST(ObsProgressLineTest, NetSeriesAppendQueueAndConnections) {
+  MetricsRegistry r;
+  publish_engine_progress(r, 0.003);
+  publish_net_progress(r, 0);
+  obs::ProgressLine progress("[serve]", {}, kLineStart);
+  EXPECT_EQ(progress.render(r.collect(), at_ms(2500)),
+            "[serve] t=2.5s events=5000 rate=2000/s batches=20 "
+            "ev/batch=250.0 p50_batch=2.4ms p99_batch=3.2ms ckpt=3 "
+            "queued=0 conns=1/0f");
+}
+
+TEST(ObsProgressLineTest, PartitionCopiesSumAndHistogramsMerge) {
+  // Two workers' snapshots, federated under a partition label: the
+  // counters add, and the batch histograms merge bucket-wise before the
+  // quantile. Half the 40 batches took 3 ms and half 50 ms, so p50 is
+  // the top of the 3.2 ms bucket and p99 sits in (25.6, 51.2] ms.
+  MetricsRegistry fast;
+  MetricsRegistry slow;
+  publish_engine_progress(fast, 0.003);
+  publish_engine_progress(slow, 0.05);
+  publish_net_progress(fast, 0);
+  publish_net_progress(slow, 1);
+  obs::FederatedMetrics federated;
+  federated.update(0, fast.collect());
+  federated.update(1, slow.collect());
+  obs::ProgressLine progress("[cluster]", {}, kLineStart);
+  const std::string line = progress.render(federated.collect(), at_ms(2500));
+  EXPECT_EQ(line,
+            "[cluster] t=2.5s events=10000 rate=4000/s batches=40 "
+            "ev/batch=250.0 p50_batch=3.2ms p99_batch=50.7ms ckpt=6 "
+            "queued=0 conns=2/1f");
+  // A peer's series that borrows the histogram's name under another type
+  // stays out of the merge instead of failing the line.
+  Sample borrowed;
+  borrowed.name = "repl_batch_seconds";
+  borrowed.type = obs::MetricType::kCounter;
+  std::vector<Sample> with_borrowed{borrowed};
+  for (Sample& s : federated.collect()) with_borrowed.push_back(std::move(s));
+  EXPECT_EQ(obs::ProgressLine("[cluster]", {}, kLineStart)
+                .render(with_borrowed, at_ms(2500)),
+            line);
+
+  // The coordinator's own series add routing, respawns and lag.
+  MetricsRegistry coordinator;
+  coordinator.counter("repl_cluster_events_routed_total", "",
+                      {{"partition", "0"}}).inc(6000);
+  coordinator.counter("repl_cluster_events_routed_total", "",
+                      {{"partition", "1"}}).inc(4100);
+  coordinator.counter("repl_cluster_worker_respawns_total", "",
+                      {{"partition", "1"}}).inc();
+  coordinator.gauge("repl_cluster_events_in_flight", "",
+                    {{"partition", "0"}}).set(12.0);
+  coordinator.gauge("repl_cluster_events_in_flight", "",
+                    {{"partition", "1"}}).set(30.0);
+  std::vector<Sample> samples = coordinator.collect();
+  for (Sample& s : federated.collect()) samples.push_back(std::move(s));
+  obs::ProgressLine cluster("[cluster]", {}, kLineStart);
+  EXPECT_EQ(cluster.render(samples, at_ms(2500)),
+            line + " routed=10100 respawns=1 in_flight=42");
+}
+
+// ---------------------------------------------------------------------
 // Tracing: spans, part files, and the Chrome-trace merge
 
 TEST(ObsTraceTest, SpansFlushToPartsAndMergeSkipsMissingOnes) {
@@ -865,6 +984,55 @@ TEST(ObsTraceTest, SpansFlushToPartsAndMergeSkipsMissingOnes) {
             std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
   fs::remove_all(dir);
+}
+
+TEST(ObsTraceTest, OneSpanFeedsItsTotalHistogramAndTraceEvent) {
+  namespace fs = std::filesystem;
+  const fs::path part =
+      fs::temp_directory_path() /
+      ("repl_obs_span_sinks_" + std::to_string(::getpid()) + ".jsonl");
+  fs::remove(part);
+  obs::Tracer& tracer = obs::Tracer::global();
+  ASSERT_FALSE(tracer.enabled());
+  {
+    // Tracer off and no sink: nothing to record, so no clock is read.
+    obs::Span idle("idle.span");
+    EXPECT_FALSE(idle.traced());
+    EXPECT_EQ(idle.start_ns(), 0u);
+    EXPECT_EQ(idle.stop(), 0u);
+  }
+
+  tracer.start(part.string(), "span-sinks");
+  double total = 0.25;
+  Histogram histogram(Histogram::default_latency_bounds());
+  {
+    obs::Span span("test.stage", {}, &total, &histogram, 1000);
+    EXPECT_TRUE(span.traced());
+    span.set_arg("events", 7);
+    EXPECT_EQ(span.stop(1000 + 123456789), 1000u + 123456789u);
+    EXPECT_EQ(span.stop(5), 5u);  // recorded once; the destructor adds none
+  }
+  tracer.stop();
+
+  // One 123,456,789 ns interval, in seconds in both local sinks and in
+  // microseconds in the trace event.
+  EXPECT_EQ(total, 0.25 + 0.123456789);
+  const Histogram::Snapshot snap = histogram.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, 0.123456789);
+  std::ifstream in(part);
+  std::string line;
+  std::size_t events = 0;
+  while (std::getline(in, line)) {
+    if (line.find("\"name\":\"test.stage\"") == std::string::npos) continue;
+    ++events;
+    EXPECT_NE(line.find("\"ts\":1.000,\"dur\":123456.789,"),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find("\"events\":7"), std::string::npos) << line;
+  }
+  EXPECT_EQ(events, 1u);
+  fs::remove(part);
 }
 
 // ---------------------------------------------------------------------
@@ -948,13 +1116,11 @@ std::vector<LogEvent> obs_events(std::size_t count) {
 }
 
 /// In-memory EventSource: serves pre-chunked batches of a fixed stream
-/// (binds the same synthetic identity the net source uses), with a fixed
-/// status() text.
+/// (binds the same synthetic identity the net source uses).
 class VectorSource final : public EventSource {
  public:
-  VectorSource(std::vector<LogEvent> events, std::size_t batch,
-               std::string status = "")
-      : events_(std::move(events)), batch_(batch), status_(std::move(status)) {}
+  VectorSource(std::vector<LogEvent> events, std::size_t batch)
+      : events_(std::move(events)), batch_(batch) {}
 
   void attach(StreamingEngine& engine) override {
     EventLogHeader header;
@@ -974,12 +1140,9 @@ class VectorSource final : public EventSource {
     return true;
   }
 
-  std::string status() const override { return status_; }
-
  private:
   std::vector<LogEvent> events_;
   std::size_t batch_;
-  std::string status_;
   std::size_t at_ = 0;
 };
 
@@ -994,10 +1157,9 @@ StreamingEngine make_obs_engine(MetricsRegistry* registry) {
 }
 
 EngineMetrics obs_serve(MetricsRegistry* registry,
-                        const ServeOptions& serve_options, std::size_t count,
-                        const std::string& status = "") {
+                        const ServeOptions& serve_options, std::size_t count) {
   StreamingEngine engine = make_obs_engine(registry);
-  VectorSource source(obs_events(count), 256, status);
+  VectorSource source(obs_events(count), 256);
   return engine.serve(source, serve_options);
 }
 
@@ -1067,8 +1229,7 @@ TEST(ObsEngineParityTest, StatsReporterEmitsLines) {
     if (at != std::string::npos) lines.push_back(line.substr(at + 8));
   });
   MetricsRegistry registry;
-  const EngineMetrics metrics =
-      obs_serve(&registry, serve_options, 5000, "extra=1");
+  const EngineMetrics metrics = obs_serve(&registry, serve_options, 5000);
   log.reset();
   EXPECT_EQ(metrics.events, 5000u);
   ASSERT_FALSE(lines.empty());
@@ -1078,7 +1239,6 @@ TEST(ObsEngineParityTest, StatsReporterEmitsLines) {
     EXPECT_NE(line.find(" ev/batch="), std::string::npos) << line;
     EXPECT_NE(line.find("p50_batch="), std::string::npos) << line;
     EXPECT_NE(line.find("p99_batch="), std::string::npos) << line;
-    EXPECT_NE(line.find("extra=1"), std::string::npos) << line;
   }
   // The final line reports the full drain, in 20 batches of 250 events
   // on average.
@@ -1216,6 +1376,22 @@ TEST(ObsEngineParityTest, EachIntervalIsMeasuredOnceIntoEverySink) {
   const std::set<std::string> documented = readme_engine_inventory();
   EXPECT_EQ(documented.size(), 17u);
   EXPECT_EQ(series_keys(samples), documented);
+}
+
+TEST(ObsEngineParityTest, ManualCheckpointCountsLikeAPeriodicOne) {
+  // A manual cut counts in EngineStats as it does in the registry, so
+  // checkpoint_seconds / checkpoints_written is a mean per cut.
+  const std::filesystem::path ckpt =
+      std::filesystem::temp_directory_path() /
+      ("repl_obs_manual_cut_" + std::to_string(::getpid()) + ".ckpt");
+  MetricsRegistry registry;
+  StreamingEngine engine = make_obs_engine(&registry);
+  engine.ingest(obs_events(1000));
+  engine.checkpoint(ckpt.string());
+  std::filesystem::remove(ckpt);
+  EXPECT_EQ(engine.stats().checkpoints_written, 1u);
+  EXPECT_EQ(counter_of(registry.collect(), "repl_checkpoint_writes_total"),
+            1u);
 }
 
 TEST(ObsEngineParityTest, CheckpointPhasesSplitEachCut) {

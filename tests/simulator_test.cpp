@@ -128,18 +128,6 @@ TEST(Simulator, StorageClippedAtHorizon) {
   EXPECT_DOUBLE_EQ(result.transfer_cost, 0.0);
 }
 
-TEST(Simulator, CustomHorizonExtendsStorage) {
-  const SystemConfig config = make_config(1, 10.0);
-  const Trace trace(1, {{3.0, 0}});
-  DrwpPolicy policy(0.5);  // after t=3 the copy persists as special
-  FixedPredictor beyond = always_beyond_predictor();
-  SimulationOptions options;
-  options.horizon = 20.0;
-  const SimulationResult result =
-      Simulator(config, options).run(policy, trace, beyond);
-  EXPECT_DOUBLE_EQ(result.storage_cost, 20.0);
-}
-
 TEST(Simulator, WeightedStorageRates) {
   SystemConfig config = make_config(2, 10.0);
   config.storage_rates = {2.0, 0.5};
