@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
                "one-process trace JSONL");
   cli.add_flag("log-level", "",
                "structured-log spec, e.g. 'info' or 'warn,net=debug,"
-               "cluster=debug' (default: warn)");
+               "cluster=debug' (default: info)");
   cli.add_bool_flag("log-json", "emit log lines as JSON objects");
   cli.add_flag("stats-every", "0",
                "periodic progress lines every N seconds (0 = off); the "

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                "(flushed at each checkpoint and at exit)");
   cli.add_flag("log-level", "",
                "structured-log spec, e.g. 'info' or 'warn,net=debug' "
-               "(default: warn)");
+               "(default: info)");
   cli.add_bool_flag("log-json", "emit log lines as JSON objects");
   if (!cli.parse(argc, argv)) return 0;
 

@@ -622,15 +622,25 @@ void ClusterCoordinator::finish_partition(std::uint32_t p) {
   }
 }
 
-void ClusterCoordinator::await_summary(std::uint32_t p) {
+void ClusterCoordinator::await_summary(std::uint32_t p,
+                                       const std::function<void()>& report) {
   Partition& part = *parts_[p];
+  const auto done = [&] { return part.summary_seen || part.control_failed; };
   for (;;) {
     std::string failure;
     {
       std::unique_lock<std::mutex> lock(ctl_mu_);
-      ctl_cv_.wait(lock, [&] {
-        return part.summary_seen || part.control_failed;
-      });
+      if (options_.stats_every > 0) {
+        const std::chrono::duration<double> slice(options_.stats_every);
+        while (!ctl_cv_.wait_for(lock, slice, done)) {
+          // Outside ctl_mu_: the line's samples take it.
+          lock.unlock();
+          report();
+          lock.lock();
+        }
+      } else {
+        ctl_cv_.wait(lock, done);
+      }
       if (part.summary_seen) return;
       failure = part.control_error;
     }
@@ -676,6 +686,17 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
   if (options_.stats_every > 0) {
     progress.emplace("[cluster]", cluster_samples(), last_stats);
   }
+  // Logs a line once stats_every has passed since the last one. Called
+  // outside ctl_mu_: federated_samples() takes it, and sinks do I/O.
+  const auto report = [&] {
+    if (!progress) return;
+    const auto now = std::chrono::steady_clock::now();
+    if (std::chrono::duration<double>(now - last_stats).count() >=
+        options_.stats_every) {
+      last_stats = now;
+      REPL_LOG_INFO("cluster", progress->render(cluster_samples(), now));
+    }
+  };
   const bool tracing = obs::Tracer::global().enabled();
   EventLogReader reader(log_path);
   std::vector<LogEvent> batch;
@@ -714,22 +735,14 @@ ClusterServeResult ClusterCoordinator::serve_log(const std::string& log_path) {
         inst_->in_flight[p]->set(static_cast<double>(part.seen - acked));
       }
     }
-    if (progress) {
-      // Outside ctl_mu_: federated_samples() takes it, and sinks do I/O.
-      const auto now = std::chrono::steady_clock::now();
-      if (std::chrono::duration<double>(now - last_stats).count() >=
-          options_.stats_every) {
-        last_stats = now;
-        REPL_LOG_INFO("cluster", progress->render(cluster_samples(), now));
-      }
-    }
+    report();
   }
 
   for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
     finish_partition(p);
   }
   for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
-    await_summary(p);
+    await_summary(p, report);
     inst_->in_flight[p]->set(0.0);
   }
   // Each worker sends its last metrics snapshot before its summary, so

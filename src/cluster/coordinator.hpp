@@ -219,7 +219,10 @@ class ClusterCoordinator {
   void recover(std::uint32_t p, std::uint64_t through, std::string failure);
   void route_event(std::uint32_t p, const LogEvent& event);
   void finish_partition(std::uint32_t p);
-  void await_summary(std::uint32_t p);
+  /// Waits for partition p's summary, recovering a worker that dies
+  /// first. With a stats cadence it wakes every `stats_every` seconds to
+  /// call `report`, so progress lines continue while workers drain.
+  void await_summary(std::uint32_t p, const std::function<void()>& report);
 
   ClusterCoordinatorOptions options_;
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;

@@ -33,12 +33,23 @@
 #include "checkpoint/state_io.hpp"
 #include "core/types.hpp"
 #include "predictor/predictor.hpp"
+#include "util/arena.hpp"
 
 namespace repl {
 
 class ReplicationPolicy {
  public:
   virtual ~ReplicationPolicy() = default;
+
+  /// Object memory (util/arena.hpp): built inside an engine shard task, a
+  /// policy lives in its shard's arena (8-byte aligned); elsewhere on the
+  /// heap.
+  static void* operator new(std::size_t bytes) {
+    return allocate_object(bytes);
+  }
+  static void operator delete(void* policy, std::size_t bytes) {
+    deallocate_object(policy, bytes);
+  }
 
   virtual void reset(const SystemConfig& config, const Prediction& pred0,
                      EventSink& sink) = 0;

@@ -29,6 +29,11 @@
 //   void load(StateReader& in);   // in.legacy(): the version-4 layout
 //
 // T must be trivially copyable: entries move with memcpy.
+//
+// The block is object memory (util/arena.hpp): inside a shard task it is a
+// block of the shard's arena, with no header; the table keeps one bit that
+// says so, and frees it back to the arena of the scope it is freed in.
+// Outside any scope it is a heap block.
 #pragma once
 
 #include <algorithm>
@@ -42,6 +47,7 @@
 #include <vector>
 
 #include "checkpoint/state_io.hpp"
+#include "util/arena.hpp"
 #include "util/check.hpp"
 
 namespace repl {
@@ -49,7 +55,7 @@ namespace repl {
 template <class T>
 class ServerTable {
   static_assert(std::is_trivially_copyable_v<T>);
-  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  static_assert(alignof(T) <= ObjectArena::kAlign);
 
  public:
   ServerTable() = default;
@@ -58,18 +64,26 @@ class ServerTable {
       : size_(other.size_), capacity_(other.capacity_) {
     if (other.block_ != nullptr) {
       const std::size_t bytes = other.block_bytes();
-      block_ = ::operator new(bytes);
+      adopt(allocate_block(bytes));
       std::memcpy(block_, other.block_, bytes);
     }
   }
   ServerTable(ServerTable&& other) noexcept
       : block_(std::exchange(other.block_, nullptr)),
         size_(std::exchange(other.size_, 0)),
-        capacity_(std::exchange(other.capacity_, 0)) {}
+        capacity_(other.capacity_),
+        in_arena_(other.in_arena_) {
+    other.capacity_ = 0;
+  }
   ServerTable& operator=(ServerTable other) noexcept {
     std::swap(block_, other.block_);
     std::swap(size_, other.size_);
-    std::swap(capacity_, other.capacity_);
+    const std::uint32_t capacity = capacity_;
+    capacity_ = other.capacity_;
+    other.capacity_ = capacity & kDirect;
+    const bool in_arena = in_arena_;
+    in_arena_ = other.in_arena_;
+    other.in_arena_ = in_arena;
     return *this;
   }
 
@@ -217,7 +231,7 @@ class ServerTable {
   }
 
  private:
-  static constexpr std::uint32_t kDirect = ~std::uint32_t{0};
+  static constexpr std::uint32_t kDirect = (std::uint32_t{1} << 31) - 1;
 
   bool direct() const { return capacity_ == kDirect; }
 
@@ -258,21 +272,22 @@ class ServerTable {
 
   /// Moves the sparse entries into a block of `capacity`.
   void regrow(std::uint32_t capacity) {
-    void* block = ::operator new(sparse_bytes(capacity));
+    const ScopedBlock block = allocate_block(sparse_bytes(capacity));
     if (size_ > 0) {
-      std::memcpy(block, block_, size_ * sizeof(T));
-      std::memcpy(static_cast<char*>(block) + ids_offset(capacity), ids(),
+      std::memcpy(block.at, block_, size_ * sizeof(T));
+      std::memcpy(static_cast<char*>(block.at) + ids_offset(capacity), ids(),
                   size_ * sizeof(std::uint32_t));
     }
     release();
-    block_ = block;
-    capacity_ = capacity;
+    adopt(block);
+    capacity_ = capacity & kDirect;
   }
 
   /// Moves the entries into a direct-indexed array of `fleet` servers.
   void become_direct(int fleet) {
     const auto n = static_cast<std::uint32_t>(fleet);
-    T* value = static_cast<T*>(::operator new(n * sizeof(T)));
+    const ScopedBlock block = allocate_block(n * sizeof(T));
+    T* value = static_cast<T*>(block.at);
     std::uninitialized_fill_n(value, n, T{});
     if (direct()) {
       std::memcpy(static_cast<void*>(value), values(), size_ * sizeof(T));
@@ -280,13 +295,20 @@ class ServerTable {
       for (std::uint32_t i = 0; i < size_; ++i) value[ids()[i]] = values()[i];
     }
     release();
-    block_ = value;
+    adopt(block);
     size_ = n;
     capacity_ = kDirect;
   }
 
+  void adopt(const ScopedBlock& block) {
+    block_ = block.at;
+    in_arena_ = block.in_arena;
+  }
+
+  /// Frees the block; size_ and capacity_ still describe it.
   void release() {
-    ::operator delete(block_);
+    if (block_ == nullptr) return;
+    deallocate_block(block_, block_bytes(), in_arena_);
     block_ = nullptr;
   }
 
@@ -299,7 +321,7 @@ class ServerTable {
       const auto n = static_cast<std::uint32_t>(fleet);
       if (!direct() || size_ != n) {
         clear();
-        block_ = ::operator new(n * sizeof(T));
+        adopt(allocate_block(n * sizeof(T)));
         size_ = n;
         capacity_ = kDirect;
       }
@@ -354,8 +376,9 @@ class ServerTable {
   }
 
   void* block_ = nullptr;
-  std::uint32_t size_ = 0;      // entries; the fleet once direct
-  std::uint32_t capacity_ = 0;  // kDirect once direct
+  std::uint32_t size_ = 0;           // entries; the fleet once direct
+  std::uint32_t capacity_ : 31 = 0;  // kDirect once direct
+  std::uint32_t in_arena_ : 1 = 0;   // block_ is an arena block
 };
 
 }  // namespace repl

@@ -242,8 +242,16 @@ const SystemConfig& validated(const SystemConfig& config) {
 /// What one run keeps between steps: the recorder's cost state, the
 /// clock, and the two result fields nothing else derives (the local-serve
 /// count and the r0 prediction). finish() assembles the SimulationResult,
-/// names included; the event log exists only when recording.
+/// names included; the event log exists only when recording. Object
+/// memory (util/arena.hpp), like the policy and predictor it drives.
 struct OnlineSimulation::Impl {
+  static void* operator new(std::size_t bytes) {
+    return allocate_object(bytes);
+  }
+  static void operator delete(void* impl, std::size_t bytes) {
+    deallocate_object(impl, bytes);
+  }
+
   Impl(const SystemConfig& cfg, const SimulationOptions& opts,
        ReplicationPolicy& pol, Predictor& pred)
       : config(validated(cfg)),

@@ -19,6 +19,7 @@
 #include "offline/opt_lower_bound.hpp"
 #include "run/parallel_runner.hpp"
 #include "run/thread_pool.hpp"
+#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -95,6 +96,10 @@ struct StreamingEngine::Telemetry {
         objects_active(registry.gauge(
             "repl_objects_active",
             "Objects instantiated in the engine's sharded table")),
+        object_bytes(registry.gauge(
+            "repl_object_bytes",
+            "Bytes the shard arenas hold for the objects' policies, "
+            "predictors, simulation state and per-server tables")),
         batch_seconds(registry.histogram(
             "repl_batch_seconds", "Wall seconds per ingest batch",
             obs::Histogram::default_latency_bounds())),
@@ -138,6 +143,7 @@ struct StreamingEngine::Telemetry {
   obs::Counter& checkpoint_bytes;
   obs::Gauge& source_bytes;
   obs::Gauge& objects_active;
+  obs::Gauge& object_bytes;
   obs::Histogram& batch_seconds;
   obs::Histogram& batch_events;
   obs::Histogram& source_wait;
@@ -153,8 +159,10 @@ struct StreamingEngine::Telemetry {
 
 /// One object's record. Records live by value in their shard's vector,
 /// which moves them when it grows, so nothing may point into a record:
-/// the policy, the predictor and the simulation's state are separate heap
-/// objects, and the simulation's references to them survive a move.
+/// the policy, the predictor and the simulation's state are separate
+/// blocks of the shard's arena (built in the shard's ArenaScope, like
+/// every per-server table they and the lower bound grow), and the
+/// simulation's references to them survive a move.
 struct StreamingEngine::ObjectState {
   ObjectState(std::uint64_t object_id, const SystemConfig& config,
               const SimulationOptions& sim, PolicyPtr pol, PredictorPtr pred,
@@ -253,20 +261,30 @@ struct StreamingEngine::Shard {
     return objects.back();
   }
 
-  /// Frees the records and the table.
+  ~Shard() { release(); }
+
+  /// Destroys the records, then hands back the arena's chunks and frees
+  /// the table: the objects' blocks go with their chunks, not one by one.
   void release() {
+    const ArenaScope scope(arena);
+    arena.begin_release();
     std::vector<ObjectState>().swap(objects);
+    arena.release();
     std::vector<std::uint32_t>().swap(index);
   }
 
+  /// The memory of the shard's objects; a task on this shard opens an
+  /// ArenaScope on it.
+  ObjectArena arena;
   /// Object records in creation order.
   std::vector<ObjectState> objects;
   /// Open-addressing id table over `objects`: power-of-two capacity,
   /// linear probing, each slot a record position or kEmptySlot. Empty
   /// until the shard's first object, so an idle shard allocates nothing.
   std::vector<std::uint32_t> index;
-  /// Events routed to this shard for the batch in flight, in stream order.
-  std::vector<LogEvent> inbox;
+  /// Positions in the batch in flight of the events routed to this shard,
+  /// in stream order.
+  std::vector<std::uint32_t> inbox;
 
  private:
   /// The slot holding `id`, or the empty slot where it belongs. The
@@ -302,10 +320,7 @@ StreamingEngine::StreamingEngine(SystemConfig config, EngineOptions options,
                        "rates (OPTL is derived for them)");
     }
   }
-  shards_.reserve(options_.num_shards);
-  for (std::size_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+  shards_ = std::vector<Shard>(options_.num_shards);
   pool_ = std::make_unique<ThreadPool>(
       static_cast<std::size_t>(options_.num_threads));
   if (options_.metrics != nullptr) {
@@ -357,6 +372,9 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
   REPL_CHECK_MSG(!finished_, "ingest after finish()");
   REPL_CHECK_MSG(!failed_, "engine unusable after a prior failure");
   if (count == 0) return;
+  // Shard inboxes hold 32-bit positions in the batch.
+  REPL_REQUIRE_MSG(count <= std::numeric_limits<std::uint32_t>::max(),
+                   "a batch holds at most 2^32 - 1 events, got " << count);
   Telemetry* tel = telemetry_.get();
   // One batch interval (ingest_seconds, repl_batch_seconds, the
   // engine.ingest span), split into route and execute at a shared clock
@@ -396,11 +414,10 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
   // fail.
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < count; ++i) {
-    const LogEvent& event = events[i];
-    const std::size_t id = shard_index(event.object, options_.num_shards);
-    std::vector<LogEvent>& inbox = shards_[id]->inbox;
+    const std::size_t id = shard_index(events[i].object, options_.num_shards);
+    std::vector<std::uint32_t>& inbox = shards_[id].inbox;
     if (inbox.empty()) active.push_back(id);
-    inbox.push_back(event);
+    inbox.push_back(static_cast<std::uint32_t>(i));
   }
   last_batch_time_ = prev;
   any_event_ = true;
@@ -409,8 +426,15 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count,
   obs::Span execute(nullptr, {}, &stats_.execute_seconds,
                     tel ? &tel->execute : nullptr, route.stop());
   run_shard_tasks(active.size(), [&](std::size_t task) {
-    Shard& shard = *shards_[active[task]];
-    for (const LogEvent& event : shard.inbox) {
+    Shard& shard = shards_[active[task]];
+    const ArenaScope scope(shard.arena);
+    const std::uint32_t* at = shard.inbox.data();
+    const std::size_t routed = shard.inbox.size();
+    for (std::size_t i = 0; i < routed; ++i) {
+      // A shard's events are scattered over the batch: fetch ahead.
+      constexpr std::size_t kAhead = 8;
+      if (i + kAhead < routed) __builtin_prefetch(events + at[i + kAhead]);
+      const LogEvent& event = events[at[i]];
       ObjectState* state = shard.find(event.object);
       if (state == nullptr) {
         state = &shard.insert(make_object_state(event.object));
@@ -442,7 +466,8 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
   std::vector<std::vector<EngineObjectFinal>> shard_finals(shards_.size());
   std::vector<EngineShardMetrics> shard_metrics(shards_.size());
   run_shard_tasks(shards_.size(), [&](std::size_t task) {
-    Shard& shard = *shards_[task];
+    Shard& shard = shards_[task];
+    const ArenaScope scope(shard.arena);
     std::vector<EngineObjectFinal>& run = shard_finals[task];
     EngineShardMetrics& metrics = shard_metrics[task];
     run.reserve(shard.objects.size());
@@ -477,7 +502,10 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
   metrics.shards = std::move(shard_metrics);
 
   reduce.stop();
-  if (telemetry_) telemetry_->objects_active.set(0.0);  // table released
+  if (telemetry_) {  // tables and arenas released
+    telemetry_->objects_active.set(0.0);
+    telemetry_->object_bytes.set(0.0);
+  }
   if (finals != nullptr) *finals = std::move(all);
   return metrics;
 }
@@ -555,6 +583,7 @@ EngineMetrics StreamingEngine::serve(EventSource& source,
     source.ingested(stats_);
     if (tel) {
       tel->objects_active.set(static_cast<double>(object_count()));
+      tel->object_bytes.set(static_cast<double>(object_bytes()));
       tel->source_bytes.set(static_cast<double>(source.bytes_consumed()));
     }
     if (checkpoint_every > 0 && stats_.events_ingested >= next_checkpoint) {
@@ -732,10 +761,10 @@ void StreamingEngine::checkpoint(const std::string& path,
   // once; any object's names serve as the reference.
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->objects.empty()) active.push_back(i);
+    if (!shards_[i].objects.empty()) active.push_back(i);
   }
   if (!active.empty()) {
-    const ObjectState& first = shards_[active.front()]->objects.front();
+    const ObjectState& first = shards_[active.front()].objects.front();
     header.policy_name = first.policy->name();
     header.predictor_name = first.predictor->name();
   }
@@ -748,7 +777,7 @@ void StreamingEngine::checkpoint(const std::string& path,
   };
   std::vector<EncodedShard> encoded(active.size());
   run_shard_tasks(active.size(), [&](std::size_t task) {
-    const Shard& shard = *shards_[active[task]];
+    const Shard& shard = shards_[active[task]];
     std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
     order.reserve(shard.objects.size());
     for (std::size_t i = 0; i < shard.objects.size(); ++i) {
@@ -968,7 +997,8 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
     }
     if (routed == 0) break;
     engine->run_shard_tasks(active.size(), [&](std::size_t task) {
-      Shard& shard = *engine->shards_[active[task]];
+      Shard& shard = engine->shards_[active[task]];
+      const ArenaScope scope(shard.arena);
       std::vector<Routed>& inbox = inboxes[active[task]];
       for (const Routed& record : inbox) {
         ObjectState state = engine->make_object_state(record.id);
@@ -986,6 +1016,8 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
   if (engine->telemetry_) {
     engine->telemetry_->objects_active.set(
         static_cast<double>(engine->object_count()));
+    engine->telemetry_->object_bytes.set(
+        static_cast<double>(engine->object_bytes()));
     // Like the net admitted counter, the ingested counter speaks
     // logical-stream positions: a restore at N seeds it to N, so sums
     // federated across a respawn match an uninterrupted process.
@@ -997,7 +1029,13 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
 
 std::size_t StreamingEngine::object_count() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->objects.size();
+  for (const Shard& shard : shards_) total += shard.objects.size();
+  return total;
+}
+
+std::size_t StreamingEngine::object_bytes() const {
+  std::size_t total = 0;
+  for (const Shard& shard : shards_) total += shard.arena.bytes();
   return total;
 }
 

@@ -16,17 +16,24 @@
 //     mix independent of the shard's). A shard allocates nothing until
 //     its first object; an object costs one record plus its policy,
 //     predictor and simulation state, whose per-server entries cover
-//     only the servers it touched (core/server_table.hpp; ~0.8 KB in
+//     only the servers it touched (core/server_table.hpp; ~0.73 KB in
 //     all on perfbench's replay-1m, where an object touches 2.5 of 10);
+//   * object memory: each shard owns an ObjectArena (util/arena.hpp).
+//     Every shard task (ingest, restore, finish) opens an ArenaScope on
+//     its shard, so the components, simulation state and per-server
+//     tables its objects build are blocks of that arena; finish() and
+//     the destructor run the objects' destructors and hand back whole
+//     chunks instead of freeing each block;
 //   * an event batcher: ingest() routes a time-ordered batch to per-shard
-//     inboxes and executes the non-empty shards in parallel, one task
-//     per shard in a round of the fork-join ThreadPool. Within a shard
-//     events stay in stream order, so per-object order is preserved;
-//     across shards objects are independent (the paper's footnote 1 —
-//     the same argument that makes ParallelRunner correct);
+//     inboxes of 32-bit batch positions and executes the non-empty shards
+//     in parallel, one task per shard in a round of the fork-join
+//     ThreadPool. Within a shard events stay in stream order, so
+//     per-object order is preserved; across shards objects are
+//     independent (the paper's footnote 1 — the same argument that makes
+//     ParallelRunner correct);
 //   * a metrics reducer: finish() finalizes and counts each shard's
-//     objects in its task, then reduces every final in ascending object
-//     id on the calling thread.
+//     objects in its task and releases the shard, then reduces every
+//     final in ascending object id on the calling thread.
 //
 // Determinism contract (same as run/parallel_runner.hpp): the global
 // aggregates are bit-identical to running each object's subsequence
@@ -342,6 +349,10 @@ class StreamingEngine {
   /// Objects instantiated so far.
   std::size_t object_count() const;
 
+  /// Bytes the shard arenas hold for the objects' memory: whole chunks
+  /// plus blocks too large for one (repl_object_bytes). 0 after finish().
+  std::size_t object_bytes() const;
+
   const EngineStats& stats() const { return stats_; }
   const EngineOptions& options() const { return options_; }
 
@@ -365,7 +376,8 @@ class StreamingEngine {
   EngineOptions options_;
   EnginePolicyFactory make_policy_;
   EnginePredictorFactory make_predictor_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// num_shards shards in one block, sized once at construction.
+  std::vector<Shard> shards_;
   /// Starts its workers on the first multi-shard pass and reuses them
   /// across passes, so building an engine spawns no thread and
   /// ingestion does not pay spawn/join churn.

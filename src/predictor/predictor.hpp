@@ -12,6 +12,7 @@
 #include <string>
 
 #include "checkpoint/state_io.hpp"
+#include "util/arena.hpp"
 
 namespace repl {
 
@@ -38,6 +39,16 @@ struct PredictionQuery {
 class Predictor {
  public:
   virtual ~Predictor() = default;
+
+  /// Object memory (util/arena.hpp): built inside an engine shard task, a
+  /// predictor lives in its shard's arena (8-byte aligned); elsewhere on
+  /// the heap.
+  static void* operator new(std::size_t bytes) {
+    return allocate_object(bytes);
+  }
+  static void operator delete(void* predictor, std::size_t bytes) {
+    deallocate_object(predictor, bytes);
+  }
 
   /// Called once before each simulation run; stateful predictors clear
   /// their history here.

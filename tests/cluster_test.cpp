@@ -1169,6 +1169,41 @@ TEST_F(ClusterTest, CoordinatorLastLineCoversTheWholeLog) {
   EXPECT_TRUE(lines[0].ends_with(tail)) << lines[0];
 }
 
+TEST_F(ClusterTest, CoordinatorReportsWhileWorkersDrain) {
+  // Once the log is routed, the coordinator waits while the workers
+  // ingest their backlog, cut and send their summaries. Its [cluster]
+  // lines keep their cadence through that wait: at least two come after
+  // the last event is routed and before the last line (the routing loop
+  // can log at most one of them, after its last batch).
+  const std::vector<LogEvent> events = make_events(200000, 20000);
+  const std::string log = write_log(events);
+  ClusterCoordinatorOptions options = cluster_options(run_dir("drain"), 2);
+  options.batch_events = 256;
+  options.checkpoint_every = 2000;  // the workers cut often, so they lag
+  options.stats_every = 0.005;
+  std::uint64_t routed = 0;  // the coordinator thread's own count
+  options.on_progress = [&routed](std::uint32_t, std::uint64_t) { ++routed; };
+  obs::Logger& logger = obs::Logger::global();
+  logger.reset();
+  std::mutex mu;
+  std::vector<bool> after_routing;  // per [cluster] line
+  logger.set_sink([&](const std::string& line) {
+    if (line.find("[cluster]") == std::string::npos) return;
+    std::lock_guard<std::mutex> lock(mu);
+    after_routing.push_back(routed == events.size());
+  });
+  {
+    ClusterCoordinator coordinator(options);
+    (void)coordinator.serve_log(log);
+  }
+  logger.reset();
+  ASSERT_FALSE(after_routing.empty());
+  ASSERT_TRUE(after_routing.back());
+  const auto draining =
+      std::count(after_routing.begin(), after_routing.end() - 1, true);
+  EXPECT_GE(draining, 2) << after_routing.size() << " [cluster] lines";
+}
+
 TEST_F(ClusterTest, KillRespawnMatrixStaysBitIdentical) {
   // The satellite matrix: SIGKILL one worker at 1/4, 1/2, and 3/4 of its
   // slice, at 2 and 4 partitions, with periodic per-partition

@@ -21,15 +21,21 @@
 #include "api/experiment.hpp"
 #include "baselines/wang2021.hpp"
 #include "core/drwp.hpp"
+#include "core/server_table.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
+#include "engine/event_source.hpp"
 #include "extensions/randomized_drwp.hpp"
+#include "obs/metrics.hpp"
 #include "offline/opt_lower_bound.hpp"
+#include "predictor/ensemble.hpp"
+#include "predictor/history.hpp"
 #include "predictor/last_gap.hpp"
 #include "run/parallel_runner.hpp"
 #include "trace/event_log.hpp"
 #include "trace/stream_gen.hpp"
 #include "trace/trace.hpp"
+#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -64,10 +70,12 @@ EnginePredictorFactory last_gap_factory(int num_servers) {
 }
 
 /// The serial reference per object: group the stream per object (id
-/// order), run the batch Simulator + OPTL per object.
+/// order), run the batch Simulator + OPTL per object. The factories run
+/// outside any engine, so every component lives on the heap.
 std::vector<EngineObjectFinal> serial_finals(
     const std::vector<LogEvent>& events, const SystemConfig& config,
-    bool randomized, std::uint64_t base_seed) {
+    const EnginePolicyFactory& make_policy,
+    const EnginePredictorFactory& make_predictor, std::uint64_t base_seed) {
   std::map<std::uint64_t, std::vector<Request>> per_object;
   for (const LogEvent& e : events) {
     per_object[e.object].push_back(
@@ -80,17 +88,14 @@ std::vector<EngineObjectFinal> serial_finals(
   const Simulator simulator(config, options);
   for (const auto& [id, requests] : per_object) {
     const Trace trace(config.num_servers, requests);
-    const std::uint64_t seed = ParallelRunner::object_seed(
+    EngineObjectContext context;
+    context.object_id = id;
+    context.seed = ParallelRunner::object_seed(
         base_seed, static_cast<std::size_t>(id));
-    PolicyPtr policy;
-    if (randomized) {
-      policy = std::make_unique<RandomizedDrwpPolicy>(kAlpha, seed);
-    } else {
-      policy = std::make_unique<DrwpPolicy>(kAlpha);
-    }
-    LastGapPredictor predictor(config.num_servers);
+    const PolicyPtr policy = make_policy(context);
+    const PredictorPtr predictor = make_predictor(context);
     const SimulationResult result =
-        simulator.run(*policy, trace, predictor);
+        simulator.run(*policy, trace, *predictor);
     EngineObjectFinal final;
     final.id = id;
     final.events = trace.size();
@@ -101,6 +106,15 @@ std::vector<EngineObjectFinal> serial_finals(
     finals.push_back(final);
   }
   return finals;
+}
+
+/// The same with DRWP (randomized or not) and the last-gap predictor.
+std::vector<EngineObjectFinal> serial_finals(
+    const std::vector<LogEvent>& events, const SystemConfig& config,
+    bool randomized, std::uint64_t base_seed) {
+  return serial_finals(events, config,
+                       randomized ? randomized_factory() : drwp_factory(),
+                       last_gap_factory(config.num_servers), base_seed);
 }
 
 /// The serial reference aggregates: serial_finals reduced in id order.
@@ -819,6 +833,372 @@ TEST_F(EngineTest, PerObjectMemoryDoesNotFollowTheFleet) {
         << " at 10,000";
   }
 }
+
+TEST_F(EngineTest, BatchPastThirtyTwoBitPositionsIsRefused) {
+  // Shard inboxes hold 32-bit batch positions, so a larger batch is
+  // refused before any event is read, and the engine stays usable.
+  StreamingEngine engine(engine_config(4), EngineOptions{}, drwp_factory(),
+                         last_gap_factory(4));
+  const std::vector<LogEvent> events = {LogEvent{1.0, 7, 0}};
+  EXPECT_THROW(engine.ingest(events.data(), std::size_t{1} << 32),
+               std::invalid_argument);
+  engine.ingest(events);
+  EXPECT_EQ(engine.finish().events, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Shard arenas: each shard's objects live in its ObjectArena (util/arena.hpp)
+
+/// The serial reference for any factories, reduced as finish() reduces.
+EngineMetrics serial_metrics(const std::vector<LogEvent>& events,
+                             const SystemConfig& config,
+                             const EnginePolicyFactory& make_policy,
+                             const EnginePredictorFactory& make_predictor) {
+  return reduce_object_finals(serial_finals(events, config, make_policy,
+                                            make_predictor,
+                                            EngineOptions{}.base_seed));
+}
+
+void expect_same_metrics(const EngineMetrics& want, const EngineMetrics& got) {
+  EXPECT_EQ(got.objects, want.objects);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.num_local, want.num_local);
+  EXPECT_EQ(got.num_transfers, want.num_transfers);
+  EXPECT_EQ(got.online_cost, want.online_cost);  // bit-identical
+  EXPECT_EQ(got.lower_bound, want.lower_bound);  // bit-identical
+}
+
+/// A seeded stream over `num_servers` servers: every third of 300 objects
+/// requests anywhere in the fleet, so at 100 servers its tables grow from
+/// 2 entries through sparse blocks past ObjectArena::kMaxSmall to direct
+/// arrays; the others keep to 3 servers.
+std::vector<LogEvent> growing_events(std::size_t count, int num_servers,
+                                     std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  const auto fleet = static_cast<std::uint64_t>(num_servers);
+  std::vector<LogEvent> events;
+  double t = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t id = rng.next() % 300;
+    const std::uint64_t server =
+        id % 3 == 0 ? rng.next() % fleet : (id + rng.next() % 3) % fleet;
+    t += 0.01 + static_cast<double>(rng.next() % 100) / 1000.0;
+    events.push_back(LogEvent{t, id, static_cast<std::uint32_t>(server)});
+  }
+  return events;
+}
+
+class EngineArenaTest : public EngineTest {};
+
+TEST_F(EngineArenaTest, GeometriesAgreeThroughARestoreMidway) {
+  const int servers = 100;
+  const SystemConfig config = engine_config(servers);
+  const std::vector<LogEvent> events = growing_events(20000, servers, 71);
+  const std::size_t half = events.size() / 2;
+  const EngineMetrics want = serial_metrics(events, config, drwp_factory(),
+                                            last_gap_factory(servers));
+
+  std::vector<char> first_cut;
+  std::vector<char> last_cut;
+  for (const int threads : {1, 4}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{7},
+                                     std::size_t{256}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " shards=" + std::to_string(shards));
+      EngineOptions options;
+      options.num_shards = shards;
+      options.num_threads = threads;
+      const std::string cut = temp_path("half.ckpt");
+      {
+        StreamingEngine engine(config, options, drwp_factory(),
+                               last_gap_factory(servers));
+        engine.ingest(events.data(), half);
+        engine.checkpoint(cut);
+      }
+      auto resumed = StreamingEngine::restore(cut, config, options,
+                                              drwp_factory(),
+                                              last_gap_factory(servers));
+      const std::string recut = temp_path("recut.ckpt");
+      resumed->checkpoint(recut);
+      EXPECT_EQ(read_bytes(recut), read_bytes(cut));
+      if (first_cut.empty()) first_cut = read_bytes(cut);
+      EXPECT_EQ(read_bytes(cut), first_cut);
+
+      resumed->ingest(events.data() + half, events.size() - half);
+      resumed->checkpoint(recut);
+      if (last_cut.empty()) last_cut = read_bytes(recut);
+      EXPECT_EQ(read_bytes(recut), last_cut);
+      expect_same_metrics(want, resumed->finish());
+    }
+  }
+}
+
+TEST_F(EngineArenaTest, EngineDroppedWithoutFinishGivesItsMemoryBack) {
+  // Once after ingest, once after restore: the destructor runs every
+  // object's destructor in its shard's scope and hands the chunks back.
+  // A sanitizer build checks the frees; mallinfo checks the total.
+  const SystemConfig config = engine_config(100);
+  const std::vector<LogEvent> events = growing_events(6000, 100, 73);
+  EngineOptions options;
+  options.num_shards = 16;
+  options.num_threads = 4;
+  const std::string cut = temp_path("dropped.ckpt");
+  for (const bool restored : {false, true}) {
+    SCOPED_TRACE(restored ? "after restore" : "after ingest");
+    const std::uint64_t before = heap_in_use();
+    {
+      std::unique_ptr<StreamingEngine> engine;
+      if (restored) {
+        engine = StreamingEngine::restore(cut, config, options,
+                                          drwp_factory(),
+                                          last_gap_factory(100));
+      } else {
+        engine = std::make_unique<StreamingEngine>(
+            config, options, drwp_factory(), last_gap_factory(100));
+        engine->ingest(events);
+        engine->checkpoint(cut);
+      }
+      EXPECT_EQ(engine->object_count(), 300u);
+      EXPECT_GT(engine->object_bytes(), 0u);
+    }
+    const std::uint64_t after = heap_in_use();
+    if (before > 0) {
+      EXPECT_LE(after, before + (std::uint64_t{64} << 10));
+    }
+  }
+}
+
+/// DRWP that replaces itself with a clone of itself before every request:
+/// a component, grown tables and all, cloned and dropped inside a shard
+/// task.
+class RecloningDrwp final : public ReplicationPolicy {
+ public:
+  explicit RecloningDrwp(PolicyPtr inner) : inner_(std::move(inner)) {}
+  void reset(const SystemConfig& config, const Prediction& pred0,
+             EventSink& sink) override {
+    inner_->reset(config, pred0, sink);
+  }
+  void advance_to(double time, EventSink& sink) override {
+    inner_->advance_to(time, sink);
+  }
+  ServeAction on_request(int server, double time, const Prediction& pred,
+                         EventSink& sink) override {
+    inner_ = inner_->clone();
+    return inner_->on_request(server, time, pred, sink);
+  }
+  double next_transition_time() const override {
+    return inner_->next_transition_time();
+  }
+  bool holds(int server) const override { return inner_->holds(server); }
+  int copy_count() const override { return inner_->copy_count(); }
+  std::string name() const override { return inner_->name(); }
+  PolicyPtr clone() const override {
+    return std::make_unique<RecloningDrwp>(inner_->clone());
+  }
+
+ private:
+  PolicyPtr inner_;
+};
+
+TEST_F(EngineArenaTest, EnsembleAndClonedComponentsServeAndDrop) {
+  // An ensemble deletes its experts through shared_ptrs; a factory may
+  // clone a prototype built on the heap and drop the first clone; a
+  // policy may clone itself mid-stream. Each block goes back to the arena
+  // it came from, and the aggregates match the serial heap reference.
+  const int servers = 10;
+  const SystemConfig config = engine_config(servers);
+  const std::vector<LogEvent> events = growing_events(12000, servers, 79);
+  const auto prototype = std::make_shared<const DrwpPolicy>(kAlpha);
+  const EnginePolicyFactory cloned = [prototype](const EngineObjectContext&) {
+    const PolicyPtr dropped = prototype->clone();
+    return dropped->clone();
+  };
+  const EnginePolicyFactory recloning = [](const EngineObjectContext&) {
+    return PolicyPtr(
+        std::make_unique<RecloningDrwp>(std::make_unique<DrwpPolicy>(kAlpha)));
+  };
+  const EnginePredictorFactory ensemble = [servers](const EngineObjectContext&) {
+    std::vector<std::shared_ptr<Predictor>> experts;
+    experts.push_back(std::make_unique<LastGapPredictor>(servers));
+    experts.push_back(std::make_unique<HistoryPredictor>(servers));
+    return PredictorPtr(std::make_unique<EnsemblePredictor>(experts));
+  };
+  struct Case {
+    const char* name;
+    EnginePolicyFactory policy;
+    EnginePredictorFactory predictor;
+  };
+  const Case cases[] = {{"cloned prototype", cloned, last_gap_factory(servers)},
+                        {"recloning policy", recloning,
+                         last_gap_factory(servers)},
+                        {"ensemble", drwp_factory(), ensemble}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const EngineMetrics want =
+        serial_metrics(events, config, c.policy, c.predictor);
+    for (const int threads : {1, 4}) {
+      EngineOptions options;
+      options.num_shards = 7;
+      options.num_threads = threads;
+      StreamingEngine served(config, options, c.policy, c.predictor);
+      served.ingest(events);
+      expect_same_metrics(want, served.finish());
+      StreamingEngine dropped(config, options, c.policy, c.predictor);
+      dropped.ingest(events);
+    }
+  }
+}
+
+TEST_F(EngineArenaTest, TableGrowthBlocksAreReused) {
+  // Objects keep arriving, and each grows its tables 2 → 4 entries →
+  // direct while newer ones arrive. The blocks growth leaves behind serve
+  // the newer objects' small tables, so the arena holds no more than ~5%
+  // over the same objects rebuilt by a restore (which grows no table
+  // step by step). Without reuse it would hold about 30% more.
+  const int servers = 10;
+  const SystemConfig config = engine_config(servers);
+  std::vector<LogEvent> events;
+  double t = 0.0;
+  const std::uint64_t objects = 3000;
+  for (std::uint64_t round = 0; round < objects + servers; ++round) {
+    for (int age = 0; age < servers; ++age) {
+      if (round < static_cast<std::uint64_t>(age) ||
+          round - static_cast<std::uint64_t>(age) >= objects) {
+        continue;
+      }
+      events.push_back(LogEvent{t += 0.5, round - static_cast<std::uint64_t>(age),
+                                static_cast<std::uint32_t>(age)});
+    }
+  }
+  EngineOptions options;
+  options.num_shards = 1;
+  options.num_threads = 1;
+  const std::string cut = temp_path("grown.ckpt");
+  std::size_t grown = 0;
+  {
+    StreamingEngine engine(config, options, drwp_factory(),
+                           last_gap_factory(servers));
+    engine.ingest(events);
+    ASSERT_EQ(engine.object_count(), objects);
+    grown = engine.object_bytes();
+    engine.checkpoint(cut);
+  }
+  auto rebuilt = StreamingEngine::restore(cut, config, options,
+                                          drwp_factory(),
+                                          last_gap_factory(servers));
+  const std::size_t packed = rebuilt->object_bytes();
+  EXPECT_LE(static_cast<double>(grown), 1.05 * static_cast<double>(packed))
+      << grown << " B after growth, " << packed << " B rebuilt, for "
+      << objects << " objects";
+}
+
+/// Ends its stream by recording the engine's object bytes and the gauge:
+/// the state after the last batch, before finish().
+class GaugeProbeSource final : public EventSource {
+ public:
+  GaugeProbeSource(std::vector<LogEvent> events, obs::Gauge& gauge)
+      : events_(std::move(events)), gauge_(gauge) {}
+  void attach(StreamingEngine& engine) override { engine_ = &engine; }
+  bool next_batch(std::vector<LogEvent>& out) override {
+    out.clear();
+    if (at_ >= events_.size()) {
+      held = engine_->object_bytes();
+      reported = gauge_.value();
+      return false;
+    }
+    const std::size_t n = std::min<std::size_t>(500, events_.size() - at_);
+    out.assign(events_.begin() + static_cast<std::ptrdiff_t>(at_),
+               events_.begin() + static_cast<std::ptrdiff_t>(at_ + n));
+    at_ += n;
+    return true;
+  }
+
+  std::size_t held = 0;
+  double reported = -1.0;
+
+ private:
+  std::vector<LogEvent> events_;
+  obs::Gauge& gauge_;
+  StreamingEngine* engine_ = nullptr;
+  std::size_t at_ = 0;
+};
+
+TEST_F(EngineArenaTest, ObjectBytesGaugeReadsTheArenas) {
+  // repl_object_bytes holds the arenas' chunk bytes after every batch and
+  // after restore, and 0 once finish() has released them. At 10 servers
+  // every block fits a chunk, so the bytes are whole chunks.
+  const SystemConfig config = engine_config(10);
+  const std::vector<LogEvent> events = growing_events(8000, 10, 83);
+  obs::MetricsRegistry registry;
+  obs::Gauge& gauge = registry.gauge("repl_object_bytes", "");
+  EngineOptions options;
+  options.num_shards = 7;
+  options.num_threads = 4;
+  options.metrics = &registry;
+  StreamingEngine engine(config, options, drwp_factory(),
+                         last_gap_factory(10));
+  GaugeProbeSource source(events, gauge);
+  const std::string cut = temp_path("gauge.ckpt");
+  ServeOptions serve;
+  serve.checkpoint_every = events.size() / 2;
+  serve.checkpoint_path = cut;
+  engine.serve(source, serve);
+  EXPECT_GT(source.held, 0u);
+  EXPECT_EQ(source.held % ObjectArena::kChunkBytes, 0u);
+  EXPECT_EQ(source.reported, static_cast<double>(source.held));
+  EXPECT_EQ(gauge.value(), 0.0);
+  EXPECT_EQ(engine.object_bytes(), 0u);
+
+  auto restored = StreamingEngine::restore(cut, config, options,
+                                           drwp_factory(),
+                                           last_gap_factory(10));
+  EXPECT_GT(restored->object_bytes(), 0u);
+  EXPECT_EQ(gauge.value(), static_cast<double>(restored->object_bytes()));
+}
+
+TEST(EngineArena, FreeListsServeExactSizesThenSplitLargerBlocks) {
+  ObjectArena arena;
+  void* a = arena.allocate(176);
+  void* b = arena.allocate(80);
+  EXPECT_EQ(static_cast<char*>(b), static_cast<char*>(a) + 176);
+  const std::size_t held = arena.bytes();
+  EXPECT_EQ(held, ObjectArena::kChunkBytes);
+  arena.deallocate(b, 80);
+  EXPECT_EQ(arena.allocate(80), b);  // exact size first
+  arena.deallocate(a, 176);
+  // No 96-byte block is free: the 176-byte one splits, and its 80-byte
+  // remainder serves the next request of that size.
+  EXPECT_EQ(arena.allocate(96), a);
+  EXPECT_EQ(arena.allocate(80), static_cast<char*>(a) + 96);
+  EXPECT_EQ(arena.bytes(), held);
+  // Blocks past kMaxSmall are heap blocks the arena counts and frees.
+  void* large = arena.allocate(ObjectArena::kMaxSmall + 8);
+  EXPECT_GT(arena.bytes(), held + ObjectArena::kMaxSmall);
+  arena.deallocate(large, ObjectArena::kMaxSmall + 8);
+  EXPECT_EQ(arena.bytes(), held);
+  arena.release();
+  EXPECT_EQ(arena.bytes(), 0u);
+}
+
+#ifdef REPL_ARENA_ASAN
+TEST(EngineArenaDeathTest, AsanFailsAStalePointerIntoAGrownTable) {
+  struct Entry {
+    double value = 0.0;
+  };
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ObjectArena arena;
+        const ArenaScope scope(arena);
+        ServerTable<Entry> table;
+        const double* stale = &table.touch(0, 100).value;
+        for (int s = 1; s < 4; ++s) table.touch(s, 100);  // regrows
+        volatile double read = *stale;
+        (void)read;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace repl

@@ -1374,7 +1374,7 @@ TEST(ObsEngineParityTest, EachIntervalIsMeasuredOnceIntoEverySink) {
 
   // The engine registers exactly the series the README documents.
   const std::set<std::string> documented = readme_engine_inventory();
-  EXPECT_EQ(documented.size(), 17u);
+  EXPECT_EQ(documented.size(), 18u);
   EXPECT_EQ(series_keys(samples), documented);
 }
 
